@@ -55,6 +55,8 @@ from .simulate import (
     SdeModel,
     SimulationReport,
     exact_regime_path,
+    power_drift,
+    regime_sigma,
     run_ensemble,
     step,
     truncate_chain,
@@ -78,6 +80,6 @@ __all__ = [
     "leading_minors", "least_real_eigenvalue", "perron",
     "semipositive_certificate", "upper_ones", "z_pattern",
     "RegimeModel", "load_model", "parse_model",
-    "SdeModel", "SimulationReport", "exact_regime_path", "run_ensemble",
-    "step", "truncate_chain",
+    "SdeModel", "SimulationReport", "exact_regime_path", "power_drift",
+    "regime_sigma", "run_ensemble", "step", "truncate_chain",
 ]

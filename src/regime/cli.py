@@ -30,7 +30,7 @@ from .criteria import (
 from .errors import CriterionNotApplicable, RegimeError
 from .markov import Partition, bound_rates
 from .modelfile import RegimeModel, load_model
-from .simulate import SdeModel, run_ensemble
+from .simulate import SdeModel, power_drift, regime_sigma, run_ensemble
 
 # Fixed evaluation order for --criterion auto: the complete 1-d dichotomy and
 # the linear-drift test first, then the M-matrix certificates, then the
@@ -166,33 +166,17 @@ def cmd_classify(args) -> int:
 
 
 def _build_sde(model: RegimeModel) -> SdeModel:
-    if model.drift_kind == "power":
-        slopes, delta = model.drift_b, model.delta
-
-        def drift(x, i):
-            if delta == 1.0:
-                return slopes[i] * x
-            return slopes[i] * np.sign(x) * np.abs(x) ** delta
-    elif model.drift_kind == "ou":
-        slopes = model.drift_b
-
-        def drift(x, i):
-            return slopes[i] * x
-    else:
+    if model.drift_kind not in ("power", "ou"):
         raise CriterionNotApplicable("simulation needs a power or ou drift section")
     if model.sigma is None:
         raise CriterionNotApplicable("simulation needs a sigma section")
-    sig = np.broadcast_to(model.sigma, (model.n_regimes,))
-
-    def sigma(x, i):
-        return sig[i]
-
     rates = model.qmatrix if model.q_kind == "matrix" else model.rates
     if rates is None:
         raise CriterionNotApplicable("simulation needs matrix or rates switching "
                                      "(truncate infinite chains first)")
-    return SdeModel(dim=model.dim, n_regimes=model.n_regimes, drift=drift,
-                    sigma=sigma, rates=rates, boundary=model.boundary)
+    return SdeModel(dim=model.dim, n_regimes=model.n_regimes,
+                    drift=power_drift(model.drift_b, model.delta),
+                    sigma=regime_sigma(model.sigma), rates=rates, boundary=model.boundary)
 
 
 def cmd_simulate(args) -> int:
@@ -201,9 +185,12 @@ def cmd_simulate(args) -> int:
         return 1
     model = load_model(args.model)
     sde = _build_sde(model)
-    report = run_ensemble(sde, x0=args.x0, i0=args.i0 - 1, r0=args.r0, T=args.T,
-                          dt=args.dt, trials=args.trials, seed=args.seed,
-                          escape_radius=args.escape_radius)
+    # the engine checks every rate it evaluates and raises on a nan or a
+    # negative one; numpy's warning about the expression that made it is noise
+    with np.errstate(invalid="ignore", divide="ignore"):
+        report = run_ensemble(sde, x0=args.x0, i0=args.i0 - 1, r0=args.r0, T=args.T,
+                              dt=args.dt, trials=args.trials, seed=args.seed,
+                              escape_radius=args.escape_radius)
     _emit({"model": str(args.model), "simulation": report.to_dict()},
           args.out, args.text)
     return 0

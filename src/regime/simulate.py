@@ -7,44 +7,54 @@ construction; a path counts as returned only if it reaches the target ball
 before the horizon, so reports corroborate the analytic verdicts rather than
 prove them.
 
+One step of a whole batch is a fixed handful of numpy operations
+(``_Kernel``): the model's drift and sigma are called once on every active
+path with its regime array, and switching gathers a per-ensemble table of
+cumulative rates (constant generators) or evaluates the rates of the occupied
+regimes only (state-dependent rates).
+
 Reproducibility contract: path k draws from its own generator seeded with
 ``SeedSequence(seed, spawn_key=(k,))``, consuming one block of normals and one
 block of uniforms per BLOCK steps.  Results are therefore bitwise identical
-for a given (seed, config) no matter how paths are chunked or how many worker
-threads run them; aggregation is ordered by path index.
+for a given (seed, config) no matter how paths are chunked; aggregation is
+ordered by path index.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import StepTooLarge
+from .errors import NegativeOffDiagonal, StepTooLarge, UnboundedRate
 from .markov import QMatrix, StateDependentRates, TailHomogeneousChain, validate_qmatrix
 
 BLOCK = 8192
+# largest admissible switching probability q_i(x) dt of one step
+_MAX_SWITCH_PROB = 0.1 + 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class SdeModel:
     """Dynamics specification for the pair (X_t, regime_t).
 
-    ``drift(x, i)`` and ``sigma(x, i)`` receive an (k, d) array of positions
-    in regime i; drift returns (k, d), sigma anything broadcastable to (k, d)
-    (per-axis noise scales) or, with ``sigma_mode="matrix"``, a constant
-    (d, d) matrix.  ``rates`` is either a constant generator or 1-d
-    state-dependent rates.  ``boundary="reflect"`` keeps d = 1 paths on the
-    half-line by reflecting at zero.
+    ``drift(x, lam)`` and ``sigma(x, lam)`` are called once per step with the
+    whole active batch: positions ``x`` of shape (k, d) and the regime of each
+    path, an integer array ``lam`` of shape (k,).  drift returns (k, d).
+    sigma returns per-axis noise scales, as a scalar or of shape (d,), (k, 1)
+    or (k, d); with ``sigma_mode="matrix"`` it returns one (d, d) noise
+    matrix for the batch.  Per-regime coefficients are gathered by regime,
+    ``coef[lam][:, None]``, as ``power_drift`` and ``regime_sigma`` do;
+    callables that ignore the regime work unchanged.  ``rates`` is either a
+    constant generator or 1-d state-dependent rates.  ``boundary="reflect"``
+    keeps d = 1 paths on the half-line by reflecting at zero.
     """
 
     dim: int
     n_regimes: int
-    drift: Callable[[np.ndarray, int], np.ndarray]
-    sigma: Callable[[np.ndarray, int], np.ndarray]
+    drift: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    sigma: Callable[[np.ndarray, np.ndarray], np.ndarray]
     rates: Union[QMatrix, StateDependentRates]
     boundary: str = "none"
     sigma_mode: str = "diag"
@@ -63,6 +73,33 @@ class SdeModel:
             raise ValueError("rate specification does not match n_regimes")
         if isinstance(self.rates, StateDependentRates) and self.dim != 1:
             raise ValueError("state-dependent rates are supported on 1-d state spaces")
+
+
+def power_drift(b, delta: float = 1.0) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Drift ``b[lam] * sign(x) * |x|**delta``, one slope per regime
+    (``b[lam] * x`` for delta = 1)."""
+    slopes = np.asarray(b, dtype=float)
+    if delta == 1.0:
+        def drift(x, lam):
+            return slopes[lam][:, None] * x
+    else:
+        def drift(x, lam):
+            return slopes[lam][:, None] * np.sign(x) * np.abs(x) ** delta
+    return drift
+
+
+def regime_sigma(s) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Noise scale ``s[lam]`` from a scalar or one value per regime."""
+    scales = np.asarray(s, dtype=float).reshape(-1)
+    if (scales == scales[0]).all():
+        level = scales[0]
+
+        def sigma(x, lam):
+            return level
+    else:
+        def sigma(x, lam):
+            return scales[lam][:, None]
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -97,58 +134,131 @@ class SimulationReport:
         return jsonify(self.__dict__)
 
 
-def _rate_rows(model: SdeModel, x: np.ndarray, regime: int) -> np.ndarray:
-    """Off-diagonal switching rates out of ``regime`` at positions x: (k, n)."""
-    k = x.shape[0]
-    n = model.n_regimes
-    rows = np.zeros((k, n))
-    if isinstance(model.rates, QMatrix):
-        row = model.rates.entries[regime].copy()
-        row[regime] = 0.0
-        rows[:] = row
-    else:
+class _Kernel:
+    """One Euler-Maruyama step plus thinned switching for a batch of paths.
+
+    Built once per ensemble.  For a constant generator it holds the
+    cumulative off-diagonal rows ``cumsum(q_ij dt)``, gathered by regime at
+    each step; a path switches when its uniform falls below its row's total
+    and moves to the first regime whose cumulative entry exceeds it.  The
+    model's callables are read from ``model`` at every step, so a copy of the
+    model with other callables is honoured.
+    """
+
+    def __init__(self, model: SdeModel, dt: float):
+        self.model = model
+        self.dt = dt
+        self.sqrt_dt = np.sqrt(dt)
+        if isinstance(model.rates, QMatrix):
+            off = np.array(model.rates.entries, dtype=float)
+            np.fill_diagonal(off, 0.0)
+            self.table = np.cumsum(off * dt, axis=1)
+            self.switch_prob = self.table[:, -1].copy()
+            self.exit_prob = off.sum(axis=1) * dt
+            too_fast = self.exit_prob > _MAX_SWITCH_PROB
+            # regimes whose exit rate breaks the thinning bound, checked only if any
+            self.too_fast = too_fast if too_fast.any() else None
+        else:
+            self.table = None
+
+    def advance(self, x: np.ndarray, lam: np.ndarray, z: np.ndarray,
+                u: np.ndarray) -> tuple:
+        model = self.model
+        k, d = x.shape
+        drift = np.asarray(model.drift(x, lam), dtype=float)
+        if drift.shape != (k, d):
+            raise ValueError(f"drift(x, lam) must return the batch shape (k, d) = {(k, d)}, "
+                             f"got {drift.shape}; gather per-regime coefficients "
+                             f"as coef[lam][:, None]")
+        sig = np.asarray(model.sigma(x, lam), dtype=float)
+        if model.sigma_mode == "diag":
+            if sig.shape not in ((), (d,), (k, 1), (k, d)):
+                raise ValueError(f"sigma(x, lam) must return a scalar or shape (d,), (k, 1) "
+                                 f"or (k, d) with (k, d) = {(k, d)}, got {sig.shape}")
+            noise = sig * z
+        elif sig.shape == (d, d):
+            noise = z @ sig.T
+        else:
+            raise ValueError(f"matrix sigma(x, lam) must return one (d, d) matrix, "
+                             f"d = {d}, got shape {sig.shape}")
+        x_new = x + drift * self.dt + noise * self.sqrt_dt
+        if model.boundary == "reflect":
+            np.abs(x_new, out=x_new)
+        if self.table is None:
+            cum = self._rate_cumsum(x, lam)
+            last = cum[-1]
+        else:
+            if self.too_fast is not None and self.too_fast[lam].any():
+                reg = int(lam[self.too_fast[lam]].min())
+                raise StepTooLarge(f"dt * q = {self.exit_prob[reg]:.3g} > 0.1 in regime {reg}; "
+                                   f"shrink dt")
+            last = self.switch_prob[lam]
+        moved = (u < last).nonzero()[0]
+        if moved.size == 0:
+            return x_new, lam
+        if self.table is None:
+            target = (u.take(moved) < cum.take(moved, axis=1)).argmax(axis=0)
+        else:
+            rows = self.table.take(lam.take(moved), axis=0)
+            target = (u.take(moved)[:, None] < rows).argmax(axis=1)
+        lam_new = lam.copy()
+        lam_new[moved] = target
+        return x_new, lam_new
+
+    def _rate_cumsum(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """Cumulative switching probabilities, (n, k): row j sums q_{lam,l}(x) dt
+        over l <= j.  ``rate_fn`` is called for occupied regimes only, on the
+        positions of their paths."""
+        rates = self.model.rates
+        n, k = rates.n, x.shape[0]
         xs = x[:, 0]
-        for j in range(n):
-            if j != regime:
-                rows[:, j] = model.rates.rate_fn(xs, regime, j)
-    return rows
+        q = np.zeros((n, k))
+        placed = 0
+        for i in range(n):
+            idx = (lam == i).nonzero()[0]
+            if idx.size == 0:
+                continue
+            sel = slice(None) if idx.size == k else idx
+            xi = xs[sel]
+            for j in range(n):
+                if j != i:
+                    q[j][sel] = rates.rate_fn(xi, i, j)
+            placed += idx.size
+            if placed == k:
+                break
+        if not q.min() >= 0.0:
+            _raise_bad_rate(q, xs, lam)
+        # row-by-row running sum: np.cumsum along the short axis is slower,
+        # and adds in the same order
+        cum = q * self.dt
+        for j in range(1, n):
+            np.add(cum[j - 1], cum[j], out=cum[j])
+        top = cum[-1].max()
+        if not top <= _MAX_SWITCH_PROB:
+            if not np.isfinite(top):
+                _raise_bad_rate(q, xs, lam)
+            reg = int(lam[cum[-1].argmax()])
+            raise StepTooLarge(f"dt * q = {top:.3g} > 0.1 in regime {reg}; shrink dt")
+        return cum
+
+
+def _raise_bad_rate(q: np.ndarray, xs: np.ndarray, lam: np.ndarray):
+    """Raise for the first path (in batch order) whose rates out of its regime
+    include a negative or non-finite value."""
+    bad = ~(np.isfinite(q) & (q >= 0.0))
+    p = int(bad.any(axis=0).argmax())
+    j = int(bad[:, p].argmax())
+    i, value = int(lam[p]), float(q[j, p])
+    where = f"q[{i},{j}](x = {float(xs[p]):.6g}) = {value:.6g}"
+    if not np.isfinite(value):
+        raise UnboundedRate(f"switching rate {where} is not finite")
+    raise NegativeOffDiagonal(f"switching rate {where} is negative")
 
 
 def _advance(model: SdeModel, x: np.ndarray, lam: np.ndarray, dt: float,
              z: np.ndarray, u: np.ndarray) -> tuple:
-    """One Euler-Maruyama step plus thinned switching for a batch of paths."""
-    k = x.shape[0]
-    sqrt_dt = np.sqrt(dt)
-    x_new = np.empty_like(x)
-    lam_new = lam.copy()
-    for reg in range(model.n_regimes):
-        sel = np.flatnonzero(lam == reg)
-        if sel.size == 0:
-            continue
-        xs = x[sel]
-        drift = np.asarray(model.drift(xs, reg), dtype=float)
-        if model.sigma_mode == "diag":
-            sig = np.broadcast_to(np.asarray(model.sigma(xs, reg), dtype=float), xs.shape)
-            noise = sig * z[sel]
-        else:
-            smat = np.asarray(model.sigma(xs, reg), dtype=float)
-            noise = z[sel] @ smat.T
-        x_new[sel] = xs + drift * dt + noise * sqrt_dt
-
-        rows = _rate_rows(model, xs, reg)
-        total = rows.sum(axis=1)
-        if total.size and float(total.max()) * dt > 0.1 + 1e-12:
-            raise StepTooLarge(
-                f"dt * q = {float(total.max()) * dt:.3g} > 0.1 in regime {reg}; shrink dt")
-        cum = np.cumsum(rows * dt, axis=1)
-        us = u[sel]
-        switch = us < cum[:, -1]
-        if switch.any():
-            target = (us[:, None] < cum).argmax(axis=1)
-            lam_new[sel[switch]] = target[switch]
-    if model.boundary == "reflect":
-        x_new = np.abs(x_new)
-    return x_new, lam_new
+    """One step for a batch of paths outside an ensemble run."""
+    return _Kernel(model, dt).advance(x, lam, z, u)
 
 
 def step(model: SdeModel, x, regime: int, dt: float, rng: np.random.Generator) -> tuple:
@@ -164,39 +274,57 @@ def step(model: SdeModel, x, regime: int, dt: float, rng: np.random.Generator) -
 
 def _simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: int,
                     r0: float, n_steps: int, dt: float, seed: int) -> tuple:
-    """Run a contiguous block of paths to min(hitting time, horizon)."""
+    """Run a block of paths to min(hitting time, horizon).
+
+    The active paths' positions, regimes and indices stay compacted, in path
+    order; a step where some path hits removes it.  Random numbers sit in
+    step-major buffers, one column per active path at the start of each
+    block, so a step reads a contiguous row until the first path of the
+    block retires.  Returns each path's hitting time (nan if none), final
+    radius (at the hit for returned paths) and whether it is still out.
+    """
     k = path_ids.size
     d = model.dim
+    kernel = _Kernel(model, dt)
     rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(int(pid),)))
             for pid in path_ids]
-    x = np.tile(x0, (k, 1))
-    lam = np.full(k, i0, dtype=int)
-    active = np.ones(k, dtype=bool)
+    x_end = np.tile(x0, (k, 1))
     hit_time = np.full(k, np.nan)
+    ids = np.arange(k)
+    x = x_end.copy()
+    lam = np.full(k, i0, dtype=np.intp)
 
-    z_buf = np.empty((k, BLOCK, d))
-    u_buf = np.empty((k, BLOCK))
+    z_buf = np.empty((BLOCK, k, d))
+    u_buf = np.empty((BLOCK, k))
     done_steps = 0
-    while done_steps < n_steps and active.any():
+    while done_steps < n_steps and ids.size:
         span = min(BLOCK, n_steps - done_steps)
-        for j in np.flatnonzero(active):
-            z_buf[j, :span] = rngs[j].standard_normal((span, d))
-            u_buf[j, :span] = rngs[j].random(span)
+        for col, j in enumerate(ids.tolist()):
+            z_buf[:span, col] = rngs[j].standard_normal((span, d))
+            u_buf[:span, col] = rngs[j].random(span)
+        width = ids.size
+        cols = None  # buffer columns of the active paths once one has retired
         for s in range(span):
-            ia = np.flatnonzero(active)
-            if ia.size == 0:
-                break
-            x_new, lam_new = _advance(model, x[ia], lam[ia], dt,
-                                      z_buf[ia, s], u_buf[ia, s])
-            x[ia] = x_new
-            lam[ia] = lam_new
-            hit = _norm(x_new) <= r0
-            if hit.any():
-                ids = ia[hit]
-                hit_time[ids] = (done_steps + s + 1) * dt
-                active[ids] = False
+            if cols is None:
+                x, lam = kernel.advance(x, lam, z_buf[s, :width], u_buf[s, :width])
+            else:
+                x, lam = kernel.advance(x, lam, z_buf[s, cols], u_buf[s, cols])
+            hit = _norm(x) <= r0
+            hits = hit.nonzero()[0]
+            if hits.size:
+                gone = ids[hits]
+                hit_time[gone] = (done_steps + s + 1) * dt
+                x_end[gone] = x[hits]
+                keep = ~hit
+                ids, x, lam = ids[keep], x[keep], lam[keep]
+                cols = np.flatnonzero(keep) if cols is None else cols[keep]
+                if ids.size == 0:
+                    break
         done_steps += span
-    return hit_time, _norm(x), active
+    x_end[ids] = x
+    active = np.zeros(k, dtype=bool)
+    active[ids] = True
+    return hit_time, _norm(x_end), active
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
@@ -212,7 +340,6 @@ def run_ensemble(model: SdeModel, x0, i0: int, r0: float, T: float, dt: float,
     """Simulate ``trials`` independent paths and aggregate hitting statistics.
 
     Paths run until they enter the ball of radius r0 or the horizon T ends.
-    ``REGIME_THREADS`` caps worker threads; results do not depend on it.
     """
     x0v = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0v.shape != (model.dim,):
@@ -230,25 +357,8 @@ def run_ensemble(model: SdeModel, x0, i0: int, r0: float, T: float, dt: float,
     if n_steps < 1:
         raise ValueError("horizon shorter than one step")
 
-    threads = max(1, int(os.environ.get("REGIME_THREADS", "1")))
-    all_ids = np.arange(trials)
-    if threads == 1:
-        hit_time, final_radius, survived = _simulate_paths(
-            model, all_ids, x0v, i0, r0, n_steps, dt, seed)
-    else:
-        chunks = np.array_split(all_ids, threads)
-        hit_time = np.full(trials, np.nan)
-        final_radius = np.empty(trials)
-        survived = np.zeros(trials, dtype=bool)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [(chunk, pool.submit(_simulate_paths, model, chunk, x0v, i0,
-                                           r0, n_steps, dt, seed))
-                       for chunk in chunks if chunk.size]
-        for chunk, fut in futures:
-            ht, fr, sv = fut.result()
-            hit_time[chunk] = ht
-            final_radius[chunk] = fr
-            survived[chunk] = sv
+    hit_time, final_radius, survived = _simulate_paths(
+        model, np.arange(trials), x0v, i0, r0, n_steps, dt, seed)
 
     returned = int(np.isfinite(hit_time).sum())
     p_ret = returned / trials

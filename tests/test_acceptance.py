@@ -24,6 +24,7 @@ from regime.criteria import Limit, LyapunovBehavior, classify_avg, classify_mmat
 from regime.markov import BetaSequence, Partition, TailHomogeneousChain, coarsen
 from regime.mmatrix import BOUNDARY_BAND, least_real_eigenvalue
 from regime.reproduce import ex22_sde_model, ou_sde_model, reproduce_ex21
+from regime.simulate import _simulate_paths
 
 
 def _announce(name, ok, detail):
@@ -253,20 +254,19 @@ def test_criterion_7_property_suite():
             for j in range(lo, (hi or len(head)) + 1):
                 assert beta.value(j) <= bound + 1e-15
 
-    # simulator determinism, including across thread counts
-    import os
-
+    # simulator determinism, including across blocks of paths
     model = ex22_sde_model(0.3)
     kwargs = dict(x0=5.0, i0=0, r0=1.0, T=4.0, dt=1e-3, trials=120, seed=55)
     first = run_ensemble(model, **kwargs)
     second = run_ensemble(model, **kwargs)
     assert first == second
-    os.environ["REGIME_THREADS"] = "4"
-    try:
-        threaded = run_ensemble(model, **kwargs)
-    finally:
-        del os.environ["REGIME_THREADS"]
-    assert first == threaded
+    ids = np.arange(120)
+    args = (np.array([5.0]), 0, 1.0, 4000, 1e-3, 55)
+    whole = _simulate_paths(model, ids, *args)
+    for block in np.array_split(ids, 4):
+        part = _simulate_paths(model, block, *args)
+        for w, p in zip(whole, part):
+            np.testing.assert_array_equal(w[block], p)
 
     elapsed = time.perf_counter() - t0
     _announce("criterion 7", True, f"property suite complete, {elapsed:.1f}s")

@@ -162,6 +162,20 @@ class TestSimulateCommand:
         assert report["trials"] == 100
         assert 0.0 <= report["return_fraction"] <= 1.0
 
+    @pytest.mark.parametrize("expr, error", [("x - 3", "NegativeOffDiagonal"),
+                                             ("log(x - 3)", "UnboundedRate")])
+    def test_invalid_rate_fails_with_one_error_line(self, tmp_path, capsys, expr, error):
+        # at x0 = 2 the rate out of regime 1 is -1, or log(-1) = nan
+        doc = benchmark_documents()["ex22"]
+        doc["q"]["entries"][0]["expr"] = expr
+        path = write_model(tmp_path, doc)
+        code = main(["simulate", path, "--x0", "2", "--r0", "1", "--T", "1.0",
+                     "--dt", "0.001", "--trials", "100", "--seed", "2"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.splitlines() == [err.splitlines()[0]]
+        assert err.startswith(f"error: {error}: ")
+
 
 class TestReproduceCommand:
     def test_ex21_table(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from regime import (
     SdeModel,
+    StateDependentRates,
     TailHomogeneousChain,
     exact_regime_path,
     invariant_measure,
@@ -11,9 +12,9 @@ from regime import (
     truncate_chain,
     validate_qmatrix,
 )
-from regime.errors import StepTooLarge
-from regime.reproduce import ex22_sde_model
-from regime.simulate import _advance
+from regime.errors import NegativeOffDiagonal, StepTooLarge, UnboundedRate
+from regime.reproduce import ex21_sde_model, ex22_sde_model
+from regime.simulate import _advance, _simulate_paths, power_drift, regime_sigma
 
 Q2 = validate_qmatrix([[-1.0, 1.0], [2.0, -2.0]])
 
@@ -123,13 +124,20 @@ class TestRunEnsemble:
         assert r1 == r2
         assert r1.to_dict() == r2.to_dict()
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        model = ex22_sde_model(0.3)
-        kwargs = dict(x0=5.0, i0=0, r0=1.0, T=5.0, dt=1e-3, trials=120, seed=99)
-        serial = run_ensemble(model, **kwargs)
-        monkeypatch.setenv("REGIME_THREADS", "3")
-        threaded = run_ensemble(model, **kwargs)
-        assert serial == threaded
+    @pytest.mark.parametrize("build", [lambda: ex22_sde_model(0.3),
+                                       lambda: ex21_sde_model(0.3)], ids=["ex22", "ex21"])
+    def test_path_blocks_do_not_change_results(self, build):
+        # each path owns its stream, so a path's hitting time, final radius and
+        # survival are the same whether it runs in the whole batch or a block
+        model = build()
+        args = (np.array([3.0]), 0, 1.0, 3000, 1e-3, 99)
+        ids = np.arange(120)
+        whole = _simulate_paths(model, ids, *args)
+        assert np.isfinite(whole[0]).sum() > 10 and whole[2].sum() > 10
+        for block in (ids[:1], ids[1:50], ids[50:]):
+            part = _simulate_paths(model, block, *args)
+            for w, p in zip(whole, part):
+                np.testing.assert_array_equal(w[block], p)
 
     def test_validates_inputs(self):
         model = ex22_sde_model(0.3)
@@ -158,6 +166,78 @@ class TestRunEnsemble:
         assert rep.t_horizon == pytest.approx(3.0)
         if rep.returned == 0:
             assert rep.mean_hitting_time is None
+
+
+class TestCallbackContract:
+    def test_callbacks_see_the_batch_and_its_regimes(self):
+        seen = []
+
+        def drift(x, lam):
+            seen.append((x.shape, lam.copy()))
+            return np.zeros_like(x)
+
+        model = SdeModel(dim=1, n_regimes=2, drift=drift, sigma=lambda x, lam: 0.0,
+                         rates=Q2)
+        x = np.ones((3, 1))
+        _advance(model, x, np.array([0, 1, 1]), 0.01, np.zeros((3, 1)), np.ones(3))
+        assert len(seen) == 1
+        assert seen[0][0] == (3, 1) and seen[0][1].tolist() == [0, 1, 1]
+
+    def test_helpers_gather_by_regime(self):
+        x = np.array([[2.0], [-4.0], [9.0]])
+        lam = np.array([1, 0, 1])
+        np.testing.assert_array_equal(power_drift([-1.0, 3.0])(x, lam), [[6.0], [4.0], [27.0]])
+        np.testing.assert_array_equal(power_drift([-1.0, 3.0], 0.5)(x, lam),
+                                      [[3.0 * np.sqrt(2.0)], [2.0], [9.0]])
+        np.testing.assert_array_equal(regime_sigma([0.5, 2.0])(x, lam), [[2.0], [0.5], [2.0]])
+        assert regime_sigma(1.5)(x, lam) == 1.5
+
+    def test_scalar_regime_drift_is_rejected(self):
+        # written for one regime index at a time, it broadcasts to (k, k)
+        model = SdeModel(dim=1, n_regimes=2, drift=lambda x, i: (0.3 - 1.0 / (i + 1)) * x,
+                         sigma=lambda x, i: 1.0, rates=Q2)
+        with pytest.raises(ValueError, match=r"drift\(x, lam\)"):
+            _advance(model, np.ones((3, 1)), np.array([0, 1, 0]), 0.01,
+                     np.zeros((3, 1)), np.ones(3))
+
+    @pytest.mark.parametrize("mode, sig", [
+        ("diag", np.array([1.0, 2.0, 3.0])),       # (k,) aligns with the axis dimension
+        ("diag", np.ones((3, 3))),
+        ("matrix", np.ones(2)),
+        ("matrix", np.ones((3, 2))),
+        ("matrix", np.ones((3, 2, 2))),
+    ])
+    def test_bad_sigma_shapes_are_rejected(self, mode, sig):
+        model = SdeModel(dim=2, n_regimes=2, drift=lambda x, lam: -x,
+                         sigma=lambda x, lam: sig, rates=Q2, sigma_mode=mode)
+        with pytest.raises(ValueError, match=r"sigma\(x, lam\)"):
+            _advance(model, np.ones((3, 2)), np.zeros(3, dtype=int), 0.01,
+                     np.zeros((3, 2)), np.ones(3))
+
+
+class TestStateDependentRateValues:
+    def _model(self, rate_fn):
+        rates = StateDependentRates(n=2, rate_fn=rate_fn)
+        return SdeModel(dim=1, n_regimes=2, drift=lambda x, lam: -x,
+                        sigma=lambda x, lam: 0.0, rates=rates, boundary="reflect")
+
+    def test_negative_rate_raises_at_first_visited_position(self):
+        # x shrinks by the factor 1 - dt each step; the rate x - 3 turns
+        # negative on the first step below 3
+        model = self._model(lambda x, i, j: x - 3.0)
+        with pytest.raises(NegativeOffDiagonal, match=r"x = 2\.99"):
+            run_ensemble(model, x0=5.0, i0=0, r0=1.0, T=1.0, dt=1e-3, trials=100, seed=0)
+
+    def test_step_too_large_for_the_rates_met(self):
+        # the exit rate 200 at x < 3 makes q dt = 0.2 once a path gets there
+        model = self._model(lambda x, i, j: np.where(x < 3.0, 200.0, 1.0))
+        with pytest.raises(StepTooLarge, match=r"dt \* q = 0\.2 > 0\.1"):
+            run_ensemble(model, x0=5.0, i0=0, r0=1.0, T=1.0, dt=1e-3, trials=100, seed=0)
+
+    def test_nonfinite_rate_raises(self):
+        model = self._model(lambda x, i, j: np.where(x < 3.0, np.inf, 1.0))
+        with pytest.raises(UnboundedRate, match=r"x = 2\.99"):
+            run_ensemble(model, x0=5.0, i0=0, r0=1.0, T=1.0, dt=1e-3, trials=100, seed=0)
 
 
 class TestMultiDimensional:

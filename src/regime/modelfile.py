@@ -28,7 +28,8 @@ Schema overview (all 1-based regime/state indices in files)::
 
 Unknown keys are rejected anywhere in the document and all numbers must be
 finite.  Rate expressions are arithmetic in the single variable ``x`` with
-exp/log/sqrt/sin/cos/tanh/abs and the constants pi and e.
+exp/log/sqrt/sin/cos/tanh/abs and the constants pi and e; their parts free of
+``x`` must evaluate to finite real numbers.
 """
 
 from __future__ import annotations
@@ -53,7 +54,14 @@ _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
 def compile_rate_expr(expr: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile an arithmetic expression in x into a vectorised callable."""
+    """Compile an arithmetic expression in x into a vectorised callable.
+
+    Every subexpression free of x is evaluated here, in floats, and must be a
+    finite real number, so ``10**400``, ``9**9**9``, ``1/0`` or ``log(-1)``
+    is a ParseError at load time, not an overflow (or, for integer powers, a
+    computation without end) when the rate is first used.  A float constant
+    gives numpy the same operands as the integer it replaces.
+    """
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
@@ -79,15 +87,48 @@ def compile_rate_expr(expr: str) -> Callable[[np.ndarray], np.ndarray]:
             raise ParseError(f"disallowed construct in rate expression {expr!r}")
 
     check(tree)
-    code = compile(tree, "<rate-expr>", "eval")
     namespace = {"__builtins__": {}}
     namespace.update(_ALLOWED_FUNCS)
     namespace.update(_ALLOWED_NAMES)
 
+    def fold(node):
+        """Replace every x-free subtree of a checked node by its float value."""
+        if isinstance(node, ast.Name) and node.id == "x":
+            return node
+        if isinstance(node, ast.BinOp):
+            node.left, node.right = fold(node.left), fold(node.right)
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.UnaryOp):
+            node.operand = fold(node.operand)
+            operands = (node.operand,)
+        elif isinstance(node, ast.Call):
+            node.args = [fold(node.args[0])]
+            operands = tuple(node.args)
+        else:
+            operands = ()
+        if not all(isinstance(op, ast.Constant) for op in operands):
+            return node
+        try:
+            with np.errstate(all="raise"):
+                value = float(eval(compile(ast.Expression(node), "<rate-expr>", "eval"),  # noqa: S307
+                                   dict(namespace)))
+            if not math.isfinite(value):
+                raise OverflowError(f"it evaluates to {value}")
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise ParseError(f"constant {ast.get_source_segment(expr, node)} in rate "
+                             f"expression {expr!r} has no finite real value: {exc}") from None
+        return ast.copy_location(ast.Constant(value), node)
+
+    tree.body = fold(tree.body)
+    code = compile(tree, "<rate-expr>", "eval")
+
     def fn(x: np.ndarray) -> np.ndarray:
         local = dict(namespace)
         local["x"] = x
-        return np.asarray(eval(code, local), dtype=float)  # noqa: S307 (whitelisted AST)
+        try:
+            return np.asarray(eval(code, local), dtype=float)  # noqa: S307 (whitelisted AST)
+        except ArithmeticError as exc:
+            raise ParseError(f"rate expression {expr!r} failed to evaluate: {exc}") from None
 
     return fn
 

@@ -1,12 +1,29 @@
 """Small dense phase-1 simplex for linear feasibility questions.
 
 The certificate searches in this package only ever ask "is there an x >= 0
-with A x <= b", at sizes of a few dozen variables, so a plain tableau with
-Bland's rule is plenty and keeps the answer self-contained.
+with A x <= b", with a few dozen variables and up to a few hundred rows, so a
+dense tableau with Bland's rule is plenty and keeps the answer
+self-contained.
+
+The tableau is one numpy array whose last row holds the phase-1 reduced
+costs, and each pivot is a few whole-array operations: one masked comparison
+on the cost row picks Bland's entering column (the smallest eligible index),
+the ratio test and its smallest-basis-index tie-break run on the entering
+column as arrays, and one rank-1 update eliminates that column from every row
+that has a nonzero entry in it, the cost row included; rows with a zero
+entry are not written.
+
+Bland's rule makes the pivot sequence a function of the data alone, and each
+tableau entry still sees the same floating-point operations as in a
+row-by-row elimination: one multiply and one subtract per pivot, with the
+cost row formed by subtracting the artificial rows one after another in row
+order.  So the vertex returned is the same to the last bit as that of the
+row-by-row loop, which ``tests/test_simplex.py`` keeps as the reference.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -39,74 +56,65 @@ def feasible_point(a_ub, b_ub, max_iter: int = 20000) -> Optional[np.ndarray]:
     a = a / norms[:, None]
     b = b / norms
 
-    art_rows = np.flatnonzero(b < 0)
-    n_art = art_rows.size
-    width = n + m + n_art + 1
-    t = np.zeros((m, width))
-    basis = np.empty(m, dtype=int)
-    art_col = {}
-    k = 0
-    for i in range(m):
-        if b[i] < 0:
-            t[i, :n] = -a[i]
-            t[i, n + i] = -1.0
-            col = n + m + k
-            t[i, col] = 1.0
-            t[i, -1] = -b[i]
-            basis[i] = col
-            art_col[i] = col
-            k += 1
-        else:
-            t[i, :n] = a[i]
-            t[i, n + i] = 1.0
-            t[i, -1] = b[i]
-            basis[i] = n + i
-
-    # phase-1 objective row: minimise the artificial total
-    cost = np.zeros(width)
-    for col in art_col.values():
-        cost[col] = 1.0
-    red = cost.copy()
-    for i in range(m):
-        if basis[i] in art_col.values():
-            red -= t[i]
-
+    neg = b < 0
+    art_rows = np.flatnonzero(neg)
+    sign = np.where(neg, -1.0, 1.0)
     first_art = n + m
+    width = first_art + art_rows.size + 1
+    basis = np.arange(n, first_art)
+    basis[art_rows] = first_art + np.arange(art_rows.size)
+    # rows 0..m-1 are the constraints, row m the phase-1 reduced costs, so one
+    # rank-1 update per pivot eliminates the entering column from both
+    t = np.zeros((m + 1, width))
+    np.multiply(a, sign[:, None], out=t[:m, :n])
+    t.reshape(-1)[n:m * (width + 1):width + 1] = sign  # slack (i, n + i)
+    t[art_rows, basis[art_rows]] = 1.0
+    np.multiply(b, sign, out=t[:m, -1])
+    # minimise the artificial total: subtract the artificial rows from the
+    # cost row one after another, in row order; each artificial column meets
+    # its own 1 once, so its reduced cost is 1 - 1 = 0
+    np.subtract.reduce(t[art_rows], axis=0, initial=0.0, out=t[m])
+    t[m, first_art:-1] = 0.0
+    red = t[m, :-1]
+    rhs = t[:m, -1]
+
     blocked: set = set()
     for _ in range(max_iter):
-        entering = -1
-        for j in range(width - 1):  # Bland: smallest eligible index
-            if j not in blocked and red[j] < -_TOL:
-                entering = j
-                break
-        if entering < 0:
+        eligible = red < -_TOL
+        if blocked:
+            eligible[list(blocked)] = False
+        entering = int(eligible.argmax())  # Bland: smallest eligible index
+        if not eligible[entering]:
             break
-        col = t[:, entering]
-        cand = [i for i in range(m) if col[i] > _TOL]
-        if not cand:
+        col = t[:m, entering]
+        pos = col > _TOL
+        ratio = np.divide(rhs, col, out=np.full(m, np.nan), where=pos)
+        best = float(np.fmin.reduce(ratio))  # skips the NaN of non-candidates
+        if math.isnan(best):
             # phase-1 is bounded below by 0, so a seemingly unbounded column is
             # round-off at a degenerate vertex; retire it and move on
             blocked.add(entering)
             continue
-        best = min(t[i, -1] / col[i] for i in cand)
-        leave = min((i for i in cand if t[i, -1] / col[i] <= best + _TOL),
-                    key=lambda i: basis[i])
-        piv = t[leave, entering]
-        t[leave] /= piv
-        for i in range(m):
-            if i != leave and t[i, entering] != 0.0:
-                t[i] -= t[i, entering] * t[leave]
-        red -= red[entering] * t[leave]
+        tied = np.flatnonzero(ratio <= best + _TOL)
+        leave = tied[0] if tied.size == 1 else tied[basis[tied].argmin()]
+        t[leave] /= t[leave, entering]
+        f = t[:, entering]
+        touched = f != 0.0
+        touched[leave] = False
+        # rank-1 elimination on the rows (cost row included) that have the
+        # entering column; the others keep their exact bits
+        np.subtract(t, np.multiply.outer(f, t[leave]), out=t, where=touched[:, None])
         basis[leave] = entering
         blocked.clear()
     else:
         raise SolverFailure("phase-1 simplex hit the iteration cap")
 
-    infeas = sum(t[i, -1] for i in range(m) if basis[i] >= first_art)
-    if infeas > 1e-7:
+    # the artificial total, accumulated in row order
+    infeas = np.add.accumulate(rhs[basis >= first_art])
+    if infeas.size and infeas[-1] > 1e-7:
         return None
     x = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = max(t[i, -1], 0.0)
+    own = basis < n
+    v = rhs[own]
+    x[basis[own]] = np.where(v < 0.0, 0.0, v)  # clip round-off, keeping a -0.0
     return x

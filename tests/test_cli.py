@@ -41,6 +41,32 @@ class TestRateExpressions:
             with pytest.raises(ParseError):
                 compile_rate_expr(bad)
 
+    @pytest.mark.parametrize("expr", ["9**9**9 + x", "10**400 + x",
+                                      pytest.param("1" + "0" * 400 + " * x", id="10**400 literal"),
+                                      "1/0 + x", "log(-1) * x", "(-8)**0.5 + x",
+                                      "exp(1000) * x", "1e308 * 10 + x"])
+    def test_constant_without_finite_value_rejected(self, expr):
+        # 9**9**9 as a Python integer would not finish; folded in floats it
+        # overflows at once
+        with pytest.raises(ParseError, match="no finite real value"):
+            compile_rate_expr(expr)
+
+    def test_evaluation_failure_is_parse_error(self):
+        fn = compile_rate_expr("exp(x)")
+        with np.errstate(over="raise"), pytest.raises(ParseError, match="failed to evaluate"):
+            fn(np.array([1000.0]))
+
+    @pytest.mark.parametrize("expr", ["2*(1+2*x)/(2*(1+x))", "1.0*(1+2*x)/(1+x)",
+                                      "x**2 + 3*x**-1 - 2**-3", "exp(1)*x + pi/2 - e",
+                                      "2**0.5 * sqrt(x) + 1/3", "-(4 - 1)**2 + tanh(+x)",
+                                      "123456789012345678901234567 * x"])
+    def test_folded_constants_keep_values_bitwise(self, expr):
+        xs = np.linspace(0.5, 50.0, 100)
+        names = {"exp": np.exp, "log": np.log, "sqrt": np.sqrt, "tanh": np.tanh,
+                 "pi": math.pi, "e": math.e, "x": xs}
+        want = np.asarray(eval(expr, {"__builtins__": {}}, names), dtype=float)
+        assert compile_rate_expr(expr)(xs).tobytes() == want.tobytes()
+
 
 class TestModelParsing:
     def test_unknown_key_rejected(self, tmp_path):
@@ -163,9 +189,11 @@ class TestSimulateCommand:
         assert 0.0 <= report["return_fraction"] <= 1.0
 
     @pytest.mark.parametrize("expr, error", [("x - 3", "NegativeOffDiagonal"),
-                                             ("log(x - 3)", "UnboundedRate")])
+                                             ("log(x - 3)", "UnboundedRate"),
+                                             ("10**400 + x", "ParseError")])
     def test_invalid_rate_fails_with_one_error_line(self, tmp_path, capsys, expr, error):
-        # at x0 = 2 the rate out of regime 1 is -1, or log(-1) = nan
+        # at x0 = 2 the rate out of regime 1 is -1, or log(-1) = nan; 10**400
+        # has no float value, which the model loader reports
         doc = benchmark_documents()["ex22"]
         doc["q"]["entries"][0]["expr"] = expr
         path = write_model(tmp_path, doc)

@@ -7,6 +7,9 @@ cases cover the built-in benchmark models (state-dependent ex22 rates, the
 2-regime OU generator, the 12-regime truncated ex21 chain), the models the
 CLI builds from emitted files (cor31 has delta = 0.5, the nonlinear power
 drift), a 2-d model with a noise matrix, and one single-path ``step`` sequence.
+The CLI's ``classify`` and ``simulate`` output on every emitted model is
+pinned by sha256 of its bytes, recorded before constant subexpressions of
+rate expressions were folded at load time.
 """
 
 import dataclasses
@@ -115,6 +118,20 @@ STEP_DIGEST = "3e40b2266bbc6c3b28d17b734183d1008ad76cf567dd85c15117aed6d6684a4d"
 STEP_LAST = ("0x1.9ab5d11c6e709p-1", 0)
 STEP_SWITCHES = 26
 
+# (model stem, command) -> sha256 of the CLI's stdout, the model path replaced
+# by "MODEL"; ex21 has no drift section, so only classify runs on it
+CLI_DIGEST = {
+    ("cor31", "classify"): "59778622abbcf03a62a004eed14bed5f7fb888af13e3dafc09ef88fd323029d2",
+    ("cor31", "simulate"): "0ec894992741274700c431ccef23bef3b7a188f381f87b0416208cafba0cd3be",
+    ("ex21", "classify"): "36cf41c189c28acc41f5bb8e1995f2c272f6909b408b3dcff4657accc5ac2e43",
+    ("ex22", "classify"): "b85d11490c8ff7592c17331ab0bf59d1aa1e110736969b83dd73e5fb85fac482",
+    ("ex22", "simulate"): "5ecf65ce543d54e6fa7cd00a24b6a5e79c7c12145996c35319ac950f10a4897b",
+    ("ou", "classify"): "9d802e4b62addaf1e2740d4c4c15157cf964d42b34e029ce04c96d39afadee38",
+    ("ou", "simulate"): "4ecad45025270891523b810887e1ce949049489dc718a6ddd0419b22254609d1",
+}
+CLI_SIMULATE_ARGS = ["--x0", "2", "--r0", "1", "--T", "1.0", "--dt", "0.01",
+                     "--trials", "100", "--seed", "3"]
+
 
 def _hexed(report) -> dict:
     out = {}
@@ -151,3 +168,12 @@ def test_step_sequence_is_bitwise_golden():
     assert (seq[-1], switches) == (STEP_LAST, STEP_SWITCHES)
     digest = hashlib.sha256(";".join(f"{h}:{r}" for h, r in seq).encode()).hexdigest()
     assert digest == STEP_DIGEST
+
+
+@pytest.mark.parametrize("stem, command", sorted(CLI_DIGEST))
+def test_cli_output_is_bitwise_golden(stem, command, model_dir, capsys):
+    path = str(model_dir / f"{stem}.json")
+    extra = CLI_SIMULATE_ARGS if command == "simulate" else []
+    assert cli.main([command, path] + extra) == 0
+    out = capsys.readouterr().out.replace(path, "MODEL")
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGEST[(stem, command)]

@@ -8,8 +8,8 @@ change that moves one coordinate by one ulp fails here.  The corpus holds
 the LPs the classifiers pose (semipositivity of -(Q + diag beta) for thm22,
 of -(Q + diag beta) H for thm23, and the nonincreasing-eta system of thm32,
 at n = 5, 20, 50), an infeasible system, the b >= 0 shortcut, a ratio-test
-tie and a degenerate system that retires a column through the ``blocked``
-branch.  ``_loop_feasible_point`` keeps that loop as the reference the
+tie, a vertex with a -0.0 coordinate and a degenerate system that retires a
+column through the ``blocked`` branch.  ``_loop_feasible_point`` keeps that loop as the reference the
 seeded random systems are compared against.
 """
 
@@ -164,6 +164,9 @@ CORPUS = {
     "ratio_tie": (np.array([[2.0, 0.0, -2.0], [-2.0, -1.0, 1.0], [-1.0, 1.0, -2.0],
                             [0.0, 0.0, 1.0]]),
                   np.array([-2.0, -1.0, 1.0, 1.0])),
+    # x1 <= -0.0 leaves at ratio -0.0, so x1 is basic at -0.0 and is
+    # returned with that sign
+    "negative_zero": (np.array([[1.0, 0.0], [-1.0, -1.0]]), np.array([-0.0, -1.0])),
     # the first column's entries sit below the pivot tolerance in every row
     # while their sum pushes its reduced cost below -tolerance, so the column
     # is retired as blocked before the second one enters
@@ -174,6 +177,7 @@ CORPUS = {
 GOLDEN = {
     "blocked_column": "57a02ffe20e77ebc0719f20993cb9a401c16fe340d412a2d95e971fd7c22e1ed",
     "infeasible": "infeasible",
+    "negative_zero": "dac82949772d4b1b2db079fface111845e297685f51fc2a7995a12eca0b962a2",
     "nonnegative_rhs": "f775576e9cda80398f73cde0265943624b2b78ba9a86fdd60dfc22732b7cedac",
     "ratio_tie": "fb0ea8275cee3d27b08c58c1627298397c345b72a1a184479a61139ecac60cf5",
     "thm22_n20_dominant": "34f9fa282acc1278f17deec2ca186786d6d9eb36487393ef4e7361f0084ec6c9",

@@ -67,45 +67,31 @@ def compile_rate_expr(expr: str) -> Callable[[np.ndarray], np.ndarray]:
     except SyntaxError as exc:
         raise ParseError(f"bad rate expression {expr!r}: {exc}") from None
 
-    def check(node):
-        if isinstance(node, ast.Expression):
-            check(node.body)
-        elif isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-            check(node.left)
-            check(node.right)
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-            check(node.operand)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            pass
-        elif isinstance(node, ast.Name) and (node.id == "x" or node.id in _ALLOWED_NAMES):
-            pass
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-              and node.func.id in _ALLOWED_FUNCS and len(node.args) == 1
-              and not node.keywords):
-            check(node.args[0])
-        else:
-            raise ParseError(f"disallowed construct in rate expression {expr!r}")
-
-    check(tree)
     namespace = {"__builtins__": {}}
     namespace.update(_ALLOWED_FUNCS)
     namespace.update(_ALLOWED_NAMES)
 
     def fold(node):
-        """Replace every x-free subtree of a checked node by its float value."""
-        if isinstance(node, ast.Name) and node.id == "x":
-            return node
-        if isinstance(node, ast.BinOp):
+        """Check a node against the whitelist and replace every x-free subtree
+        by its float value; only a fully checked subtree is evaluated."""
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
             node.left, node.right = fold(node.left), fold(node.right)
             operands = (node.left, node.right)
-        elif isinstance(node, ast.UnaryOp):
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
             node.operand = fold(node.operand)
             operands = (node.operand,)
-        elif isinstance(node, ast.Call):
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in _ALLOWED_FUNCS and len(node.args) == 1
+              and not node.keywords):
             node.args = [fold(node.args[0])]
             operands = tuple(node.args)
-        else:
+        elif isinstance(node, ast.Name) and node.id == "x":
+            return node
+        elif ((isinstance(node, ast.Constant) and isinstance(node.value, (int, float)))
+              or (isinstance(node, ast.Name) and node.id in _ALLOWED_NAMES)):
             operands = ()
+        else:
+            raise ParseError(f"disallowed construct in rate expression {expr!r}")
         if not all(isinstance(op, ast.Constant) for op in operands):
             return node
         try:

@@ -78,6 +78,7 @@ def feasible_point(a_ub, b_ub, max_iter: int = 20000) -> Optional[np.ndarray]:
     red = t[m, :-1]
     rhs = t[:m, -1]
 
+    prod = np.empty_like(t)  # rank-1 products, reused by every pivot
     blocked: set = set()
     for _ in range(max_iter):
         eligible = red < -_TOL
@@ -103,7 +104,8 @@ def feasible_point(a_ub, b_ub, max_iter: int = 20000) -> Optional[np.ndarray]:
         touched[leave] = False
         # rank-1 elimination on the rows (cost row included) that have the
         # entering column; the others keep their exact bits
-        np.subtract(t, np.multiply.outer(f, t[leave]), out=t, where=touched[:, None])
+        np.multiply.outer(f, t[leave], out=prod)
+        np.subtract(t, prod, out=t, where=touched[:, None])
         basis[leave] = entering
         blocked.clear()
     else:

@@ -61,14 +61,15 @@ def feasible_point(a_ub, b_ub, max_iter: int = 20000) -> Optional[np.ndarray]:
     sign = np.where(neg, -1.0, 1.0)
     first_art = n + m
     width = first_art + art_rows.size + 1
+    art_cols = np.arange(first_art, width - 1)
     basis = np.arange(n, first_art)
-    basis[art_rows] = first_art + np.arange(art_rows.size)
+    basis[art_rows] = art_cols
     # rows 0..m-1 are the constraints, row m the phase-1 reduced costs, so one
     # rank-1 update per pivot eliminates the entering column from both
     t = np.zeros((m + 1, width))
     np.multiply(a, sign[:, None], out=t[:m, :n])
     t.reshape(-1)[n:m * (width + 1):width + 1] = sign  # slack (i, n + i)
-    t[art_rows, basis[art_rows]] = 1.0
+    t[art_rows, art_cols] = 1.0
     np.multiply(b, sign, out=t[:m, -1])
     # minimise the artificial total: subtract the artificial rows from the
     # cost row one after another, in row order; each artificial column meets
@@ -88,9 +89,8 @@ def feasible_point(a_ub, b_ub, max_iter: int = 20000) -> Optional[np.ndarray]:
         if not eligible[entering]:
             break
         col = t[:m, entering]
-        pos = col > _TOL
-        ratio = np.divide(rhs, col, out=np.full(m, np.nan), where=pos)
-        best = float(np.fmin.reduce(ratio))  # skips the NaN of non-candidates
+        ratio = rhs / np.where(col > _TOL, col, np.nan)  # NaN: not a candidate
+        best = float(np.fmin.reduce(ratio))  # skips the NaNs
         if math.isnan(best):
             # phase-1 is bounded below by 0, so a seemingly unbounded column is
             # round-off at a degenerate vertex; retire it and move on

@@ -1,18 +1,18 @@
 """``feasible_point`` against an independent LP solver on generated systems.
 
 HiGHS (through ``scipy.optimize.linprog``) decides the same feasibility
-question with other algorithms; on small integer systems its verdict is
-exact, so any disagreement is a defect of the phase-1 simplex.  The systems
-are feasible by construction (some with tight, degenerate rows), infeasible
-by construction (a contradictory pair of rows), or drawn freely, with many
-zero and unit entries.  The same systems also check that the vectorised
-tableau returns the row-by-row loop's vertex bit for bit.
+question with other algorithms, so on small integer systems a disagreement
+points to a defect in one of the two.  The systems are feasible by
+construction (some with tight, degenerate rows), infeasible by construction
+(a contradictory pair of rows), or drawn freely, with many zero and unit
+entries.  The same systems also check that the vectorised tableau returns
+the row-by-row loop's vertex bit for bit.
 """
 
 import numpy as np
 import pytest
 
-hypothesis = pytest.importorskip("hypothesis")
+pytest.importorskip("hypothesis")
 linprog = pytest.importorskip("scipy.optimize").linprog
 
 from hypothesis import given, settings, strategies as st  # noqa: E402

@@ -28,15 +28,10 @@ from .criteria import (
     kappa_thresholds,
 )
 from .errors import CriterionNotApplicable, RegimeError
-from .markov import Partition, bound_rates
+from .markov import Partition, QMatrix, StateDependentRates, TailHomogeneousChain, bound_rates
+from .mmatrix import _MINORS_CAP
 from .modelfile import RegimeModel, load_model
 from .simulate import SdeModel, power_drift, regime_sigma, run_ensemble
-
-# Fixed evaluation order for --criterion auto: the complete 1-d dichotomy and
-# the linear-drift test first, then the M-matrix certificates, then the
-# averaged and two-function tests.
-AUTO_ORDER = ("cor31", "prop22", "thm22", "thm23", "thm24",
-              "thm21", "thm31", "thm32", "thm33")
 
 
 def _need(cond: bool, what: str):
@@ -44,72 +39,77 @@ def _need(cond: bool, what: str):
         raise CriterionNotApplicable(what)
 
 
-def _qtilde(model: RegimeModel):
-    return bound_rates(model.rates, model.scan)
-
-
 def _run_cor31(model: RegimeModel):
-    _need(model.q_kind == "matrix", "needs a constant rate matrix")
+    _need(isinstance(model.switching, QMatrix), "needs a constant rate matrix")
     _need(model.drift_kind == "power", "needs a power drift section")
     _need(model.dim == 1, "needs a 1-d state space")
     _need(model.sigma is not None, "needs a sigma section")
-    return classify_power_1d(model.qmatrix, model.drift_b, model.sigma, model.delta)
+    return classify_power_1d(model.switching, model.drift_b, model.sigma, model.delta)
 
 
 def _run_prop22(model: RegimeModel):
-    _need(model.q_kind == "matrix", "needs a constant rate matrix")
+    _need(isinstance(model.switching, QMatrix), "needs a constant rate matrix")
     _need(model.drift_kind in ("ou", "power") and model.delta == 1.0,
           "needs a linear (ou) drift section")
-    return classify_ou(model.qmatrix, model.drift_b)
+    return classify_ou(model.switching, model.drift_b)
 
 
 def _run_thm22(model: RegimeModel):
-    _need(model.q_kind == "matrix", "needs a constant rate matrix")
+    _need(isinstance(model.switching, QMatrix), "needs a constant rate matrix")
     _need(model.lyapunov is not None, "needs a lyapunov section")
-    return classify_mmatrix(model.qmatrix, model.lyapunov)
+    _need(model.n_regimes <= _MINORS_CAP,
+          f"needs at most {_MINORS_CAP} regimes for the dense minor sequence")
+    return classify_mmatrix(model.switching, model.lyapunov)
 
 
 def _run_thm23(model: RegimeModel):
-    _need(model.q_kind == "rates", "needs state-dependent rates")
+    _need(isinstance(model.switching, StateDependentRates), "needs state-dependent rates")
     _need(model.lyapunov is not None, "needs a lyapunov section")
-    return classify_state_dependent(_qtilde(model), model.lyapunov)
+    _need(model.n_regimes <= _MINORS_CAP,
+          f"needs at most {_MINORS_CAP} regimes for the dense minor sequence")
+    return classify_state_dependent(bound_rates(model.switching, model.scan), model.lyapunov)
 
 
 def _run_thm24(model: RegimeModel):
-    _need(model.q_kind == "birth-death" and model.infinite,
+    _need(isinstance(model.switching, TailHomogeneousChain),
           "needs an infinite birth-death switching chain")
     _need(model.beta_seq is not None, "needs a lyapunov beta sequence")
     _need(model.cutpoints is not None, "needs partition cutpoints")
     partition = Partition.from_cutpoints(model.beta_seq, model.cutpoints)
-    return classify_infinite(model.chain, model.beta_seq, partition,
-                             model.lyapunov.tag)
+    _need(partition.m <= _MINORS_CAP,
+          f"needs at most {_MINORS_CAP} partition classes for the dense minor sequence")
+    return classify_infinite(model.switching, model.beta_seq, partition, model.lyapunov.tag)
 
 
 def _run_thm21(model: RegimeModel):
-    _need(model.q_kind == "matrix", "needs a constant rate matrix")
+    _need(isinstance(model.switching, QMatrix), "needs a constant rate matrix")
     _need(model.lyapunov is not None, "needs a lyapunov section")
-    return classify_avg(model.qmatrix, model.lyapunov)
+    return classify_avg(model.switching, model.lyapunov)
 
 
 def _run_thm31(model: RegimeModel):
-    _need(model.q_kind == "matrix", "needs a constant rate matrix")
+    _need(isinstance(model.switching, QMatrix), "needs a constant rate matrix")
     _need(model.two_function is not None, "needs a two_function section")
-    return classify_two_function(model.qmatrix, model.two_function)
+    return classify_two_function(model.switching, model.two_function)
 
 
 def _run_thm32(model: RegimeModel):
-    _need(model.q_kind == "rates", "needs state-dependent rates")
+    _need(isinstance(model.switching, StateDependentRates), "needs state-dependent rates")
     _need(model.two_function is not None, "needs a two_function section")
     two = model.two_function
-    return classify_two_function_state_dependent(_qtilde(model), two.beta, two.h_limit)
+    return classify_two_function_state_dependent(bound_rates(model.switching, model.scan),
+                                                 two.beta, two.h_limit)
 
 
 def _run_thm33(model: RegimeModel):
-    _need(model.q_kind == "matrix", "needs a constant rate matrix")
+    _need(isinstance(model.switching, QMatrix), "needs a constant rate matrix")
     _need(model.drift_kind == "radial", "needs sampled radial drift components")
-    return classify_radial_sampled(model.qmatrix, model.radial_component, model.delta)
+    return classify_radial_sampled(model.switching, model.radial_component, model.delta)
 
 
+# --criterion auto runs these in this order: the complete 1-d dichotomy and the
+# linear-drift test first, then the M-matrix certificates, then the averaged
+# and two-function tests.
 RUNNERS = {"cor31": _run_cor31, "prop22": _run_prop22, "thm22": _run_thm22,
            "thm23": _run_thm23, "thm24": _run_thm24, "thm21": _run_thm21,
            "thm31": _run_thm31, "thm32": _run_thm32, "thm33": _run_thm33}
@@ -136,7 +136,7 @@ def _emit(report: dict, out: str | None, as_text: bool) -> None:
 
 def cmd_classify(args) -> int:
     model = load_model(args.model)
-    order = AUTO_ORDER if args.criterion == "auto" else (args.criterion,)
+    order = tuple(RUNNERS) if args.criterion == "auto" else (args.criterion,)
     attempted = []
     final = None
     for name in order:
@@ -170,13 +170,13 @@ def _build_sde(model: RegimeModel) -> SdeModel:
         raise CriterionNotApplicable("simulation needs a power or ou drift section")
     if model.sigma is None:
         raise CriterionNotApplicable("simulation needs a sigma section")
-    rates = model.qmatrix if model.q_kind == "matrix" else model.rates
-    if rates is None:
+    if isinstance(model.switching, TailHomogeneousChain):
         raise CriterionNotApplicable("simulation needs matrix or rates switching "
                                      "(truncate infinite chains first)")
     return SdeModel(dim=model.dim, n_regimes=model.n_regimes,
                     drift=power_drift(model.drift_b, model.delta),
-                    sigma=regime_sigma(model.sigma), rates=rates, boundary=model.boundary)
+                    sigma=regime_sigma(model.sigma), rates=model.switching,
+                    boundary=model.boundary)
 
 
 def cmd_simulate(args) -> int:

@@ -26,7 +26,7 @@ from .markov import (
     coarsen,
     invariant_measure,
 )
-from .mmatrix import MMatrixCertificate, is_nonsingular_mmatrix, upper_ones
+from .mmatrix import is_nonsingular_mmatrix, upper_ones
 from .simplex import feasible_point
 
 SIGN_TOL = 1e-10
@@ -109,19 +109,29 @@ class Classification:
         return out
 
 
-def _sign_tol(vec: np.ndarray) -> float:
-    return SIGN_TOL * max(1.0, float(np.abs(vec).max()))
+def _averaged(q: QMatrix, v: np.ndarray) -> tuple:
+    """The invariant measure mu, the average mu @ v and its sign tolerance."""
+    mu = invariant_measure(q)
+    return mu, float(mu @ v), SIGN_TOL * max(1.0, float(np.abs(v).max()))
 
 
-def _mmatrix_cert_dict(cert: MMatrixCertificate) -> dict:
-    return {
-        "verdict": cert.verdict,
-        "z_pattern_ok": cert.z_pattern_ok,
-        "minors": cert.minors,
-        "positive_vector": cert.positive_vector,
-        "eigen_witness": cert.eigen_witness,
-        "boundary": cert.boundary,
-    }
+def _verdict(tag: Limit, at_infinity: Verdict) -> Verdict:
+    """What a test concludes: ``at_infinity`` for a function tending to
+    infinity, transience for one tending to zero."""
+    return at_infinity if tag is Limit.TO_INFINITY else Verdict.TRANSIENT
+
+
+def _certify(criterion: str, a: np.ndarray, payload: dict, verdict: Verdict,
+             failure: str) -> Classification:
+    """Positive-minors / M-matrix test on ``a``: ``verdict`` when it passes off
+    the singularity boundary, inconclusive otherwise.  ``a`` and its
+    certificate are appended to ``payload``."""
+    cert = is_nonsingular_mmatrix(a)
+    payload.update(matrix=a, mmatrix=dict(vars(cert)))
+    if cert.verdict and not cert.boundary:
+        return Classification(verdict, criterion, payload)
+    reason = "verdict sits on the singularity boundary" if cert.boundary else failure
+    return Classification(Verdict.INCONCLUSIVE, criterion, payload, reason=reason)
 
 
 # ---------------------------------------------------------------------------
@@ -134,30 +144,19 @@ def classify_avg(q: QMatrix, lyap: LyapunovBehavior) -> Classification:
     V -> infinity gives exponential ergodicity, V -> 0 gives transience; a
     nonnegative average is inconclusive for this test.
     """
-    mu = invariant_measure(q)
-    s = float(mu @ lyap.beta)
-    tol = _sign_tol(lyap.beta)
+    mu, s, tol = _averaged(q, lyap.beta)
     cert = {"mu": mu, "mu_beta": s, "tol": tol}
     if s < -tol:
-        verdict = (Verdict.EXPONENTIALLY_ERGODIC if lyap.tag is Limit.TO_INFINITY
-                   else Verdict.TRANSIENT)
-        return Classification(verdict, "thm21", cert)
+        return Classification(_verdict(lyap.tag, Verdict.EXPONENTIALLY_ERGODIC), "thm21", cert)
     return Classification(Verdict.INCONCLUSIVE, "thm21", cert,
                           reason=f"averaged drift {s:.6g} is not negative beyond tolerance")
 
 
 def classify_mmatrix(q: QMatrix, lyap: LyapunovBehavior) -> Classification:
     """M-matrix test on -(Q + diag beta); conclusion follows the V-limit tag."""
-    a = -(q.entries + np.diag(lyap.beta))
-    cert = is_nonsingular_mmatrix(a)
-    payload = {"matrix": a, "mmatrix": _mmatrix_cert_dict(cert)}
-    if cert.verdict and not cert.boundary:
-        verdict = (Verdict.EXPONENTIALLY_ERGODIC if lyap.tag is Limit.TO_INFINITY
-                   else Verdict.TRANSIENT)
-        return Classification(verdict, "thm22", payload)
-    reason = ("verdict sits on the singularity boundary" if cert.boundary
-              else "matrix is not a nonsingular M-matrix (the test is sufficient only)")
-    return Classification(Verdict.INCONCLUSIVE, "thm22", payload, reason=reason)
+    return _certify("thm22", -(q.entries + np.diag(lyap.beta)), {},
+                    _verdict(lyap.tag, Verdict.EXPONENTIALLY_ERGODIC),
+                    "matrix is not a nonsingular M-matrix (the test is sufficient only)")
 
 
 def classify_state_dependent(q_tilde: QMatrix, lyap: LyapunovBehavior) -> Classification:
@@ -167,22 +166,12 @@ def classify_state_dependent(q_tilde: QMatrix, lyap: LyapunovBehavior) -> Classi
     the transformed matrix usually leaves the Z pattern, and the positive
     minors condition is the operative test (see mmatrix module).
     """
-    n = q_tilde.n
-    a = -(q_tilde.entries + np.diag(lyap.beta)) @ upper_ones(n)
-    cert = is_nonsingular_mmatrix(a)
-    payload = {
-        "matrix": a,
-        "mmatrix": _mmatrix_cert_dict(cert),
-        "conclusion_strength": "exponentially-ergodic (implies recurrent); some "
-                               "statements of this test claim only recurrence",
-    }
-    if cert.verdict and not cert.boundary:
-        verdict = (Verdict.EXPONENTIALLY_ERGODIC if lyap.tag is Limit.TO_INFINITY
-                   else Verdict.TRANSIENT)
-        return Classification(verdict, "thm23", payload)
-    reason = ("verdict sits on the singularity boundary" if cert.boundary
-              else "transformed matrix fails the positive-minors test")
-    return Classification(Verdict.INCONCLUSIVE, "thm23", payload, reason=reason)
+    out = _certify("thm23", -(q_tilde.entries + np.diag(lyap.beta)) @ upper_ones(q_tilde.n),
+                   {}, _verdict(lyap.tag, Verdict.EXPONENTIALLY_ERGODIC),
+                   "transformed matrix fails the positive-minors test")
+    out.certificate["conclusion_strength"] = ("exponentially-ergodic (implies recurrent); some "
+                                              "statements of this test claim only recurrence")
+    return out
 
 
 def classify_coarse(beta_f, q_f, tag: Limit) -> Classification:
@@ -196,15 +185,9 @@ def classify_coarse(beta_f, q_f, tag: Limit) -> Classification:
     m = bf.size
     if qf.shape != (m, m):
         raise ValueError("class generator shape must match beta^F")
-    a = -(np.diag(bf) + qf) @ upper_ones(m)
-    cert = is_nonsingular_mmatrix(a)
-    payload = {"beta_f": bf, "q_f": qf, "matrix": a, "mmatrix": _mmatrix_cert_dict(cert)}
-    if cert.verdict and not cert.boundary:
-        verdict = Verdict.RECURRENT if tag is Limit.TO_INFINITY else Verdict.TRANSIENT
-        return Classification(verdict, "thm24", payload)
-    reason = ("verdict sits on the singularity boundary" if cert.boundary
-              else "coarsened matrix fails the positive-minors test")
-    return Classification(Verdict.INCONCLUSIVE, "thm24", payload, reason=reason)
+    return _certify("thm24", -(np.diag(bf) + qf) @ upper_ones(m), {"beta_f": bf, "q_f": qf},
+                    _verdict(tag, Verdict.RECURRENT),
+                    "coarsened matrix fails the positive-minors test")
 
 
 def classify_infinite(chain: TailHomogeneousChain, beta: BetaSequence,
@@ -232,10 +215,7 @@ def classify_ou(q: QMatrix, b) -> Classification:
     Negative average: exponentially ergodic.  Positive: transient.  The zero
     boundary is left open here.
     """
-    bv = np.asarray(b, dtype=float).ravel()
-    mu = invariant_measure(q)
-    s = float(mu @ bv)
-    tol = _sign_tol(bv)
+    mu, s, tol = _averaged(q, np.asarray(b, dtype=float).ravel())
     cert = {"mu": mu, "mu_b": s, "tol": tol}
     if s < -tol:
         return Classification(Verdict.EXPONENTIALLY_ERGODIC, "prop22", cert)
@@ -277,9 +257,7 @@ def fredholm_solve(q: QMatrix, beta) -> FredholmPair:
     b = np.asarray(beta, dtype=float).ravel()
     if b.shape != (q.n,):
         raise ValueError("beta length must match the number of regimes")
-    mu = invariant_measure(q)
-    s = float(mu @ b)
-    tol = _sign_tol(b)
+    mu, s, tol = _averaged(q, b)
     if s > tol:
         raise NotSolvable(f"averaged drift {s:.6g} is positive; no resolvent pair")
     kappa = -s
@@ -298,15 +276,12 @@ def classify_two_function(q: QMatrix, data: TwoFunctionData) -> Classification:
     h -> infinity gives recurrence, h -> 0 transience; the certificate is the
     resolvent pair (kappa, xi).
     """
-    mu = invariant_measure(q)
-    s = float(mu @ data.beta)
-    tol = _sign_tol(data.beta)
+    mu, s, tol = _averaged(q, data.beta)
     if s < -tol:
         pair = fredholm_solve(q, data.beta)
         cert = {"mu": mu, "mu_beta": s,
                 "fredholm": {"kappa": pair.kappa, "xi": pair.xi, "residual": pair.residual}}
-        verdict = Verdict.RECURRENT if data.h_limit is Limit.TO_INFINITY else Verdict.TRANSIENT
-        return Classification(verdict, "thm31", cert)
+        return Classification(_verdict(data.h_limit, Verdict.RECURRENT), "thm31", cert)
     return Classification(Verdict.INCONCLUSIVE, "thm31", {"mu": mu, "mu_beta": s},
                           reason="averaged beta is not negative; for 1-d power drift the "
                                  "boundary is settled by the cor31 classifier")
@@ -342,8 +317,7 @@ def classify_two_function_state_dependent(q_tilde: QMatrix, beta, h_limit: Limit
         return Classification(Verdict.INCONCLUSIVE, "thm32", {"beta": b},
                               reason="no nonincreasing positive eta satisfies "
                                      "beta + Q~ eta << 0")
-    verdict = Verdict.RECURRENT if h_limit is Limit.TO_INFINITY else Verdict.TRANSIENT
-    return Classification(verdict, "thm32", {"beta": b, "eta": eta})
+    return Classification(_verdict(h_limit, Verdict.RECURRENT), "thm32", {"beta": b, "eta": eta})
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +466,7 @@ def classify_power_1d(q: QMatrix, b, sigma, delta: float) -> Classification:
         out.certificate["delegated_from"] = "cor31"
         return out
 
-    mu = invariant_measure(q)
-    s = float(mu @ bv)
-    tol = _sign_tol(bv)
+    mu, s, tol = _averaged(q, bv)
     cert = {"mu": mu, "mu_b": s, "delta": delta, "tol": tol}
     if s <= tol:
         if abs(s) <= tol and float(np.abs(bv).max()) > tol:

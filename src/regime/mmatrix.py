@@ -26,6 +26,8 @@ from .simplex import feasible_point
 # verdict flip on round-off.
 BOUNDARY_BAND = 1e-8
 Z_TOL = 1e-12
+# largest matrix whose leading minors are computed (one dense det per minor)
+_MINORS_CAP = 64
 
 
 def upper_ones(m: int) -> np.ndarray:
@@ -50,8 +52,8 @@ def leading_minors(a) -> np.ndarray:
     n = m.shape[0]
     if m.shape != (n, n):
         raise ValueError("matrix must be square")
-    if n > 64:
-        raise ValueError("dense minor sequence is limited to n <= 64")
+    if n > _MINORS_CAP:
+        raise ValueError(f"dense minor sequence is limited to n <= {_MINORS_CAP}")
     return np.array([np.linalg.det(m[:k, :k]) for k in range(1, n + 1)])
 
 

@@ -7,9 +7,10 @@ Schema overview (all 1-based regime/state indices in files)::
       "q": {"kind": "matrix", "entries": [[...], ...]}
          | {"kind": "rates", "entries": [{"i":1,"j":2,"expr":"...",
                                           "inf": ..?, "sup": ..?}, ...],
-            "scan": {"lo":..,"hi":..,"points":..?,"spacing":..?}?}
+            "scan": {"lo":..,"hi":..,"points": <int >= 2>?,
+                     "spacing": "geometric"|"linear"?}?}
          | {"kind": "birth-death", "a": <down>, "b": <up>, "K0": 1,
-            "up"?: [...], "down"?: [...]},
+            "up"?: [...], "down"?: [...]},              # "regimes": "infinite" only
       "drift"?:  {"kind": "power", "b": [...], "delta": <float>}
                | {"kind": "ou", "b": [...]}
                | {"kind": "radial", "delta": <float>,
@@ -134,6 +135,10 @@ def _require_keys(doc: dict, where: str, required: tuple, optional: tuple = ()):
         raise SchemaError(f"{where}: missing keys {missing}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _finite_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where} must be a number")
@@ -174,13 +179,9 @@ class RegimeModel:
     """A fully parsed model document plus the derived library objects."""
 
     doc: dict
-    infinite: bool
-    n_regimes: Optional[int]
-    q_kind: str
-    qmatrix: Optional[QMatrix]
-    rates: Optional[StateDependentRates]
+    n_regimes: Optional[int]  # None for an infinite regime space
+    switching: QMatrix | StateDependentRates | TailHomogeneousChain
     scan: Optional[ScanGrid]
-    chain: Optional[TailHomogeneousChain]
     drift_kind: Optional[str]
     drift_b: Optional[np.ndarray]
     delta: Optional[float]
@@ -194,21 +195,21 @@ class RegimeModel:
     two_function: Optional[TwoFunctionData]
 
 
-def _parse_q(doc, n_regimes, infinite):
+def _parse_q(doc, n_regimes):
     _require_keys(doc, "q", ("kind",),
                   ("entries", "scan", "a", "b", "K0", "up", "down"))
     kind = doc.get("kind")
     if kind == "matrix":
         _require_keys(doc, "q(matrix)", ("kind", "entries"))
-        if infinite:
+        if n_regimes is None:
             raise SchemaError("q.kind 'matrix' needs a finite regime count")
         m = _finite_matrix(doc["entries"], "q.entries")
         if m.shape != (n_regimes, n_regimes):
             raise SchemaError("q.entries must be n x n for the declared regime count")
-        return "matrix", validate_qmatrix(m), None, None, None
+        return validate_qmatrix(m), None
     if kind == "rates":
         _require_keys(doc, "q(rates)", ("kind", "entries"), ("scan",))
-        if infinite:
+        if n_regimes is None:
             raise SchemaError("q.kind 'rates' needs a finite regime count")
         table = doc["entries"]
         if not isinstance(table, list) or not table:
@@ -218,7 +219,7 @@ def _parse_q(doc, n_regimes, infinite):
         for k, ent in enumerate(table):
             _require_keys(ent, f"q.entries[{k}]", ("i", "j", "expr"), ("inf", "sup"))
             i, j = ent["i"], ent["j"]
-            if not (isinstance(i, int) and isinstance(j, int)
+            if not (_is_int(i) and _is_int(j)
                     and 1 <= i <= n_regimes and 1 <= j <= n_regimes and i != j):
                 raise SchemaError(f"q.entries[{k}]: bad index pair ({i},{j})")
             fns[(i - 1, j - 1)] = compile_rate_expr(str(ent["expr"]))
@@ -237,16 +238,21 @@ def _parse_q(doc, n_regimes, infinite):
         if "scan" in doc:
             sc = doc["scan"]
             _require_keys(sc, "q.scan", ("lo", "hi"), ("points", "spacing"))
+            points, spacing = sc.get("points", 129), sc.get("spacing", "geometric")
+            if not _is_int(points) or points < 2:
+                raise SchemaError("q.scan.points must be an integer >= 2")
+            if spacing not in ("geometric", "linear"):
+                raise SchemaError("q.scan.spacing must be 'geometric' or 'linear'")
             scan = ScanGrid(lo=_finite_number(sc["lo"], "q.scan.lo"),
                             hi=_finite_number(sc["hi"], "q.scan.hi"),
-                            points=int(sc.get("points", 129)),
-                            spacing=str(sc.get("spacing", "geometric")))
-        rates = StateDependentRates(n=n_regimes, rate_fn=rate_fn, hints=hints or None)
-        return "rates", None, rates, scan, None
+                            points=points, spacing=spacing)
+        return StateDependentRates(n=n_regimes, rate_fn=rate_fn, hints=hints or None), scan
     if kind == "birth-death":
         _require_keys(doc, "q(birth-death)", ("kind", "a", "b"), ("K0", "up", "down"))
+        if n_regimes is not None:
+            raise SchemaError("q.kind 'birth-death' needs regimes 'infinite'")
         k0 = doc.get("K0", 1)
-        if not isinstance(k0, int) or k0 < 1:
+        if not _is_int(k0) or k0 < 1:
             raise SchemaError("q.K0 must be a positive integer")
         if "up" in doc or "down" in doc:
             up = tuple(_finite_vector(doc.get("up"), "q.up"))
@@ -254,8 +260,7 @@ def _parse_q(doc, n_regimes, infinite):
         else:
             up = tuple([_finite_number(doc["b"], "q.b")] * k0)
             down = tuple([_finite_number(doc["a"], "q.a")] * k0)
-        chain = TailHomogeneousChain(up_rates=up, down_rates=down, K0=k0)
-        return "birth-death", None, None, None, chain
+        return TailHomogeneousChain(up_rates=up, down_rates=down, K0=k0), None
     raise SchemaError(f"q.kind must be matrix | rates | birth-death, got {kind!r}")
 
 
@@ -291,7 +296,7 @@ def _parse_drift(doc, n_regimes):
     raise SchemaError(f"drift.kind must be power | ou | radial, got {kind!r}")
 
 
-def _parse_lyapunov(doc, n_regimes, infinite, drift_b, sigma):
+def _parse_lyapunov(doc, n_regimes, drift_b, sigma):
     if doc is None:
         return None, None
     _require_keys(doc, "lyapunov", (),
@@ -312,7 +317,7 @@ def _parse_lyapunov(doc, n_regimes, infinite, drift_b, sigma):
             beta = -drift_b + (sig ** 2) / r0 ** 2
             return LyapunovBehavior(tag=Limit.TO_ZERO, beta=beta, r0=r0), None
         raise SchemaError(f"unknown lyapunov preset {preset!r}")
-    if infinite:
+    if n_regimes is None:
         _require_keys(doc, "lyapunov(sequence)", ("beta_values", "beta_tail_limit", "tag"))
         head = tuple(_finite_vector(doc["beta_values"], "lyapunov.beta_values"))
         limit = _finite_number(doc["beta_tail_limit"], "lyapunov.beta_tail_limit")
@@ -335,13 +340,13 @@ def parse_model(doc: dict, source: str = "<dict>") -> RegimeModel:
                    "boundary", "dimension"))
     regimes = doc["regimes"]
     if regimes == "infinite":
-        infinite, n_regimes = True, None
-    elif isinstance(regimes, int) and not isinstance(regimes, bool) and regimes >= 1:
-        infinite, n_regimes = False, regimes
+        n_regimes = None
+    elif _is_int(regimes) and regimes >= 1:
+        n_regimes = regimes
     else:
         raise SchemaError("regimes must be a positive integer or 'infinite'")
 
-    q_kind, qmatrix, rates, scan, chain = _parse_q(doc["q"], n_regimes, infinite)
+    switching, scan = _parse_q(doc["q"], n_regimes)
     drift_kind, drift_b, delta, radial = _parse_drift(doc.get("drift"), n_regimes)
 
     sigma = None
@@ -354,8 +359,7 @@ def parse_model(doc: dict, source: str = "<dict>") -> RegimeModel:
         if np.abs(sigma).min() == 0:
             raise SchemaError("sigma entries must be nonzero")
 
-    lyap, beta_seq = _parse_lyapunov(doc.get("lyapunov"), n_regimes, infinite,
-                                     drift_b, sigma)
+    lyap, beta_seq = _parse_lyapunov(doc.get("lyapunov"), n_regimes, drift_b, sigma)
 
     two = None
     if "two_function" in doc:
@@ -377,13 +381,12 @@ def parse_model(doc: dict, source: str = "<dict>") -> RegimeModel:
     if boundary not in ("none", "reflect"):
         raise SchemaError("boundary must be 'none' or 'reflect'")
     dim = doc.get("dimension", 1)
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise SchemaError("dimension must be a positive integer")
     if boundary == "reflect" and dim != 1:
         raise SchemaError("boundary 'reflect' needs dimension 1")
 
-    return RegimeModel(doc=doc, infinite=infinite, n_regimes=n_regimes, q_kind=q_kind,
-                       qmatrix=qmatrix, rates=rates, scan=scan, chain=chain,
+    return RegimeModel(doc=doc, n_regimes=n_regimes, switching=switching, scan=scan,
                        drift_kind=drift_kind, drift_b=drift_b, delta=delta,
                        radial_component=radial, sigma=sigma, dim=dim,
                        boundary=boundary, lyapunov=lyap, beta_seq=beta_seq,

@@ -1,11 +1,14 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from regime.cli import main
+from regime.cli import RUNNERS, main
 from regime.errors import ParseError, SchemaError
+from regime.markov import QMatrix, StateDependentRates, TailHomogeneousChain
 from regime.modelfile import compile_rate_expr, load_model, parse_model
 from regime.reproduce import benchmark_documents, emit_models
 
@@ -94,9 +97,52 @@ class TestModelParsing:
                          "q": {"kind": "matrix", "entries": [[-1, 1], [2, -2]]}})
 
     def test_benchmark_documents_parse(self):
-        for name, doc in benchmark_documents().items():
-            model = parse_model(doc, source=name)
-            assert model.q_kind in ("matrix", "rates", "birth-death")
+        want = {"ex21": TailHomogeneousChain, "ex22": StateDependentRates,
+                "ou": QMatrix, "cor31": QMatrix}
+        docs = benchmark_documents()
+        assert set(docs) == set(want)
+        for name, doc in docs.items():
+            assert type(parse_model(doc, source=name).switching) is want[name]
+
+    @pytest.mark.parametrize("points", [None, [3], 12.9, "abc", True, 1])
+    def test_scan_points_must_be_an_integer(self, points):
+        doc = benchmark_documents()["ex22"]
+        doc["q"]["scan"]["points"] = points
+        with pytest.raises(SchemaError, match="q.scan.points"):
+            parse_model(doc)
+
+    def test_scan_spacing_checked_at_load(self):
+        doc = benchmark_documents()["ex22"]
+        doc["q"]["scan"]["spacing"] = "cubic"
+        with pytest.raises(SchemaError, match="q.scan.spacing"):
+            parse_model(doc)
+
+    @pytest.mark.parametrize("key", ["i", "j"])
+    def test_rate_index_rejects_bools(self, key):
+        doc = benchmark_documents()["ex22"]
+        doc["q"]["entries"][0][key] = True
+        with pytest.raises(SchemaError, match="bad index pair"):
+            parse_model(doc)
+
+    def test_birth_death_k0_rejects_bools(self):
+        doc = benchmark_documents()["ex21"]
+        doc["q"]["K0"] = True
+        with pytest.raises(SchemaError, match="q.K0"):
+            parse_model(doc)
+
+    def test_birth_death_needs_infinite_regimes(self):
+        doc = benchmark_documents()["ex21"]
+        doc["regimes"] = 3
+        with pytest.raises(SchemaError, match="birth-death"):
+            parse_model(doc)
+
+    def test_bad_scan_points_exit_one_with_one_error_line(self, tmp_path, capsys):
+        doc = benchmark_documents()["ex22"]
+        doc["q"]["scan"]["points"] = None
+        assert main(["classify", write_model(tmp_path, doc)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: SchemaError: q.scan.points")
 
     def test_emitted_models_round_trip(self, tmp_path):
         docs = benchmark_documents()
@@ -142,6 +188,24 @@ class TestClassifyCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "exponentially-ergodic"
 
+    def test_auto_skips_minor_tests_above_the_cap(self, tmp_path, capsys):
+        # 70-regime birth-death generator: thm21 answers, the minor tests skip
+        n = 70
+        q = np.diag(np.r_[1.0, np.full(n - 2, 2.0), 1.0]) * -1.0
+        q += np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+        doc = {"regimes": n, "q": {"kind": "matrix", "entries": q.tolist()},
+               "lyapunov": {"beta": [-1.0] * n, "tag": "to-infinity"}}
+        path = write_model(tmp_path, doc)
+        assert main(["classify", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["criterion"], report["verdict"]) == ("thm21", "exponentially-ergodic")
+        skipped = {a["criterion"]: a.get("skipped") for a in report["attempted"]}
+        assert "at most 64 regimes" in skipped["thm22"]
+        assert main(["classify", path, "--criterion", "thm22"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: CriterionNotApplicable: needs at most 64 regimes")
+
     def test_requested_criterion_must_apply(self, tmp_path, capsys):
         path = write_model(tmp_path, benchmark_documents()["ou"])
         assert main(["classify", path, "--criterion", "thm24"]) == 1
@@ -160,6 +224,21 @@ class TestClassifyCommand:
         report = json.loads(out_file.read_text())
         assert "verdict" in text and report["verdict"] in text
         assert "criterion" in text and report["criterion"] in text
+
+
+class TestCriterionRegistry:
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_readme_table_lists_the_runners_in_auto_order(self):
+        text = self.README.read_text(encoding="utf-8")
+        section = text.split("### Criterion identifiers", 1)[1].split("\n### ", 1)[0]
+        rows = re.findall(r"^\| (\w+)\s+\|", section, flags=re.MULTILINE)
+        assert tuple(rows[1:]) == tuple(RUNNERS)  # rows[0] is the header
+
+    def test_readme_usage_line_lists_the_runners(self):
+        text = self.README.read_text(encoding="utf-8")
+        (choices,) = re.findall(r"regime classify MODEL\.json \[--criterion ([\w|]+)\]", text)
+        assert tuple(choices.split("|")) == ("auto",) + tuple(RUNNERS)
 
 
 class TestSimulateCommand:

@@ -41,7 +41,7 @@ def _need(cond: bool, what: str):
 
 def _run_cor31(model: RegimeModel):
     _need(isinstance(model.switching, QMatrix), "needs a constant rate matrix")
-    _need(model.drift_kind == "power", "needs a power drift section")
+    _need(model.drift_b is not None, "needs a power drift section")
     _need(model.dim == 1, "needs a 1-d state space")
     _need(model.sigma is not None, "needs a sigma section")
     return classify_power_1d(model.switching, model.drift_b, model.sigma, model.delta)
@@ -49,15 +49,14 @@ def _run_cor31(model: RegimeModel):
 
 def _run_prop22(model: RegimeModel):
     _need(isinstance(model.switching, QMatrix), "needs a constant rate matrix")
-    _need(model.drift_kind in ("ou", "power") and model.delta == 1.0,
-          "needs a linear (ou) drift section")
+    _need(model.drift_b is not None and model.delta == 1.0, "needs a linear (ou) drift section")
     return classify_ou(model.switching, model.drift_b)
 
 
 def _run_thm22(model: RegimeModel):
     _need(isinstance(model.switching, QMatrix), "needs a constant rate matrix")
     _need(model.lyapunov is not None, "needs a lyapunov section")
-    _need(model.n_regimes <= _MINORS_CAP,
+    _need(model.switching.n <= _MINORS_CAP,
           f"needs at most {_MINORS_CAP} regimes for the dense minor sequence")
     return classify_mmatrix(model.switching, model.lyapunov)
 
@@ -65,7 +64,7 @@ def _run_thm22(model: RegimeModel):
 def _run_thm23(model: RegimeModel):
     _need(isinstance(model.switching, StateDependentRates), "needs state-dependent rates")
     _need(model.lyapunov is not None, "needs a lyapunov section")
-    _need(model.n_regimes <= _MINORS_CAP,
+    _need(model.switching.n <= _MINORS_CAP,
           f"needs at most {_MINORS_CAP} regimes for the dense minor sequence")
     return classify_state_dependent(bound_rates(model.switching, model.scan), model.lyapunov)
 
@@ -103,7 +102,7 @@ def _run_thm32(model: RegimeModel):
 
 def _run_thm33(model: RegimeModel):
     _need(isinstance(model.switching, QMatrix), "needs a constant rate matrix")
-    _need(model.drift_kind == "radial", "needs sampled radial drift components")
+    _need(model.radial_component is not None, "needs sampled radial drift components")
     return classify_radial_sampled(model.switching, model.radial_component, model.delta)
 
 
@@ -166,23 +165,16 @@ def cmd_classify(args) -> int:
 
 
 def _build_sde(model: RegimeModel) -> SdeModel:
-    if model.drift_kind not in ("power", "ou"):
+    if model.drift_b is None:
         raise CriterionNotApplicable("simulation needs a power or ou drift section")
     if model.sigma is None:
         raise CriterionNotApplicable("simulation needs a sigma section")
-    if isinstance(model.switching, TailHomogeneousChain):
-        raise CriterionNotApplicable("simulation needs matrix or rates switching "
-                                     "(truncate infinite chains first)")
-    return SdeModel(dim=model.dim, n_regimes=model.n_regimes,
-                    drift=power_drift(model.drift_b, model.delta),
+    return SdeModel(dim=model.dim, drift=power_drift(model.drift_b, model.delta),
                     sigma=regime_sigma(model.sigma), rates=model.switching,
                     boundary=model.boundary)
 
 
 def cmd_simulate(args) -> int:
-    if args.trials < 100:
-        print("error: --trials must be at least 100", file=sys.stderr)
-        return 1
     model = load_model(args.model)
     sde = _build_sde(model)
     # the engine checks every rate it evaluates and raises on a nan or a

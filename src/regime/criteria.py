@@ -257,7 +257,12 @@ def fredholm_solve(q: QMatrix, beta) -> FredholmPair:
     b = np.asarray(beta, dtype=float).ravel()
     if b.shape != (q.n,):
         raise ValueError("beta length must match the number of regimes")
-    mu, s, tol = _averaged(q, b)
+    return _fredholm_pair(q, b, *_averaged(q, b))
+
+
+def _fredholm_pair(q: QMatrix, b: np.ndarray, mu: np.ndarray, s: float,
+                   tol: float) -> FredholmPair:
+    """fredholm_solve given the invariant measure and the average ``s = mu @ b``."""
     if s > tol:
         raise NotSolvable(f"averaged drift {s:.6g} is positive; no resolvent pair")
     kappa = -s
@@ -278,7 +283,7 @@ def classify_two_function(q: QMatrix, data: TwoFunctionData) -> Classification:
     """
     mu, s, tol = _averaged(q, data.beta)
     if s < -tol:
-        pair = fredholm_solve(q, data.beta)
+        pair = _fredholm_pair(q, data.beta, mu, s, tol)
         cert = {"mu": mu, "mu_beta": s,
                 "fredholm": {"kappa": pair.kappa, "xi": pair.xi, "residual": pair.residual}}
         return Classification(_verdict(data.h_limit, Verdict.RECURRENT), "thm31", cert)

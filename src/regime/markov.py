@@ -356,17 +356,20 @@ class Partition:
             raise ValueError("cutpoints must be a nonempty 1-d sequence")
         if not np.isfinite(cuts).all() or (np.diff(cuts) <= 0).any():
             raise ValueError("cutpoints must be finite and strictly increasing")
-        if beta.sup() > cuts[-1]:
+        # a beta within round-off above a cutpoint (0.65 - 0.5 against 0.15) is on
+        # it; sound, as coarsening bounds classes by beta values, not cutpoints
+        cuts_up = cuts + 1e-12 * np.maximum(1.0, np.abs(cuts))
+        if beta.sup() > cuts_up[-1]:
             raise ValueError("last cutpoint must dominate the whole beta sequence")
 
         def bin_of(v: float) -> int:
-            return int(np.searchsorted(cuts, v, side="left"))
+            return int(np.searchsorted(cuts_up, v, side="left"))
 
         head_bins = [bin_of(v) for v in beta.head]
         tail_bin = bin_of(beta.tail_limit)
         h_last = beta.head[-1]
         lo_gap, hi_gap = min(h_last, beta.tail_limit), max(h_last, beta.tail_limit)
-        if ((cuts > lo_gap) & (cuts < hi_gap)).any():
+        if ((cuts_up > lo_gap) & (cuts_up < hi_gap)).any():
             raise ValueError("a cutpoint falls between the last head value and the tail "
                              "limit; extend the beta head")
         bins = head_bins + [tail_bin]  # the tail behaves like one more state

@@ -8,17 +8,18 @@ Schema overview (all 1-based regime/state indices in files)::
          | {"kind": "rates", "entries": [{"i":1,"j":2,"expr":"...",
                                           "inf": ..?, "sup": ..?}, ...],
             "scan": {"lo":..,"hi":..,"points": <int >= 2>?,
-                     "spacing": "geometric"|"linear"?}?}
+                     "spacing": "geometric"|"linear"?}?}   # hi > lo; geometric: lo > 0
          | {"kind": "birth-death", "a": <down>, "b": <up>, "K0": 1,
             "up"?: [...], "down"?: [...]},              # "regimes": "infinite" only
       "drift"?:  {"kind": "power", "b": [...], "delta": <float>}
-               | {"kind": "ou", "b": [...]}
+               | {"kind": "ou", "b": [...]}               # power with delta 1
                | {"kind": "radial", "delta": <float>,
                   "radial_component": [[...per regime...], ...]},
       "sigma"?: <float> | [<float>, ...],
       "lyapunov"?: {"beta": [...], "tag": "to-infinity"|"to-zero"}
                  | {"preset": "abs"}                       # V = |x|
                  | {"preset": "inverse-abs", "r0": <float>} # V = 1/|x|
+                   (presets need a linear drift: ou, or power with delta 1)
                  | {"beta_values": [...], "beta_tail_limit": <float>,
                     "tag": ...}                             # infinite chains
       "two_function"?: {"beta": [...], "h_limit": "to-infinity"|"to-zero"},
@@ -44,7 +45,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .criteria import Limit, LyapunovBehavior, TwoFunctionData
-from .errors import ParseError, SchemaError
+from .errors import EmptyGrid, ParseError, SchemaError
 from .markov import BetaSequence, QMatrix, ScanGrid, StateDependentRates, \
     TailHomogeneousChain, validate_qmatrix
 
@@ -178,12 +179,9 @@ def _limit_tag(value, where: str) -> Limit:
 class RegimeModel:
     """A fully parsed model document plus the derived library objects."""
 
-    doc: dict
-    n_regimes: Optional[int]  # None for an infinite regime space
     switching: QMatrix | StateDependentRates | TailHomogeneousChain
     scan: Optional[ScanGrid]
-    drift_kind: Optional[str]
-    drift_b: Optional[np.ndarray]
+    drift_b: Optional[np.ndarray]  # power drift b_i sign(x)|x|^delta; ou has delta 1
     delta: Optional[float]
     radial_component: Optional[np.ndarray]
     sigma: Optional[np.ndarray]
@@ -246,6 +244,10 @@ def _parse_q(doc, n_regimes):
             scan = ScanGrid(lo=_finite_number(sc["lo"], "q.scan.lo"),
                             hi=_finite_number(sc["hi"], "q.scan.hi"),
                             points=points, spacing=spacing)
+            try:
+                scan.build()
+            except EmptyGrid as exc:
+                raise SchemaError(f"q.scan: {exc}") from None
         return StateDependentRates(n=n_regimes, rate_fn=rate_fn, hints=hints or None), scan
     if kind == "birth-death":
         _require_keys(doc, "q(birth-death)", ("kind", "a", "b"), ("K0", "up", "down"))
@@ -266,24 +268,22 @@ def _parse_q(doc, n_regimes):
 
 def _parse_drift(doc, n_regimes):
     if doc is None:
-        return None, None, None, None
+        return None, None, None
     _require_keys(doc, "drift", ("kind",), ("b", "delta", "radial_component"))
     kind = doc.get("kind")
-    if kind == "power":
-        _require_keys(doc, "drift(power)", ("kind", "b", "delta"))
+    if kind in ("power", "ou"):
+        if kind == "power":
+            _require_keys(doc, "drift(power)", ("kind", "b", "delta"))
+            delta = _finite_number(doc["delta"], "drift.delta")
+        else:  # an ou drift is the linear power drift
+            _require_keys(doc, "drift(ou)", ("kind", "b"))
+            delta = 1.0
         b = _finite_vector(doc["b"], "drift.b")
-        delta = _finite_number(doc["delta"], "drift.delta")
         if n_regimes is not None and b.size != n_regimes:
             raise SchemaError("drift.b must have one entry per regime")
         if not -1.0 <= delta <= 1.0:
             raise SchemaError("drift.delta must lie in [-1, 1]")
-        return "power", b, delta, None
-    if kind == "ou":
-        _require_keys(doc, "drift(ou)", ("kind", "b"))
-        b = _finite_vector(doc["b"], "drift.b")
-        if n_regimes is not None and b.size != n_regimes:
-            raise SchemaError("drift.b must have one entry per regime")
-        return "ou", b, 1.0, None
+        return b, delta, None
     if kind == "radial":
         _require_keys(doc, "drift(radial)", ("kind", "delta", "radial_component"))
         comp = _finite_matrix(doc["radial_component"], "drift.radial_component")
@@ -292,21 +292,23 @@ def _parse_drift(doc, n_regimes):
             raise SchemaError("drift.radial_component columns must match the regime count")
         if not -1.0 <= delta < 1.0:
             raise SchemaError("drift.delta must lie in [-1, 1) for radial profiles")
-        return "radial", None, delta, comp
+        return None, delta, comp
     raise SchemaError(f"drift.kind must be power | ou | radial, got {kind!r}")
 
 
-def _parse_lyapunov(doc, n_regimes, drift_b, sigma):
+def _parse_lyapunov(doc, n_regimes, drift_b, delta, sigma):
     if doc is None:
         return None, None
     _require_keys(doc, "lyapunov", (),
                   ("beta", "tag", "preset", "r0", "beta_values", "beta_tail_limit"))
     if "preset" in doc:
         preset = doc["preset"]
-        if drift_b is None:
-            raise SchemaError("lyapunov presets need a power/ou drift section")
+        # the presets' bounds L_i V <= beta_i V hold for a linear drift only
+        if drift_b is None or delta != 1.0:
+            raise SchemaError("lyapunov presets need a linear drift section "
+                              "(ou, or power with delta 1)")
         if preset == "abs":
-            # V = |x| with linear drift: L_i V = b_i V for large |x|
+            # V = |x|: L_i V = b_i V for large |x|
             return LyapunovBehavior(tag=Limit.TO_INFINITY, beta=drift_b), None
         if preset == "inverse-abs":
             r0 = _finite_number(doc.get("r0", 10.0), "lyapunov.r0")
@@ -347,7 +349,7 @@ def parse_model(doc: dict, source: str = "<dict>") -> RegimeModel:
         raise SchemaError("regimes must be a positive integer or 'infinite'")
 
     switching, scan = _parse_q(doc["q"], n_regimes)
-    drift_kind, drift_b, delta, radial = _parse_drift(doc.get("drift"), n_regimes)
+    drift_b, delta, radial = _parse_drift(doc.get("drift"), n_regimes)
 
     sigma = None
     if "sigma" in doc:
@@ -359,7 +361,7 @@ def parse_model(doc: dict, source: str = "<dict>") -> RegimeModel:
         if np.abs(sigma).min() == 0:
             raise SchemaError("sigma entries must be nonzero")
 
-    lyap, beta_seq = _parse_lyapunov(doc.get("lyapunov"), n_regimes, drift_b, sigma)
+    lyap, beta_seq = _parse_lyapunov(doc.get("lyapunov"), n_regimes, drift_b, delta, sigma)
 
     two = None
     if "two_function" in doc:
@@ -386,8 +388,7 @@ def parse_model(doc: dict, source: str = "<dict>") -> RegimeModel:
     if boundary == "reflect" and dim != 1:
         raise SchemaError("boundary 'reflect' needs dimension 1")
 
-    return RegimeModel(doc=doc, n_regimes=n_regimes, switching=switching, scan=scan,
-                       drift_kind=drift_kind, drift_b=drift_b, delta=delta,
+    return RegimeModel(switching=switching, scan=scan, drift_b=drift_b, delta=delta,
                        radial_component=radial, sigma=sigma, dim=dim,
                        boundary=boundary, lyapunov=lyap, beta_seq=beta_seq,
                        cutpoints=cutpoints, two_function=two)

@@ -122,8 +122,7 @@ def ex22_transience_verdict(kappa: float, a: float = 2.0, b: float = 1.0) -> boo
 
 def ex22_sde_model(kappa: float, a: float = 2.0, b: float = 1.0) -> simulate.SdeModel:
     """dX = (kappa - 1/regime_index) X dt + sqrt(2) dB on the half-line."""
-    return simulate.SdeModel(dim=1, n_regimes=2,
-                             drift=simulate.power_drift((kappa - 1.0, kappa)),
+    return simulate.SdeModel(dim=1, drift=simulate.power_drift((kappa - 1.0, kappa)),
                              sigma=simulate.regime_sigma(math.sqrt(2.0)),
                              rates=ex22_rates(a, b), boundary="reflect")
 
@@ -134,7 +133,7 @@ def ou_qmatrix() -> QMatrix:
 
 def ou_sde_model(b=(-2.0, 1.0), sigma: float = 1.0) -> simulate.SdeModel:
     """Linear drift b_i x with additive noise on the half-line."""
-    return simulate.SdeModel(dim=1, n_regimes=len(b), drift=simulate.power_drift(b),
+    return simulate.SdeModel(dim=1, drift=simulate.power_drift(b),
                              sigma=simulate.regime_sigma(sigma), rates=ou_qmatrix(),
                              boundary="reflect")
 
@@ -144,7 +143,7 @@ def ex21_sde_model(kappa: float, K: int = 12, a: float = 2.0,
     """Truncated-chain simulation stand-in for the infinite benchmark."""
     q = simulate.truncate_chain(ex21_chain(a, b), K)
     slopes = [kappa - 1.0 / (i + 1) for i in range(K)]
-    return simulate.SdeModel(dim=1, n_regimes=K, drift=simulate.power_drift(slopes),
+    return simulate.SdeModel(dim=1, drift=simulate.power_drift(slopes),
                              sigma=simulate.regime_sigma(math.sqrt(2.0)), rates=q,
                              boundary="reflect")
 

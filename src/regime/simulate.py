@@ -47,12 +47,12 @@ class SdeModel:
     matrix for the batch.  Per-regime coefficients are gathered by regime,
     ``coef[lam][:, None]``, as ``power_drift`` and ``regime_sigma`` do;
     callables that ignore the regime work unchanged.  ``rates`` is either a
-    constant generator or 1-d state-dependent rates.  ``boundary="reflect"``
-    keeps d = 1 paths on the half-line by reflecting at zero.
+    constant generator or 1-d state-dependent rates, and ``n_regimes`` is its
+    ``n``.  ``boundary="reflect"`` keeps d = 1 paths on the half-line by
+    reflecting at zero.
     """
 
     dim: int
-    n_regimes: int
     drift: Callable[[np.ndarray, np.ndarray], np.ndarray]
     sigma: Callable[[np.ndarray, np.ndarray], np.ndarray]
     rates: Union[QMatrix, StateDependentRates]
@@ -68,11 +68,15 @@ class SdeModel:
             raise ValueError("reflection at zero is a half-line (d = 1) feature")
         if self.sigma_mode not in ("diag", "matrix"):
             raise ValueError("sigma_mode must be 'diag' or 'matrix'")
-        n = self.rates.n if isinstance(self.rates, (QMatrix, StateDependentRates)) else None
-        if n != self.n_regimes:
-            raise ValueError("rate specification does not match n_regimes")
+        if not isinstance(self.rates, (QMatrix, StateDependentRates)):
+            raise ValueError("rates must be a QMatrix or StateDependentRates "
+                             "(truncate infinite chains first)")
         if isinstance(self.rates, StateDependentRates) and self.dim != 1:
             raise ValueError("state-dependent rates are supported on 1-d state spaces")
+
+    @property
+    def n_regimes(self) -> int:
+        return self.rates.n
 
 
 def power_drift(b, delta: float = 1.0) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -255,19 +259,13 @@ def _raise_bad_rate(q: np.ndarray, xs: np.ndarray, lam: np.ndarray):
     raise NegativeOffDiagonal(f"switching rate {where} is negative")
 
 
-def _advance(model: SdeModel, x: np.ndarray, lam: np.ndarray, dt: float,
-             z: np.ndarray, u: np.ndarray) -> tuple:
-    """One step for a batch of paths outside an ensemble run."""
-    return _Kernel(model, dt).advance(x, lam, z, u)
-
-
 def step(model: SdeModel, x, regime: int, dt: float, rng: np.random.Generator) -> tuple:
     """Single-path step: returns (x', regime').  Draws one normal vector and
     one uniform from ``rng`` in that order."""
     xv = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, model.dim)
     z = rng.standard_normal((1, model.dim))
     u = rng.random(1)
-    x_new, lam_new = _advance(model, xv, np.array([regime]), dt, z, u)
+    x_new, lam_new = _Kernel(model, dt).advance(xv, np.array([regime]), z, u)
     out_x = x_new[0, 0] if model.dim == 1 and np.isscalar(x) else x_new[0]
     return out_x, int(lam_new[0])
 

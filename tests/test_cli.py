@@ -124,6 +124,27 @@ class TestModelParsing:
         with pytest.raises(SchemaError, match="bad index pair"):
             parse_model(doc)
 
+    @pytest.mark.parametrize("scan, message", [
+        ({"lo": 0, "hi": 1e6}, "geometric spacing needs lo > 0"),
+        ({"lo": 5.0, "hi": 5.0}, "is empty"),
+        ({"lo": 5.0, "hi": 1.0, "spacing": "linear"}, "is empty"),
+    ])
+    def test_scan_range_checked_at_load(self, scan, message):
+        doc = benchmark_documents()["ex22"]
+        doc["q"]["scan"] = scan
+        with pytest.raises(SchemaError, match=f"q.scan: .*{message}"):
+            parse_model(doc)
+
+    @pytest.mark.parametrize("preset", [{"preset": "abs"}, {"preset": "inverse-abs"}])
+    def test_lyapunov_presets_need_a_linear_drift(self, preset):
+        # L|x| = -|x|**-0.5 is not bounded by beta |x| with beta < 0; thm21 and
+        # thm22 called this drift exponentially ergodic
+        doc = {"regimes": 2, "q": {"kind": "matrix", "entries": [[-1.0, 1.0], [2.0, -2.0]]},
+               "drift": {"kind": "power", "b": [-1.0, -1.0], "delta": -0.5}, "sigma": 1.0,
+               "lyapunov": preset}
+        with pytest.raises(SchemaError, match="lyapunov presets need a linear drift"):
+            parse_model(doc)
+
     def test_birth_death_k0_rejects_bools(self):
         doc = benchmark_documents()["ex21"]
         doc["q"]["K0"] = True
@@ -256,6 +277,24 @@ class TestSimulateCommand:
         code = main(["simulate", path, "--x0", "3", "--r0", "1", "--T", "1.0",
                      "--dt", "0.01", "--trials", "0"])
         assert code == 1
+
+    def test_too_few_trials_fail_with_one_error_line(self, tmp_path, capsys):
+        path = write_model(tmp_path, benchmark_documents()["ou"])
+        assert main(["simulate", path, "--x0", "3", "--r0", "1", "--T", "1.0",
+                     "--dt", "0.01", "--trials", "99"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: trials must be at least 100")
+
+    def test_infinite_chain_fails_with_one_error_line(self, tmp_path, capsys):
+        doc = benchmark_documents()["ex21"]
+        doc.update(drift={"kind": "ou", "b": [-1.0]}, sigma=1.0)
+        path = write_model(tmp_path, doc)
+        assert main(["simulate", path, "--x0", "3", "--r0", "1", "--T", "1.0",
+                     "--dt", "0.01", "--trials", "100"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "truncate infinite chains first" in err
 
     def test_state_dependent_simulation(self, tmp_path, capsys):
         path = write_model(tmp_path, benchmark_documents()["ex22"])

@@ -20,6 +20,7 @@ from regime import (
     classify_state_dependent,
     classify_two_function,
     classify_two_function_state_dependent,
+    criteria,
     fredholm_solve,
     invariant_measure,
     kappa_thresholds,
@@ -204,6 +205,17 @@ class TestClassifyTwoFunction:
         out = classify_two_function(Q2, TwoFunctionData([-1.0, 2.0], TO_INF))
         assert out.verdict is Verdict.INCONCLUSIVE
         assert "cor31" in out.reason
+
+    def test_invariant_measure_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(q):
+            calls.append(q)
+            return invariant_measure(q)
+
+        monkeypatch.setattr(criteria, "invariant_measure", counted)
+        out = classify_two_function(Q2, TwoFunctionData([-1.0, -1.0], TO_INF))
+        assert out.conclusive and len(calls) == 1
 
 
 class TestClassifyTwoFunctionStateDependent:

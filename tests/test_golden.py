@@ -14,7 +14,11 @@ rate expressions were folded at load time.  ``classify-modes`` pins, for
 stdout and stderr of ``classify`` on documents that reach each runner's
 conclusive, inconclusive, skip and error paths; those digests were recorded
 before the three M-matrix criteria shared one certify step and the model
-kept one switching field.
+kept one switching field.  Four digests were re-recorded when an ``ou``
+drift became the power drift with delta 1: the ``ou`` file now runs cor31,
+which hands delta = 1 to prop22, and a lyapunov preset on a drift with
+delta != 1 is a schema error (``test_ou_drift_is_the_linear_power_drift``,
+``test_lyapunov_preset_needs_a_linear_drift``).
 """
 
 import dataclasses
@@ -31,7 +35,7 @@ PLANE_SIGMA = np.array([[1.0, 0.3], [0.0, 0.8]])
 
 
 def _plane_model():
-    return SdeModel(dim=2, n_regimes=2, drift=lambda x, lam: -0.5 * x,
+    return SdeModel(dim=2, drift=lambda x, lam: -0.5 * x,
                     sigma=lambda x, lam: PLANE_SIGMA,
                     rates=validate_qmatrix([[-1.0, 1.0], [2.0, -2.0]]),
                     sigma_mode="matrix")
@@ -133,7 +137,7 @@ CLI_DIGEST = {
     ("ex21", "classify"): "36cf41c189c28acc41f5bb8e1995f2c272f6909b408b3dcff4657accc5ac2e43",
     ("ex22", "classify"): "b85d11490c8ff7592c17331ab0bf59d1aa1e110736969b83dd73e5fb85fac482",
     ("ex22", "simulate"): "5ecf65ce543d54e6fa7cd00a24b6a5e79c7c12145996c35319ac950f10a4897b",
-    ("ou", "classify"): "9d802e4b62addaf1e2740d4c4c15157cf964d42b34e029ce04c96d39afadee38",
+    ("ou", "classify"): "10d14ac1a22246ee70618314dec6a903c0a3fb5f23056a9ef0af9927cfd76767",
     ("ou", "simulate"): "4ecad45025270891523b810887e1ce949049489dc718a6ddd0419b22254609d1",
     ("beta-boundary", "classify-modes"): "c3d20091387c2daf5ff4e44f40ea4f827c1e205d008fec8bc3e15d1152fb2086",
     ("beta-inf", "classify-modes"): "0fc2bee1c11c636f39940d32fe85d7e7a97d18f5740b15024935a5278a53e2fc",
@@ -145,10 +149,10 @@ CLI_DIGEST = {
     ("infinite-no-partition", "classify-modes"): "8fdfb0de35ef5e1609c359e395a2a5f03be7a0b7a2678533f98baf3cc0f31414",
     ("infinite-transient-chain", "classify-modes"): "8691571054ea89af56a7f426c57af5cb6c9d77c274517ab4eb91331ca9b0b780",
     ("infinite-zero", "classify-modes"): "1dfd2cd4f3cecc88f8b00aa89994d22f92db0f583a94da52a38f10819dd13d4a",
-    ("ou", "classify-modes"): "eb2c87d56734cd00e094680f04d2921356e13c5ce8481ba30c9f36d41c24bf3e",
+    ("ou", "classify-modes"): "4df40d1b07722b17184a0ad5096da9e9ff36e9020b1e719b80c0a73e6e2dc380",
     ("power-linear", "classify-modes"): "4df40d1b07722b17184a0ad5096da9e9ff36e9020b1e719b80c0a73e6e2dc380",
-    ("preset-abs", "classify-modes"): "d0013695c78c30e863e77870593c2896c547c8b0bb2261094dbb17f23f19d32f",
-    ("preset-inverse-abs", "classify-modes"): "b7410b2e83d115cca308f59c39a2bdfc83feb9c4626a28d7577a907bbb16181f",
+    ("preset-abs", "classify-modes"): "71f905d300766f04a82a3a9749d3b75a4ee409087179f12d8dce6370f9d3c147",
+    ("preset-inverse-abs", "classify-modes"): "96b256d8322f5dea5f245eb76c2556c5cb10b2cb224c2b8a5cecfb8586d4cf36",
     ("radial", "classify-modes"): "c937c3d4d7ea669dea8531ead0b15f7eabe236765993e6e49dfa967e5ba70248",
     ("radial-gap", "classify-modes"): "8d0022cc4570dd3222a4b2200cbb54363d8950501babf2eeb21f209a3bd4ce16",
     ("two-matrix", "classify-modes"): "162ae590799d13ceb9b9a9c0875d06654e3a3237b2a969e3f4af55c55b56e980",
@@ -277,3 +281,33 @@ def test_cli_output_is_bitwise_golden(stem, command, model_dir, capsys):
         assert cli.main([command, path] + extra) == 0
         out = capsys.readouterr().out.replace(path, "MODEL")
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGEST[(stem, command)]
+
+
+@pytest.mark.parametrize("stem", ["ou", "preset-abs"])
+def test_ou_drift_is_the_linear_power_drift(stem, model_dir, tmp_path, capsys):
+    path = model_dir / f"{stem}.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["drift"]["kind"] == "ou"
+    doc["drift"] = {"kind": "power", "b": doc["drift"]["b"], "delta": 1}
+    power = tmp_path / f"{stem}.json"
+    power.write_text(json.dumps(doc), encoding="utf-8")
+    assert _classify_transcript(str(power), capsys) == _classify_transcript(str(path), capsys)
+
+
+def test_lyapunov_preset_needs_a_linear_drift(model_dir, capsys):
+    # V = 1/|x| bounds L_i V by beta_i V only for a linear drift; this one has delta = 0.5
+    path = str(model_dir / "preset-inverse-abs.json")
+    for mode in CLI_MODES:
+        for text in ([], ["--text"]):
+            assert cli.main(["classify", path, "--criterion", mode] + text) == 1
+            assert capsys.readouterr() == ("", "error: SchemaError: lyapunov presets need a "
+                                               "linear drift section (ou, or power with delta 1)\n")
+
+
+def test_decimal_cutpoints_classify_as_computed_ones(model_dir, tmp_path, capsys):
+    # 0.65 - 0.5 is 0.15000000000000002, a beta value just above the cutpoint 0.15
+    path = tmp_path / "infinite-gap.json"
+    path.write_text(json.dumps(_birth_death(0.65, [-0.35, 0.15, 0.65], "to-infinity")),
+                    encoding="utf-8")
+    assert (_classify_transcript(str(path), capsys)
+            == _classify_transcript(str(model_dir / "infinite-gap.json"), capsys))

@@ -14,7 +14,7 @@ from regime import (
 )
 from regime.errors import NegativeOffDiagonal, StepTooLarge, UnboundedRate
 from regime.reproduce import ex21_sde_model, ex22_sde_model
-from regime.simulate import _advance, _simulate_paths, power_drift, regime_sigma
+from regime.simulate import _Kernel, _simulate_paths, power_drift, regime_sigma
 
 Q2 = validate_qmatrix([[-1.0, 1.0], [2.0, -2.0]])
 
@@ -26,8 +26,7 @@ def _const_model(drift_slope=0.0, sigma=1.0, rates=Q2, boundary="none"):
     def sig(x, i):
         return sigma
 
-    return SdeModel(dim=1, n_regimes=rates.n, drift=drift, sigma=sig,
-                    rates=rates, boundary=boundary)
+    return SdeModel(dim=1, drift=drift, sigma=sig, rates=rates, boundary=boundary)
 
 
 class TestStep:
@@ -50,7 +49,7 @@ class TestStep:
         lam = np.zeros(k, dtype=int)
         z = rng.standard_normal((k, 1))
         u = rng.random(k)
-        _, lam_new = _advance(model, x, lam, dt, z, u)
+        _, lam_new = _Kernel(model, dt).advance(x, lam, z, u)
         frac = (lam_new != 0).mean()
         assert frac == pytest.approx(Q2.entries[0, 1] * dt, abs=0.003)
 
@@ -78,10 +77,11 @@ class TestRegimeOccupation:
         x = np.full((k, 1), 1.0)
         lam = np.zeros(k, dtype=int)
         counts = np.zeros(2)
+        kernel = _Kernel(model, dt)
         for _ in range(n_steps):
             z = rng.standard_normal((k, 1))
             u = rng.random(k)
-            x, lam = _advance(model, x, lam, dt, z, u)
+            x, lam = kernel.advance(x, lam, z, u)
             counts += np.bincount(lam, minlength=2)
         occ = counts / counts.sum()
         mu = invariant_measure(Q2)
@@ -104,14 +104,14 @@ class TestSingleRegimeOU:
         def sigma(x, i):
             return np.sqrt(2.0)
 
-        model = SdeModel(dim=1, n_regimes=1, drift=drift, sigma=sigma, rates=q1)
+        model = SdeModel(dim=1, drift=drift, sigma=sigma, rates=q1)
         rng = np.random.default_rng(13)
         k, dt, n_steps = 4000, 0.01, 600
         x = np.zeros((k, 1))
         lam = np.zeros(k, dtype=int)
+        kernel = _Kernel(model, dt)
         for _ in range(n_steps):
-            x, lam = _advance(model, x, lam, dt, rng.standard_normal((k, 1)),
-                              rng.random(k))
+            x, lam = kernel.advance(x, lam, rng.standard_normal((k, 1)), rng.random(k))
         assert float(np.var(x)) == pytest.approx(1.0, rel=0.05)
 
 
@@ -176,10 +176,9 @@ class TestCallbackContract:
             seen.append((x.shape, lam.copy()))
             return np.zeros_like(x)
 
-        model = SdeModel(dim=1, n_regimes=2, drift=drift, sigma=lambda x, lam: 0.0,
-                         rates=Q2)
+        model = SdeModel(dim=1, drift=drift, sigma=lambda x, lam: 0.0, rates=Q2)
         x = np.ones((3, 1))
-        _advance(model, x, np.array([0, 1, 1]), 0.01, np.zeros((3, 1)), np.ones(3))
+        _Kernel(model, 0.01).advance(x, np.array([0, 1, 1]), np.zeros((3, 1)), np.ones(3))
         assert len(seen) == 1
         assert seen[0][0] == (3, 1) and seen[0][1].tolist() == [0, 1, 1]
 
@@ -194,11 +193,11 @@ class TestCallbackContract:
 
     def test_scalar_regime_drift_is_rejected(self):
         # written for one regime index at a time, it broadcasts to (k, k)
-        model = SdeModel(dim=1, n_regimes=2, drift=lambda x, i: (0.3 - 1.0 / (i + 1)) * x,
+        model = SdeModel(dim=1, drift=lambda x, i: (0.3 - 1.0 / (i + 1)) * x,
                          sigma=lambda x, i: 1.0, rates=Q2)
         with pytest.raises(ValueError, match=r"drift\(x, lam\)"):
-            _advance(model, np.ones((3, 1)), np.array([0, 1, 0]), 0.01,
-                     np.zeros((3, 1)), np.ones(3))
+            _Kernel(model, 0.01).advance(np.ones((3, 1)), np.array([0, 1, 0]),
+                                         np.zeros((3, 1)), np.ones(3))
 
     @pytest.mark.parametrize("mode, sig", [
         ("diag", np.array([1.0, 2.0, 3.0])),       # (k,) aligns with the axis dimension
@@ -208,17 +207,17 @@ class TestCallbackContract:
         ("matrix", np.ones((3, 2, 2))),
     ])
     def test_bad_sigma_shapes_are_rejected(self, mode, sig):
-        model = SdeModel(dim=2, n_regimes=2, drift=lambda x, lam: -x,
+        model = SdeModel(dim=2, drift=lambda x, lam: -x,
                          sigma=lambda x, lam: sig, rates=Q2, sigma_mode=mode)
         with pytest.raises(ValueError, match=r"sigma\(x, lam\)"):
-            _advance(model, np.ones((3, 2)), np.zeros(3, dtype=int), 0.01,
-                     np.zeros((3, 2)), np.ones(3))
+            _Kernel(model, 0.01).advance(np.ones((3, 2)), np.zeros(3, dtype=int),
+                                         np.zeros((3, 2)), np.ones(3))
 
 
 class TestStateDependentRateValues:
     def _model(self, rate_fn):
         rates = StateDependentRates(n=2, rate_fn=rate_fn)
-        return SdeModel(dim=1, n_regimes=2, drift=lambda x, lam: -x,
+        return SdeModel(dim=1, drift=lambda x, lam: -x,
                         sigma=lambda x, lam: 0.0, rates=rates, boundary="reflect")
 
     def test_negative_rate_raises_at_first_visited_position(self):
@@ -251,16 +250,21 @@ class TestMultiDimensional:
         def sigma(x, i):
             return smat
 
-        model = SdeModel(dim=2, n_regimes=2, drift=drift, sigma=sigma, rates=Q2,
+        model = SdeModel(dim=2, drift=drift, sigma=sigma, rates=Q2,
                          sigma_mode="matrix")
         rep = run_ensemble(model, x0=[3.0, 4.0], i0=0, r0=1.0, T=20.0, dt=0.01,
                            trials=100, seed=12)
         assert rep.return_fraction > 0.9  # contracting drift pulls paths in
         assert rep.x0 == (3.0, 4.0)
 
+    def test_infinite_chain_rates_are_rejected(self):
+        with pytest.raises(ValueError, match="truncate infinite chains first"):
+            SdeModel(dim=1, drift=lambda x, lam: -x, sigma=lambda x, lam: 1.0,
+                     rates=TailHomogeneousChain.constant(up=1.0, down=2.0))
+
     def test_reflection_requires_one_dimension(self):
         with pytest.raises(ValueError):
-            SdeModel(dim=2, n_regimes=2, drift=lambda x, i: -x,
+            SdeModel(dim=2, drift=lambda x, i: -x,
                      sigma=lambda x, i: 1.0, rates=Q2, boundary="reflect")
 
 

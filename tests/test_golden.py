@@ -18,12 +18,16 @@ kept one switching field.  Four digests were re-recorded when an ``ou``
 drift became the power drift with delta 1: the ``ou`` file now runs cor31,
 which hands delta = 1 to prop22, and a lyapunov preset on a drift with
 delta != 1 is a schema error (``test_ou_drift_is_the_linear_power_drift``,
-``test_lyapunov_preset_needs_a_linear_drift``).
+``test_lyapunov_preset_needs_a_linear_drift``).  ``VERDICTS_FILE`` pins,
+apart from certificate numbers, what every ``classify`` run concludes on the
+same documents: exit code, verdict, criterion, and each attempt's verdict and
+reason (or skip message, or error line).
 """
 
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +224,27 @@ CLASSIFY_DOCS = {
 }
 
 
+VERDICTS_FILE = Path(__file__).with_name("classify_verdicts.json")
+
+
+def _verdicts(path, capsys) -> dict:
+    """Per mode: exit code, verdict, criterion and each attempt's outcome,
+    from the JSON output of ``classify`` (or its one error line)."""
+    out = {}
+    for mode in CLI_MODES:
+        code = cli.main(["classify", path, "--criterion", mode])
+        stdout, stderr = capsys.readouterr()
+        if code == 1:
+            out[mode] = {"exit": code, "error": stderr.strip()}
+            continue
+        report = json.loads(stdout)
+        attempts = [f"{a['criterion']}: {a.get('verdict', 'skipped')}: "
+                    f"{a.get('reason') or a.get('skipped')}" for a in report["attempted"]]
+        out[mode] = {"exit": code, "verdict": report["verdict"],
+                     "criterion": report.get("criterion"), "attempted": attempts}
+    return out
+
+
 def _hexed(report) -> dict:
     out = {}
     for f in dataclasses.fields(report):
@@ -281,6 +306,15 @@ def test_cli_output_is_bitwise_golden(stem, command, model_dir, capsys):
         assert cli.main([command, path] + extra) == 0
         out = capsys.readouterr().out.replace(path, "MODEL")
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGEST[(stem, command)]
+
+
+def test_classify_verdicts_are_pinned(model_dir, capsys):
+    pinned = json.loads(VERDICTS_FILE.read_text(encoding="utf-8"))
+    stems = sorted(p.stem for p in model_dir.glob("*.json"))
+    assert sorted(pinned) == stems
+    for stem in stems:
+        path = str(model_dir / f"{stem}.json")
+        assert _verdicts(path, capsys) == pinned[stem], stem
 
 
 @pytest.mark.parametrize("stem", ["ou", "preset-abs"])

@@ -41,7 +41,6 @@ from .markov import (
 from .mmatrix import (
     MMatrixCertificate,
     PerronData,
-    critical_p,
     is_nonsingular_mmatrix,
     leading_minors,
     least_real_eigenvalue,
@@ -76,7 +75,7 @@ __all__ = [
     "BetaSequence", "Partition", "QMatrix", "ScanGrid", "StateDependentRates",
     "TailHomogeneousChain", "bound_rates", "coarsen", "invariant_measure",
     "validate_qmatrix",
-    "MMatrixCertificate", "PerronData", "critical_p", "is_nonsingular_mmatrix",
+    "MMatrixCertificate", "PerronData", "is_nonsingular_mmatrix",
     "leading_minors", "least_real_eigenvalue", "perron",
     "semipositive_certificate", "upper_ones", "z_pattern",
     "RegimeModel", "load_model", "parse_model",

@@ -29,7 +29,6 @@ from .criteria import (
 )
 from .errors import CriterionNotApplicable, RegimeError
 from .markov import Partition, QMatrix, StateDependentRates, TailHomogeneousChain, bound_rates
-from .mmatrix import _MINORS_CAP
 from .modelfile import RegimeModel, load_model
 from .simulate import SdeModel, power_drift, regime_sigma, run_ensemble
 
@@ -56,16 +55,12 @@ def _run_prop22(model: RegimeModel):
 def _run_thm22(model: RegimeModel):
     _need(isinstance(model.switching, QMatrix), "needs a constant rate matrix")
     _need(model.lyapunov is not None, "needs a lyapunov section")
-    _need(model.switching.n <= _MINORS_CAP,
-          f"needs at most {_MINORS_CAP} regimes for the dense minor sequence")
     return classify_mmatrix(model.switching, model.lyapunov)
 
 
 def _run_thm23(model: RegimeModel):
     _need(isinstance(model.switching, StateDependentRates), "needs state-dependent rates")
     _need(model.lyapunov is not None, "needs a lyapunov section")
-    _need(model.switching.n <= _MINORS_CAP,
-          f"needs at most {_MINORS_CAP} regimes for the dense minor sequence")
     return classify_state_dependent(bound_rates(model.switching, model.scan), model.lyapunov)
 
 
@@ -75,8 +70,6 @@ def _run_thm24(model: RegimeModel):
     _need(model.beta_seq is not None, "needs a lyapunov beta sequence")
     _need(model.cutpoints is not None, "needs partition cutpoints")
     partition = Partition.from_cutpoints(model.beta_seq, model.cutpoints)
-    _need(partition.m <= _MINORS_CAP,
-          f"needs at most {_MINORS_CAP} partition classes for the dense minor sequence")
     return classify_infinite(model.switching, model.beta_seq, partition, model.lyapunov.tag)
 
 

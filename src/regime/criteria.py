@@ -26,7 +26,7 @@ from .markov import (
     coarsen,
     invariant_measure,
 )
-from .mmatrix import is_nonsingular_mmatrix, upper_ones
+from .mmatrix import is_nonsingular_mmatrix
 from .simplex import feasible_point
 
 SIGN_TOL = 1e-10
@@ -160,13 +160,14 @@ def classify_mmatrix(q: QMatrix, lyap: LyapunovBehavior) -> Classification:
 
 
 def classify_state_dependent(q_tilde: QMatrix, lyap: LyapunovBehavior) -> Classification:
-    """State-dependent variant: test -(Q~ + diag beta) H_N instead.
+    """State-dependent variant: positive leading minors of -(Q~ + diag beta) H.
 
-    H_N encodes the decreasing weight vector the bounding generator Q~ needs;
-    the transformed matrix usually leaves the Z pattern, and the positive
-    minors condition is the operative test (see mmatrix module).
+    H, the upper-triangular all-ones matrix, encodes the decreasing weight
+    vector the bounding generator Q~ needs.  H is unit upper triangular, so
+    (A H)[:k, :k] = A[:k, :k] H[:k, :k] and A H has the leading minors of
+    A = -(Q~ + diag beta); the test certifies the Z-matrix A itself.
     """
-    out = _certify("thm23", -(q_tilde.entries + np.diag(lyap.beta)) @ upper_ones(q_tilde.n),
+    out = _certify("thm23", -(q_tilde.entries + np.diag(lyap.beta)),
                    {}, _verdict(lyap.tag, Verdict.EXPONENTIALLY_ERGODIC),
                    "transformed matrix fails the positive-minors test")
     out.certificate["conclusion_strength"] = ("exponentially-ergodic (implies recurrent); some "
@@ -177,15 +178,17 @@ def classify_state_dependent(q_tilde: QMatrix, lyap: LyapunovBehavior) -> Classi
 def classify_coarse(beta_f, q_f, tag: Limit) -> Classification:
     """Finite-partition test on precomputed class data (beta^F, Q^F).
 
-    Tests -(diag beta^F + Q^F) H_m.  The conclusion is deliberately weaker
-    than the finite-space tests: V -> infinity certifies recurrence only.
+    Tests the leading minors of -(diag beta^F + Q^F) H_m, which are those of
+    the Z-matrix -(diag beta^F + Q^F) (see :func:`classify_state_dependent`).
+    The conclusion is deliberately weaker than the finite-space tests:
+    V -> infinity certifies recurrence only.
     """
     bf = np.asarray(beta_f, dtype=float).ravel()
     qf = np.asarray(q_f, dtype=float)
     m = bf.size
     if qf.shape != (m, m):
         raise ValueError("class generator shape must match beta^F")
-    return _certify("thm24", -(np.diag(bf) + qf) @ upper_ones(m), {"beta_f": bf, "q_f": qf},
+    return _certify("thm24", -(np.diag(bf) + qf), {"beta_f": bf, "q_f": qf},
                     _verdict(tag, Verdict.RECURRENT),
                     "coarsened matrix fails the positive-minors test")
 

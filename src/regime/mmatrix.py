@@ -1,13 +1,13 @@
 """Nonsingular M-matrix certificates and Perron-Frobenius data.
 
-The classifiers in this package test matrices of two shapes: ``-(Q + diag b)``,
-which always has the Z-sign pattern, and ``-(Q + diag b) H``, with H the
-upper-triangular all-ones matrix, which usually does not.  The operative
-verdict everywhere is "all leading principal minors are positive".  For
-Z-matrices that is equivalent to nonsingular M-matrix status, and the
-semipositivity and least-real-eigenvalue tests must then agree; away from the
-Z pattern the minors condition is the test itself and the other checks are
-reported as evidence only.
+The classifiers test Z-matrices ``-(Q + diag b)``, Q a generator.  For a
+Z-matrix A, "nonsingular M-matrix", "all leading principal minors positive",
+"A^-1 >= 0", "some x >> 0 has A x >> 0" and "least real eigenvalue positive"
+are equivalent (Berman and Plemmons, ch. 6).  The verdict is the minors test,
+read from the pivots of one elimination of A / scale, so it does not depend
+on the scale of A; the positive vector x = A^-1 1 and the eigenvalue
+cross-check it.  Away from the Z pattern (public callers only) the minors
+condition is the test itself and the other checks are evidence.
 """
 
 from __future__ import annotations
@@ -17,17 +17,17 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InconsistentChecks, NoConvergence, NotApplicable, SolverFailure
-from .markov import QMatrix, invariant_measure
+from .errors import InconsistentChecks, NoConvergence, SolverFailure
+from .markov import QMatrix
 from .simplex import feasible_point
 
-# Minor k within BOUNDARY_BAND * scale**k of zero marks the certificate as
+# A pivot of A / scale within BOUNDARY_BAND of zero marks the certificate as
 # boundary; callers must report such cases inconclusive instead of letting the
 # verdict flip on round-off.
 BOUNDARY_BAND = 1e-8
 Z_TOL = 1e-12
-# largest matrix whose leading minors are computed (one dense det per minor)
-_MINORS_CAP = 64
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
 def upper_ones(m: int) -> np.ndarray:
@@ -46,28 +46,65 @@ def z_pattern(a, tol: float = Z_TOL) -> bool:
     return bool(off.max() <= tol * scale)
 
 
-def leading_minors(a) -> np.ndarray:
-    """Determinants of the top-left k x k blocks, k = 1..n (LU with pivoting)."""
+def _square(a) -> np.ndarray:
     m = np.asarray(a, dtype=float)
-    n = m.shape[0]
-    if m.shape != (n, n):
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    if n > _MINORS_CAP:
-        raise ValueError(f"dense minor sequence is limited to n <= {_MINORS_CAP}")
-    return np.array([np.linalg.det(m[:k, :k]) for k in range(1, n + 1)])
+    return m
+
+
+def leading_minors(a, return_pivots: bool = False):
+    """Determinants of the top-left k x k blocks, k = 1..n.
+
+    One elimination of A / scale without row exchanges, scale = max(1, max
+    |a_ij|); pivot k is minor_k / (scale * minor_{k-1}).  It stops at the
+    first pivot within BOUNDARY_BAND of zero, so the result can be shorter
+    than n.  Minors beyond the float range come back as +-inf or 0; the
+    pivots (``return_pivots=True``) stay in range.
+    """
+    m = _square(a)
+    scale = max(1.0, float(np.abs(m).max()))
+    m = m / scale
+    n = m.shape[0]
+    pivots = np.empty(n)
+    for k in range(n):
+        pivots[k] = piv = m[k, k]
+        if abs(piv) <= BOUNDARY_BAND:
+            pivots = pivots[:k + 1]
+            break
+        m[k + 1:, k + 1:] -= np.outer(m[k + 1:, k] / piv, m[k, k + 1:])
+    with np.errstate(over="ignore"):
+        minors = np.cumprod(scale * pivots)
+    return (minors, pivots) if return_pivots else minors
 
 
 def semipositive_certificate(a) -> Optional[np.ndarray]:
-    """A vector x with x >= 1 and A x >= 1 componentwise, or None.
+    """A vector x with x >= 1 and A x >> 0 componentwise, or None.
 
-    Existence is scale-invariant, so this is exactly the classical
-    semipositivity condition (some x >> 0 with A x >> 0).  Substituting
-    x = 1 + y turns it into feasibility of {y >= 0 : -A y <= A 1 - 1}.
+    For a Z-matrix this is x = A^-1 1 scaled to min x = 1, returned only when
+    x >> 0 and fl(A x) - gamma_{n+2} |A| x >> 0, gamma_k = k u / (1 - k u)
+    with u the unit round-off.  fl(A x) is within gamma_n |A| x of A x
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, section 3.5)
+    and n+2 covers the bound's own two roundings; the threshold (n+2) times
+    the smallest subnormal covers underflow, so A x >> 0 holds exactly.
+    A nonsingular M-matrix has A^-1 >= 0, so None means the Z-matrix is not
+    one or is too close to singular for the proof.  Other matrices go to a
+    phase-1 LP for {y >= 0 : -A y <= A 1 - 1}, x = 1 + y, which is exactly
+    semipositivity since that is scale-invariant.
     """
-    m = np.asarray(a, dtype=float)
+    m = _square(a)
     n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError("matrix must be square")
+    if z_pattern(m):
+        try:
+            x = np.linalg.solve(m, np.ones(n))
+        except np.linalg.LinAlgError:
+            return None
+        if not (np.isfinite(x).all() and (x > 0).all()):
+            return None
+        x = x / x.min()
+        gamma = (n + 2) * _UNIT_ROUNDOFF / (1 - (n + 2) * _UNIT_ROUNDOFF)
+        proved = m @ x - gamma * (np.abs(m) @ x) > (n + 2) * _SUBNORMAL
+        return x if proved.all() else None
     y = feasible_point(-m, m @ np.ones(n) - 1.0)
     if y is None:
         return None
@@ -104,7 +141,9 @@ class MMatrixCertificate:
     classical equivalences apply; when they do, ``positive_vector`` (x >> 0
     with A x >> 0) is populated exactly when the verdict is true and
     ``eigen_witness`` (the least real eigenvalue) has the matching sign.
-    ``boundary`` flags verdicts within the round-off band of singularity.
+    ``boundary`` flags verdicts within the round-off band of singularity;
+    ``minors`` then stops at the first leading block singular to working
+    accuracy.
     """
 
     verdict: bool
@@ -122,19 +161,15 @@ def is_nonsingular_mmatrix(a) -> MMatrixCertificate:
     InconsistentChecks is raised (that signals ill-conditioning; perturb the
     input or fall back to exact arithmetic at small sizes).
     """
-    m = np.asarray(a, dtype=float)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError("matrix must be square")
+    m = _square(a)
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     scale = max(1.0, float(np.abs(m).max()))
 
     z_ok = z_pattern(m)
-    minors = leading_minors(m)
-    bands = BOUNDARY_BAND * scale ** np.arange(1, n + 1)
-    minors_ok = bool((minors > bands).all())
-    boundary = bool((np.abs(minors) <= bands).any())
+    minors, pivots = leading_minors(m, return_pivots=True)
+    minors_ok = bool((pivots > BOUNDARY_BAND).all())
+    boundary = bool((np.abs(pivots) <= BOUNDARY_BAND).any())
 
     eig_w = least_real_eigenvalue(m)
     x = semipositive_certificate(m)
@@ -216,33 +251,3 @@ def perron(q: QMatrix, beta, p: float, max_iter: int = 100000) -> PerronData:
     x.setflags(write=False)
     return PerronData(p=float(p), eta_p=c - rho, xi=x)
 
-
-def critical_p(q: QMatrix, beta, p_max: float = 1.0, tol: float = 1e-8) -> float:
-    """Largest p in (0, p_max] below which eta_p stays positive (diagnostic).
-
-    Requires the averaged drift sum(mu_i beta_i) to be negative, which makes
-    eta_p > 0 near p = 0; returns p_max when eta never turns negative on the
-    bracket.
-    """
-    b = np.asarray(beta, dtype=float).ravel()
-    mu = invariant_measure(q)
-    s = float(mu @ b)
-    if s >= -1e-12 * max(1.0, float(np.abs(b).max())):
-        raise NotApplicable(f"averaged drift {s:g} is not negative")
-    if perron(q, b, p_max).eta_p > 0:
-        return float(p_max)
-    lo = min(1e-6, p_max / 2)
-    for _ in range(40):
-        if perron(q, b, lo).eta_p > 0:
-            break
-        lo /= 10
-    else:
-        raise NotApplicable("could not locate a positive eta near p = 0")
-    hi = p_max
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if perron(q, b, mid).eta_p > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

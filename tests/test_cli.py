@@ -209,23 +209,29 @@ class TestClassifyCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "exponentially-ergodic"
 
-    def test_auto_skips_minor_tests_above_the_cap(self, tmp_path, capsys):
-        # 70-regime birth-death generator: thm21 answers, the minor tests skip
-        n = 70
+    @staticmethod
+    def _birth_death_doc(n):
+        # reflecting birth-death generator with unit rates and beta = -1
         q = np.diag(np.r_[1.0, np.full(n - 2, 2.0), 1.0]) * -1.0
         q += np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
-        doc = {"regimes": n, "q": {"kind": "matrix", "entries": q.tolist()},
-               "lyapunov": {"beta": [-1.0] * n, "tag": "to-infinity"}}
-        path = write_model(tmp_path, doc)
+        return {"regimes": n, "q": {"kind": "matrix", "entries": q.tolist()},
+                "lyapunov": {"beta": [-1.0] * n, "tag": "to-infinity"}}
+
+    @pytest.mark.parametrize("n", [70, 200])
+    def test_thm22_answers_auto_at_any_size(self, n, tmp_path, capsys):
+        path = write_model(tmp_path, self._birth_death_doc(n))
         assert main(["classify", path]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert (report["criterion"], report["verdict"]) == ("thm21", "exponentially-ergodic")
-        skipped = {a["criterion"]: a.get("skipped") for a in report["attempted"]}
-        assert "at most 64 regimes" in skipped["thm22"]
-        assert main(["classify", path, "--criterion", "thm22"]) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and len(err.splitlines()) == 1
-        assert err.startswith("error: CriterionNotApplicable: needs at most 64 regimes")
+        assert (report["criterion"], report["verdict"]) == ("thm22", "exponentially-ergodic")
+        assert "skipped" not in report["attempted"][-1]
+
+    def test_thm22_on_request_above_64_regimes(self, tmp_path, capsys):
+        path = write_model(tmp_path, self._birth_death_doc(70))
+        assert main(["classify", path, "--criterion", "thm22"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        cert = report["attempted"][0]["certificate"]["mmatrix"]
+        assert report["verdict"] == "exponentially-ergodic"
+        assert len(cert["minors"]) == 70 and not cert["boundary"]
 
     def test_requested_criterion_must_apply(self, tmp_path, capsys):
         path = write_model(tmp_path, benchmark_documents()["ou"])

@@ -1,10 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from regime import (
-    critical_p,
     invariant_measure,
     is_nonsingular_mmatrix,
     leading_minors,
@@ -17,6 +17,67 @@ from regime import (
 from regime.errors import NotApplicable
 
 Q2 = validate_qmatrix([[-1.0, 1.0], [2.0, -2.0]])
+
+
+def critical_p(q, beta, p_max: float = 1.0, tol: float = 1e-8) -> float:
+    """Largest p in (0, p_max] below which eta_p stays positive, by bisection.
+
+    Requires the averaged drift sum(mu_i beta_i) to be negative, which makes
+    eta_p > 0 near p = 0; returns p_max when eta never turns negative on the
+    bracket.
+    """
+    b = np.asarray(beta, dtype=float).ravel()
+    s = float(invariant_measure(q) @ b)
+    if s >= -1e-12 * max(1.0, float(np.abs(b).max())):
+        raise NotApplicable(f"averaged drift {s:g} is not negative")
+    if perron(q, b, p_max).eta_p > 0:
+        return float(p_max)
+    lo = min(1e-6, p_max / 2)
+    for _ in range(40):
+        if perron(q, b, lo).eta_p > 0:
+            break
+        lo /= 10
+    else:
+        raise NotApplicable("could not locate a positive eta near p = 0")
+    hi = p_max
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if perron(q, b, mid).eta_p > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def exact_leading_minors(a) -> list:
+    """Leading minors of A in exact rationals (Bareiss fraction-free elimination)."""
+    m = [[Fraction(v) for v in row] for row in np.asarray(a, dtype=float).tolist()]
+    n = len(m)
+    out, prev = [], Fraction(1)
+    for k in range(n):
+        out.append(m[k][k])
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+        prev = m[k][k]
+    return out
+
+
+def exactly_semipositive(a, x) -> bool:
+    """x >> 0 and A x >> 0 in exact arithmetic on the given floats."""
+    xs = [Fraction(v) for v in x]
+    rows = np.asarray(a, dtype=float).tolist()
+    return (all(v > 0 for v in xs)
+            and all(sum(Fraction(aij) * xj for aij, xj in zip(row, xs)) > 0 for row in rows))
+
+
+def dominant_z_matrix(rng, n, off_max):
+    """Strictly diagonally dominant Z-matrix with off-diagonal entries up to off_max."""
+    off = rng.uniform(0.0, off_max, size=(n, n))
+    np.fill_diagonal(off, 0.0)
+    a = -off
+    np.fill_diagonal(a, off.sum(axis=1) + rng.uniform(0.1, 1.0, size=n) * off_max)
+    return a
 
 
 def random_z_matrix(rng, n):
@@ -61,6 +122,82 @@ class TestLeadingMinors:
         k2 = 2 - math.sqrt(2) + 1e-6
         a2 = np.array([[2.0 - k2, 1.0 - k2], [-2.0, -k2]])
         assert leading_minors(a2)[1] < 0
+
+
+class TestMinorsOracle:
+    @pytest.mark.parametrize("z", [True, False])
+    def test_minors_of_a_h_are_the_exact_minors_of_a(self, z):
+        # H is unit upper triangular, so (A H)[:k, :k] = A[:k, :k] H[:k, :k]
+        rng = np.random.default_rng(11 if z else 12)
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            a = random_z_matrix(rng, n)
+            if not z:
+                a = rng.uniform(-5.0, 5.0, size=(n, n))
+                a[0, -1] = 1.0  # keeps n > 1 off the Z pattern
+            assert z_pattern(a) == (z or n == 1)
+            ah = a @ upper_ones(n)
+            got = leading_minors(ah)
+            exact = exact_leading_minors(a)
+            assert len(got) == n
+            scale = max(1.0, float(np.abs(ah).max()))
+            for k in range(n):
+                assert abs(got[k] - float(exact[k])) <= 1e-9 * scale ** (k + 1)
+
+
+class TestScaleFree:
+    def test_sixty_regime_dominant_matrix_with_large_entries(self):
+        # det and the old band 1e-8 * scale**k both overflowed here
+        a = dominant_z_matrix(np.random.default_rng(60), 60, 1e4)
+        cert = is_nonsingular_mmatrix(a)
+        assert cert.verdict and not cert.boundary
+        assert exactly_semipositive(a, cert.positive_vector)
+
+    def test_band_is_per_pivot(self):
+        # one large diagonal entry sets the scale, every other pivot of A / scale
+        # is about 1e-3: their product underflows, but no pivot is near zero
+        n = 200
+        a = np.eye(n) - 0.1 * (np.eye(n, k=1) + np.eye(n, k=-1))
+        a[0, 0] = 1e3
+        cert = is_nonsingular_mmatrix(a)
+        assert cert.verdict and not cert.boundary
+        assert cert.minors.shape == (n,)
+
+    def test_elimination_stops_at_a_singular_leading_block(self):
+        a = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, -1.0], [0.0, -1.0, 2.0]])
+        np.testing.assert_array_equal(leading_minors(a), [1.0, 0.0])
+        cert = is_nonsingular_mmatrix(a)
+        assert not cert.verdict and cert.boundary
+
+
+# found by search: Z-matrices whose diagonal sits within a few ulps of the Perron
+# root of the off-diagonal part; A^-1 1 computed in floats is positive and so
+# is fl(A x), but A x is not positive in exact arithmetic
+NEAR_SINGULAR = [
+    [[0.8626457462125269, -0.5555069427990121, -0.7562049223943927],
+     [-0.8659518932699339, 0.8626457462125269, -0.35075174049484226],
+     [-0.14811337807024338, -0.10601124119362859, 0.8626457462125269]],
+    [[98.69809962629222, -1.5236829995901924, -55.44657966643807],
+     [-12.998832175156327, 98.69809962629222, -77.31144106455065],
+     [-58.59468114495581, -75.66958502822705, 98.69809962629222]],
+    [[824072.6948670283, -571120.4246277134, -381006.6740049405],
+     [-885038.8548030647, 824072.6948670283, -661446.7734992598],
+     [-42685.85853805806, -128708.59246329969, 824072.6948670283]],
+]
+
+
+class TestSemipositiveProof:
+    @pytest.mark.parametrize("a", NEAR_SINGULAR)
+    def test_near_singular_vector_is_rejected_or_exact(self, a):
+        x = semipositive_certificate(a)
+        assert x is None or exactly_semipositive(a, x)
+
+    def test_dominant_matrices_are_certified_at_every_scale(self):
+        rng = np.random.default_rng(5)
+        for e in range(-6, 7):
+            a = dominant_z_matrix(rng, 8, 10.0 ** e)
+            x = semipositive_certificate(a)
+            assert x is not None and exactly_semipositive(a, x)
 
 
 class TestSemipositive:

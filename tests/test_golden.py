@@ -18,7 +18,11 @@ kept one switching field.  Four digests were re-recorded when an ``ou``
 drift became the power drift with delta 1: the ``ou`` file now runs cor31,
 which hands delta = 1 to prop22, and a lyapunov preset on a drift with
 delta != 1 is a schema error (``test_ou_drift_is_the_linear_power_drift``,
-``test_lyapunov_preset_needs_a_linear_drift``).  ``VERDICTS_FILE`` pins,
+``test_lyapunov_preset_needs_a_linear_drift``).  Nine were re-recorded when
+the M-matrix certificate became A^-1 1 with a residual proof and thm23/thm24
+began to certify the Z-matrix A instead of A H (same leading minors): the
+positive vector, the matrix, its Z flag, its least real eigenvalue and the
+last bits of some minors changed, and no verdict did.  ``VERDICTS_FILE`` pins,
 apart from certificate numbers, what every ``classify`` run concludes on the
 same documents: exit code, verdict, criterion, and each attempt's verdict and
 reason (or skip message, or error line).
@@ -138,30 +142,30 @@ STEP_SWITCHES = 26
 CLI_DIGEST = {
     ("cor31", "classify"): "59778622abbcf03a62a004eed14bed5f7fb888af13e3dafc09ef88fd323029d2",
     ("cor31", "simulate"): "0ec894992741274700c431ccef23bef3b7a188f381f87b0416208cafba0cd3be",
-    ("ex21", "classify"): "36cf41c189c28acc41f5bb8e1995f2c272f6909b408b3dcff4657accc5ac2e43",
-    ("ex22", "classify"): "b85d11490c8ff7592c17331ab0bf59d1aa1e110736969b83dd73e5fb85fac482",
+    ("ex21", "classify"): "09dc92a02f97b9cf0ff98059c6ee4a3485b1925aeb90eec2e83ec60919e1ba00",
+    ("ex22", "classify"): "4f712f2b888fe34f3b3b5fc2a808ed7a7837e60b46bf477ca238a0136cfbb572",
     ("ex22", "simulate"): "5ecf65ce543d54e6fa7cd00a24b6a5e79c7c12145996c35319ac950f10a4897b",
     ("ou", "classify"): "10d14ac1a22246ee70618314dec6a903c0a3fb5f23056a9ef0af9927cfd76767",
     ("ou", "simulate"): "4ecad45025270891523b810887e1ce949049489dc718a6ddd0419b22254609d1",
     ("beta-boundary", "classify-modes"): "c3d20091387c2daf5ff4e44f40ea4f827c1e205d008fec8bc3e15d1152fb2086",
-    ("beta-inf", "classify-modes"): "0fc2bee1c11c636f39940d32fe85d7e7a97d18f5740b15024935a5278a53e2fc",
+    ("beta-inf", "classify-modes"): "c118b6d007853422235e5cb18fca7c0a6613ea40d35e4df18bfa5b044faa1737",
     ("beta-zero", "classify-modes"): "f971dcdec3a6644c37f3c84583657d513f70e7db00aec1a8d488e4ac3affe9a3",
     ("cor31", "classify-modes"): "161fada3cefab37e8d194881a43c94dc72ebc131d97fdea8b51b008e03ab21eb",
-    ("ex21", "classify-modes"): "97bb5c1fb63b9dbcf3b444499ad9abe6a4dbf05d4b33e4722ffccadd94521404",
-    ("ex22", "classify-modes"): "05f586922c38ea839cf52e91d6c2a48e513b930d380e637addb9d3d4480d7fc8",
-    ("infinite-gap", "classify-modes"): "6fa8bb74e0ef427b2a88f242332b273d915cfadc95e87a66637de678769278d8",
+    ("ex21", "classify-modes"): "cb2426defd1d4b85ef33c16bb2e627ad295fc77ff9faf884951227ed0bf75aeb",
+    ("ex22", "classify-modes"): "3a22b4c8eda7769924c5989b17d4c0a50c8f6176a9e3a9e9a24df52b3d96d561",
+    ("infinite-gap", "classify-modes"): "a2db151ec59b3911c918f4a400d43840316033a24c37b944df2788fcb214e5a1",
     ("infinite-no-partition", "classify-modes"): "8fdfb0de35ef5e1609c359e395a2a5f03be7a0b7a2678533f98baf3cc0f31414",
     ("infinite-transient-chain", "classify-modes"): "8691571054ea89af56a7f426c57af5cb6c9d77c274517ab4eb91331ca9b0b780",
-    ("infinite-zero", "classify-modes"): "1dfd2cd4f3cecc88f8b00aa89994d22f92db0f583a94da52a38f10819dd13d4a",
+    ("infinite-zero", "classify-modes"): "8fa5aec26381a42570bf0d615fb7c6215eb388a648676bc7bb72b4b070fc9136",
     ("ou", "classify-modes"): "4df40d1b07722b17184a0ad5096da9e9ff36e9020b1e719b80c0a73e6e2dc380",
     ("power-linear", "classify-modes"): "4df40d1b07722b17184a0ad5096da9e9ff36e9020b1e719b80c0a73e6e2dc380",
-    ("preset-abs", "classify-modes"): "71f905d300766f04a82a3a9749d3b75a4ee409087179f12d8dce6370f9d3c147",
+    ("preset-abs", "classify-modes"): "565318f324ebabb74d6717e0be8e3edce4b70df340eec772e6039617261fecbf",
     ("preset-inverse-abs", "classify-modes"): "96b256d8322f5dea5f245eb76c2556c5cb10b2cb224c2b8a5cecfb8586d4cf36",
     ("radial", "classify-modes"): "c937c3d4d7ea669dea8531ead0b15f7eabe236765993e6e49dfa967e5ba70248",
     ("radial-gap", "classify-modes"): "8d0022cc4570dd3222a4b2200cbb54363d8950501babf2eeb21f209a3bd4ce16",
     ("two-matrix", "classify-modes"): "162ae590799d13ceb9b9a9c0875d06654e3a3237b2a969e3f4af55c55b56e980",
     ("two-matrix-gap", "classify-modes"): "1510ff89934215575eb4a55c819ac0b169c7de0577665e7f150097b4a89e0223",
-    ("two-rates", "classify-modes"): "42b40b7f0ca3d2b6f849d623ef70b8c5f6094104982c99ff24675501d4c8ccd1",
+    ("two-rates", "classify-modes"): "a9f2c8303b2f42eac19d143ba73a315e7fe9d52411cd7b13d9fff5877e9cbbec",
     ("two-rates-gap", "classify-modes"): "e559eeb39ce2d9085621d032755f5a894c9eed50e2c74842ef437c9a7935628a",
 }
 CLI_SIMULATE_ARGS = ["--x0", "2", "--r0", "1", "--T", "1.0", "--dt", "0.01",

@@ -4,8 +4,8 @@ The classifiers test Z-matrices ``-(Q + diag b)``, Q a generator.  For a
 Z-matrix A, "nonsingular M-matrix", "all leading principal minors positive",
 "A^-1 >= 0", "some x >> 0 has A x >> 0" and "least real eigenvalue positive"
 are equivalent (Berman and Plemmons, ch. 6).  The verdict is the minors test,
-read from the pivots of one elimination of A / scale, so it does not depend
-on the scale of A; the positive vector x = A^-1 1 and the eigenvalue
+read from the pivots of one elimination of A / scale, which no size or
+entry of A can overflow; the positive vector x = A^-1 1 and the eigenvalue
 cross-check it.  Away from the Z pattern (public callers only) the minors
 condition is the test itself and the other checks are evidence.
 """
@@ -250,4 +250,3 @@ def perron(q: QMatrix, beta, p: float, max_iter: int = 100000) -> PerronData:
     x = x / x.sum()
     x.setflags(write=False)
     return PerronData(p=float(p), eta_p=c - rho, xi=x)
-

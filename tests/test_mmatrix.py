@@ -131,8 +131,9 @@ class TestMinorsOracle:
         rng = np.random.default_rng(11 if z else 12)
         for _ in range(40):
             n = int(rng.integers(1, 9))
-            a = random_z_matrix(rng, n)
-            if not z:
+            if z:
+                a = random_z_matrix(rng, n)
+            else:
                 a = rng.uniform(-5.0, 5.0, size=(n, n))
                 a[0, -1] = 1.0  # keeps n > 1 off the Z pattern
             assert z_pattern(a) == (z or n == 1)

@@ -46,7 +46,6 @@ from .mmatrix import (
     least_real_eigenvalue,
     perron,
     semipositive_certificate,
-    upper_ones,
     z_pattern,
 )
 from .modelfile import RegimeModel, load_model, parse_model
@@ -77,7 +76,7 @@ __all__ = [
     "validate_qmatrix",
     "MMatrixCertificate", "PerronData", "is_nonsingular_mmatrix",
     "leading_minors", "least_real_eigenvalue", "perron",
-    "semipositive_certificate", "upper_ones", "z_pattern",
+    "semipositive_certificate", "z_pattern",
     "RegimeModel", "load_model", "parse_model",
     "SdeModel", "SimulationReport", "exact_regime_path", "power_drift",
     "regime_sigma", "run_ensemble", "step", "truncate_chain",

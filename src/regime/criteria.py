@@ -123,14 +123,20 @@ def _verdict(tag: Limit, at_infinity: Verdict) -> Verdict:
 
 def _certify(criterion: str, a: np.ndarray, payload: dict, verdict: Verdict,
              failure: str) -> Classification:
-    """Positive-minors / M-matrix test on ``a``: ``verdict`` when it passes off
-    the singularity boundary, inconclusive otherwise.  ``a`` and its
-    certificate are appended to ``payload``."""
+    """Positive-minors / M-matrix test on the Z-matrix ``a``: ``verdict`` when
+    it passes off the singularity boundary with a proved positive vector,
+    inconclusive otherwise.  ``a`` and its certificate are appended to
+    ``payload``."""
     cert = is_nonsingular_mmatrix(a)
     payload.update(matrix=a, mmatrix=dict(vars(cert)))
-    if cert.verdict and not cert.boundary:
+    if cert.verdict and not cert.boundary and cert.positive_vector is not None:
         return Classification(verdict, criterion, payload)
-    reason = "verdict sits on the singularity boundary" if cert.boundary else failure
+    if cert.boundary:
+        reason = "verdict sits on the singularity boundary"
+    elif cert.verdict:
+        reason = "no positive vector x with A x >> 0 is provable in floating point"
+    else:
+        reason = failure
     return Classification(Verdict.INCONCLUSIVE, criterion, payload, reason=reason)
 
 
@@ -160,13 +166,10 @@ def classify_mmatrix(q: QMatrix, lyap: LyapunovBehavior) -> Classification:
 
 
 def classify_state_dependent(q_tilde: QMatrix, lyap: LyapunovBehavior) -> Classification:
-    """State-dependent variant: positive leading minors of -(Q~ + diag beta) H.
-
-    H, the upper-triangular all-ones matrix, encodes the decreasing weight
-    vector the bounding generator Q~ needs.  H is unit upper triangular, so
-    (A H)[:k, :k] = A[:k, :k] H[:k, :k] and A H has the leading minors of
-    A = -(Q~ + diag beta); the test certifies the Z-matrix A itself.
-    """
+    """State-dependent variant: the paper tests the leading minors of A H_N,
+    A = -(Q~ + diag beta) and H_N the upper-triangular all-ones matrix.  H_N
+    is unit upper triangular, so A H_N has the minors of A, and the Z-matrix
+    A is certified."""
     out = _certify("thm23", -(q_tilde.entries + np.diag(lyap.beta)),
                    {}, _verdict(lyap.tag, Verdict.EXPONENTIALLY_ERGODIC),
                    "transformed matrix fails the positive-minors test")
@@ -178,10 +181,10 @@ def classify_state_dependent(q_tilde: QMatrix, lyap: LyapunovBehavior) -> Classi
 def classify_coarse(beta_f, q_f, tag: Limit) -> Classification:
     """Finite-partition test on precomputed class data (beta^F, Q^F).
 
-    Tests the leading minors of -(diag beta^F + Q^F) H_m, which are those of
-    the Z-matrix -(diag beta^F + Q^F) (see :func:`classify_state_dependent`).
-    The conclusion is deliberately weaker than the finite-space tests:
-    V -> infinity certifies recurrence only.
+    Certifies -(diag beta^F + Q^F), whose minors are those of the paper's
+    matrix times H_m (see :func:`classify_state_dependent`).  The conclusion is
+    deliberately weaker than the finite-space tests: V -> infinity certifies
+    recurrence only.
     """
     bf = np.asarray(beta_f, dtype=float).ravel()
     qf = np.asarray(q_f, dtype=float)

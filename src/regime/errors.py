@@ -56,10 +56,6 @@ class NoConvergence(RegimeError):
     """Power iteration hit the iteration cap before reaching tolerance."""
 
 
-class NotApplicable(RegimeError):
-    """A diagnostic requires a hypothesis the inputs do not satisfy."""
-
-
 # criteria
 class NotSolvable(RegimeError):
     """The averaged drift is not negative, so the resolvent system has no use here."""

@@ -5,9 +5,10 @@ Z-matrix A, "nonsingular M-matrix", "all leading principal minors positive",
 "A^-1 >= 0", "some x >> 0 has A x >> 0" and "least real eigenvalue positive"
 are equivalent (Berman and Plemmons, ch. 6).  The verdict is the minors test,
 read from the pivots of one elimination of A / scale, which no size or
-entry of A can overflow; the positive vector x = A^-1 1 and the eigenvalue
-cross-check it.  Away from the Z pattern (public callers only) the minors
-condition is the test itself and the other checks are evidence.
+entry of A can overflow; the eigenvalue cross-checks it and a positive
+vector x = A^-k 1 with a residual proof confirms it.  Away from the Z
+pattern (public callers only) the minors condition is the test itself and
+the other checks are evidence.
 """
 
 from __future__ import annotations
@@ -28,13 +29,8 @@ BOUNDARY_BAND = 1e-8
 Z_TOL = 1e-12
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _SUBNORMAL = np.finfo(float).smallest_subnormal
-
-
-def upper_ones(m: int) -> np.ndarray:
-    """The m x m upper-triangular all-ones matrix H, (H v)_i = v_i + ... + v_m."""
-    if m < 1:
-        raise ValueError("size must be positive")
-    return np.triu(np.ones((m, m)))
+# solves A x <- x tried for the positive vector; see semipositive_certificate
+SOLVE_STEPS = 3
 
 
 def z_pattern(a, tol: float = Z_TOL) -> bool:
@@ -73,38 +69,43 @@ def leading_minors(a, return_pivots: bool = False):
             pivots = pivots[:k + 1]
             break
         m[k + 1:, k + 1:] -= np.outer(m[k + 1:, k] / piv, m[k, k + 1:])
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         minors = np.cumprod(scale * pivots)
+    minors[np.isnan(minors)] = 0.0  # an exact zero pivot after an overflowed minor
     return (minors, pivots) if return_pivots else minors
 
 
 def semipositive_certificate(a) -> Optional[np.ndarray]:
     """A vector x with x >= 1 and A x >> 0 componentwise, or None.
 
-    For a Z-matrix this is x = A^-1 1 scaled to min x = 1, returned only when
-    x >> 0 and fl(A x) - gamma_{n+2} |A| x >> 0, gamma_k = k u / (1 - k u)
-    with u the unit round-off.  fl(A x) is within gamma_n |A| x of A x
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, section 3.5)
-    and n+2 covers the bound's own two roundings; the threshold (n+2) times
-    the smallest subnormal covers underflow, so A x >> 0 holds exactly.
-    A nonsingular M-matrix has A^-1 >= 0, so None means the Z-matrix is not
-    one or is too close to singular for the proof.  Other matrices go to a
-    phase-1 LP for {y >= 0 : -A y <= A 1 - 1}, x = 1 + y, which is exactly
-    semipositivity since that is scale-invariant.
+    For a Z-matrix, x = A^-k 1 scaled to min x = 1 for the first k <=
+    SOLVE_STEPS with fl(A x) - gamma_{n+2} |A| x > (n+2) * smallest subnormal,
+    which proves A x >> 0 exactly (gamma_k = k u / (1 - k u), u the unit
+    round-off; Higham, *Accuracy and Stability of Numerical Algorithms*,
+    section 3.5).  As A^-1 >= 0, later powers lean towards the Perron vector
+    of A^-1, whose margin survives an ill-conditioned A that spreads A^-1 1
+    past the proof.  Other matrices go to a phase-1 LP for
+    {y >= 0 : -A y <= A 1 - 1}, x = 1 + y (semipositivity is scale-invariant).
     """
     m = _square(a)
     n = m.shape[0]
     if z_pattern(m):
-        try:
-            x = np.linalg.solve(m, np.ones(n))
-        except np.linalg.LinAlgError:
-            return None
-        if not (np.isfinite(x).all() and (x > 0).all()):
-            return None
-        x = x / x.min()
         gamma = (n + 2) * _UNIT_ROUNDOFF / (1 - (n + 2) * _UNIT_ROUNDOFF)
-        proved = m @ x - gamma * (np.abs(m) @ x) > (n + 2) * _SUBNORMAL
-        return x if proved.all() else None
+        x = np.ones(n)
+        for _ in range(SOLVE_STEPS):
+            try:
+                x = np.linalg.solve(m, x)
+            except np.linalg.LinAlgError:
+                return None
+            if not (np.isfinite(x).all() and (x > 0).all()):
+                return None
+            # a spread past the float range gives inf; the next solve fails
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = x / x.min()
+                if np.isfinite(x).all() and (
+                        m @ x - gamma * (np.abs(m) @ x) > (n + 2) * _SUBNORMAL).all():
+                    return x
+        return None
     y = feasible_point(-m, m @ np.ones(n) - 1.0)
     if y is None:
         return None
@@ -138,12 +139,12 @@ class MMatrixCertificate:
     """Evidence for or against the positive-minors / M-matrix verdict.
 
     ``verdict`` is the minors test.  ``z_pattern_ok`` records whether the
-    classical equivalences apply; when they do, ``positive_vector`` (x >> 0
-    with A x >> 0) is populated exactly when the verdict is true and
-    ``eigen_witness`` (the least real eigenvalue) has the matching sign.
-    ``boundary`` flags verdicts within the round-off band of singularity;
-    ``minors`` then stops at the first leading block singular to working
-    accuracy.
+    classical equivalences apply; when they do, ``eigen_witness`` (the least
+    real eigenvalue) has the sign of the verdict, and ``positive_vector``
+    (x >> 0 with A x >> 0, proved) comes only with a true verdict, which is
+    unproved without it.  ``boundary`` flags verdicts within the round-off
+    band of singularity; ``minors`` then stops at the first leading block
+    singular to working accuracy.
     """
 
     verdict: bool
@@ -157,7 +158,8 @@ class MMatrixCertificate:
 def is_nonsingular_mmatrix(a) -> MMatrixCertificate:
     """Run the minors, semipositivity, and eigenvalue checks on A.
 
-    For Z-matrices away from the boundary band the three checks must agree or
+    For Z-matrices away from the boundary band the minors and the eigenvalue
+    must agree, and a proved positive vector must agree with both, or
     InconsistentChecks is raised (that signals ill-conditioning; perturb the
     input or fall back to exact arithmetic at small sizes).
     """
@@ -180,7 +182,7 @@ def is_nonsingular_mmatrix(a) -> MMatrixCertificate:
         if not boundary:
             sem_ok = x is not None
             eig_ok = eig_w is not None and eig_w > 0
-            if not (minors_ok == sem_ok == eig_ok):
+            if minors_ok != eig_ok or (sem_ok and not minors_ok):
                 raise InconsistentChecks(
                     f"minors={minors_ok}, semipositive={sem_ok}, eigen={eig_ok} "
                     "disagree away from the singularity boundary")

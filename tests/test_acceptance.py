@@ -16,7 +16,6 @@ from regime import (
     perron,
     run_ensemble,
     semipositive_certificate,
-    upper_ones,
     validate_qmatrix,
 )
 from regime.criteria import Limit, LyapunovBehavior, classify_avg, classify_mmatrix, \
@@ -238,7 +237,7 @@ def test_criterion_7_property_suite():
     # cumulative weights from the triangular transform strictly decrease
     for _ in range(50):
         m = int(rng.integers(2, 12))
-        xi = upper_ones(m) @ rng.uniform(0.01, 3.0, size=m)
+        xi = np.triu(np.ones((m, m))) @ rng.uniform(0.01, 3.0, size=m)
         assert (np.diff(xi) < 0).all() and xi.min() > 0
 
     # coarsened drift bounds increase strictly and dominate their classes

@@ -210,12 +210,13 @@ class TestClassifyCommand:
         assert report["verdict"] == "exponentially-ergodic"
 
     @staticmethod
-    def _birth_death_doc(n):
-        # reflecting birth-death generator with unit rates and beta = -1
-        q = np.diag(np.r_[1.0, np.full(n - 2, 2.0), 1.0]) * -1.0
-        q += np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    def _birth_death_doc(n, up=1.0, down=1.0, beta=None):
+        # reflecting birth-death generator, beta = -1 unless given
+        q = np.diag(np.full(n - 1, up), 1) + np.diag(np.full(n - 1, down), -1)
+        q -= np.diag(q.sum(axis=1))
+        beta = [-1.0] * n if beta is None else list(beta)
         return {"regimes": n, "q": {"kind": "matrix", "entries": q.tolist()},
-                "lyapunov": {"beta": [-1.0] * n, "tag": "to-infinity"}}
+                "lyapunov": {"beta": beta, "tag": "to-infinity"}}
 
     @pytest.mark.parametrize("n", [70, 200])
     def test_thm22_answers_auto_at_any_size(self, n, tmp_path, capsys):
@@ -232,6 +233,35 @@ class TestClassifyCommand:
         cert = report["attempted"][0]["certificate"]["mmatrix"]
         assert report["verdict"] == "exponentially-ergodic"
         assert len(cert["minors"]) == 70 and not cert["boundary"]
+
+    @pytest.mark.parametrize("mode", ["auto", "thm22"])
+    def test_thm22_proves_an_ill_conditioned_chain(self, mode, tmp_path, capsys):
+        # A^-1 1 spreads like 2^70, too far for its own residual proof;
+        # A^-2 1 carries it
+        doc = self._birth_death_doc(70, up=2.0, down=1e-3, beta=[1.0] * 69 + [1e-3 - 1.0])
+        path = write_model(tmp_path, doc)
+        assert main(["classify", path, "--criterion", mode]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["criterion"], report["verdict"]) == ("thm22", "exponentially-ergodic")
+
+    def test_thm22_without_a_provable_vector_is_inconclusive(self, tmp_path, capsys):
+        # unit diagonal and up-rate 1e4: every A^-k 1 leaves the float range
+        doc = self._birth_death_doc(80, up=1e4, down=1e-6)
+        doc["lyapunov"]["beta"] = [-row[i] - 1.0 for i, row in enumerate(doc["q"]["entries"])]
+        path = write_model(tmp_path, doc)
+        assert main(["classify", path, "--criterion", "thm22"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["reasons"] == [
+            "no positive vector x with A x >> 0 is provable in floating point"]
+
+    def test_overflowed_minors_leave_no_nan(self, tmp_path, capsys):
+        # beta = 0 makes A = -Q singular; the minors overflow before the last,
+        # exactly zero pivot
+        path = write_model(tmp_path, self._birth_death_doc(200, 1e4, 1e4, [0.0] * 200))
+        assert main(["classify", path, "--criterion", "thm22"]) == 2
+        out = capsys.readouterr().out
+        assert "NaN" not in out
+        assert json.loads(out)["reasons"] == ["verdict sits on the singularity boundary"]
 
     def test_requested_criterion_must_apply(self, tmp_path, capsys):
         path = write_model(tmp_path, benchmark_documents()["ou"])

@@ -4,19 +4,25 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from regime import mmatrix
 from regime import (
     invariant_measure,
     is_nonsingular_mmatrix,
     leading_minors,
     perron,
     semipositive_certificate,
-    upper_ones,
     validate_qmatrix,
     z_pattern,
 )
-from regime.errors import NotApplicable
 
 Q2 = validate_qmatrix([[-1.0, 1.0], [2.0, -2.0]])
+
+
+def upper_ones(m: int) -> np.ndarray:
+    """The m x m upper-triangular all-ones matrix H, (H v)_i = v_i + ... + v_m."""
+    if m < 1:
+        raise ValueError("size must be positive")
+    return np.triu(np.ones((m, m)))
 
 
 def critical_p(q, beta, p_max: float = 1.0, tol: float = 1e-8) -> float:
@@ -29,7 +35,7 @@ def critical_p(q, beta, p_max: float = 1.0, tol: float = 1e-8) -> float:
     b = np.asarray(beta, dtype=float).ravel()
     s = float(invariant_measure(q) @ b)
     if s >= -1e-12 * max(1.0, float(np.abs(b).max())):
-        raise NotApplicable(f"averaged drift {s:g} is not negative")
+        raise ValueError(f"averaged drift {s:g} is not negative")
     if perron(q, b, p_max).eta_p > 0:
         return float(p_max)
     lo = min(1e-6, p_max / 2)
@@ -38,7 +44,7 @@ def critical_p(q, beta, p_max: float = 1.0, tol: float = 1e-8) -> float:
             break
         lo /= 10
     else:
-        raise NotApplicable("could not locate a positive eta near p = 0")
+        raise ValueError("could not locate a positive eta near p = 0")
     hi = p_max
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -78,6 +84,13 @@ def dominant_z_matrix(rng, n, off_max):
     a = -off
     np.fill_diagonal(a, off.sum(axis=1) + rng.uniform(0.1, 1.0, size=n) * off_max)
     return a
+
+
+def birth_death_z_matrix(n, up, down, beta):
+    """-(Q + diag beta) for the birth-death generator Q with constant rates."""
+    q = np.diag(np.full(n - 1, up), 1) + np.diag(np.full(n - 1, down), -1)
+    q -= np.diag(q.sum(axis=1))
+    return -(q + np.diag(beta))
 
 
 def random_z_matrix(rng, n):
@@ -164,6 +177,16 @@ class TestScaleFree:
         assert cert.verdict and not cert.boundary
         assert cert.minors.shape == (n,)
 
+    def test_overflowed_minor_meets_an_exact_zero_pivot(self):
+        # -Q for rates 1e4: every pivot of A / scale is 1/2 until the last, which
+        # is exactly 0; minor 78 on is beyond the float range, and inf * 0 must
+        # not leave a nan (or a RuntimeWarning) in the certificate
+        a = birth_death_z_matrix(200, 1e4, 1e4, np.zeros(200))
+        minors = leading_minors(a)
+        assert minors.shape == (200,) and not np.isnan(minors).any()
+        assert np.isinf(minors[100]) and minors[-1] == 0.0
+        assert is_nonsingular_mmatrix(a).boundary
+
     def test_elimination_stops_at_a_singular_leading_block(self):
         a = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, -1.0], [0.0, -1.0, 2.0]])
         np.testing.assert_array_equal(leading_minors(a), [1.0, 0.0])
@@ -199,6 +222,34 @@ class TestSemipositiveProof:
             a = dominant_z_matrix(rng, 8, 10.0 ** e)
             x = semipositive_certificate(a)
             assert x is not None and exactly_semipositive(a, x)
+
+
+class TestIllConditioned:
+    # beta = 1, with eps - 1 in the last regime: A = I - 2 S - eps S^T up to
+    # O(eps) on the diagonal, eigenvalues near 1, but A^-1 1 grows like 2^n
+    @staticmethod
+    def _spread(n, eps=1e-3):
+        return birth_death_z_matrix(n, 2.0, eps, np.r_[np.ones(n - 1), eps - 1.0])
+
+    def test_a_later_inverse_power_carries_the_proof(self, monkeypatch):
+        a = self._spread(70)
+        monkeypatch.setattr(mmatrix, "SOLVE_STEPS", 1)
+        assert semipositive_certificate(a) is None  # A^-1 1 alone is unprovable
+        monkeypatch.undo()
+        x = semipositive_certificate(a)
+        assert x is not None and exactly_semipositive(a, x)
+        cert = is_nonsingular_mmatrix(a)
+        assert cert.verdict and not cert.boundary and cert.positive_vector is not None
+
+    def test_unprovable_verdict_is_reported_not_raised(self):
+        # up-rate 1e4 and unit diagonal: A^-k 1 spreads like 1e4^(k n) and
+        # leaves the float range, while the pivots and the eigenvalue agree
+        n = 80
+        a = birth_death_z_matrix(n, 1e4, 1e-6, np.zeros(n))
+        a -= np.diag(np.diag(a) - 1.0)
+        cert = is_nonsingular_mmatrix(a)
+        assert cert.verdict and not cert.boundary and cert.eigen_witness > 0
+        assert cert.positive_vector is None
 
 
 class TestSemipositive:
@@ -347,5 +398,5 @@ class TestCriticalP:
     def test_requires_negative_average(self):
         mu = invariant_measure(Q2)
         assert mu @ np.array([1.0, -1.0]) > 0
-        with pytest.raises(NotApplicable):
+        with pytest.raises(ValueError):
             critical_p(Q2, [1.0, -1.0])

@@ -18,7 +18,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from regime import upper_ones
 from regime.errors import SolverFailure
 from regime.simplex import _TOL, feasible_point
 
@@ -129,7 +128,7 @@ def _thm23(n, seed, dominant):
     rng = np.random.default_rng(seed)
     q = _generator(rng, n)
     beta = -(0.5 + rng.random(n)) if dominant else rng.standard_normal(n)
-    return _semipositivity_lp(-(q + np.diag(beta)) @ upper_ones(n))
+    return _semipositivity_lp(-(q + np.diag(beta)) @ np.triu(np.ones((n, n))))
 
 
 def _thm32(n, seed, by_construction):

@@ -52,11 +52,9 @@ from .modelfile import RegimeModel, load_model, parse_model
 from .simulate import (
     SdeModel,
     SimulationReport,
-    exact_regime_path,
     power_drift,
     regime_sigma,
     run_ensemble,
-    step,
     truncate_chain,
 )
 
@@ -78,6 +76,6 @@ __all__ = [
     "leading_minors", "least_real_eigenvalue", "perron",
     "semipositive_certificate", "z_pattern",
     "RegimeModel", "load_model", "parse_model",
-    "SdeModel", "SimulationReport", "exact_regime_path", "power_drift",
-    "regime_sigma", "run_ensemble", "step", "truncate_chain",
+    "SdeModel", "SimulationReport", "power_drift", "regime_sigma",
+    "run_ensemble", "truncate_chain",
 ]

@@ -27,7 +27,7 @@ from .criteria import (
     classify_two_function_state_dependent,
     kappa_thresholds,
 )
-from .errors import CriterionNotApplicable, RegimeError
+from .errors import CriterionNotApplicable, RegimeError, SingularSolve
 from .markov import Partition, QMatrix, StateDependentRates, TailHomogeneousChain, bound_rates
 from .modelfile import RegimeModel, load_model
 from .simulate import SdeModel, power_drift, regime_sigma, run_ensemble
@@ -134,7 +134,9 @@ def cmd_classify(args) -> int:
     for name in order:
         try:
             result = RUNNERS[name](model)
-        except CriterionNotApplicable as exc:
+        except (CriterionNotApplicable, SingularSolve) as exc:
+            # under auto a criterion that does not apply, or whose solve
+            # fails, is recorded and the next one runs
             if args.criterion != "auto":
                 raise
             attempted.append({"criterion": name, "skipped": str(exc)})

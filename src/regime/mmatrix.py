@@ -1,14 +1,15 @@
 """Nonsingular M-matrix certificates and Perron-Frobenius data.
 
-The classifiers test Z-matrices ``-(Q + diag b)``, Q a generator.  For a
+The classifiers test Z-matrices ``-(Q + diag b)``, Q a generator whose
+off-diagonal entries are >= 0 exactly (``markov.validate_qmatrix``).  For a
 Z-matrix A, "nonsingular M-matrix", "all leading principal minors positive",
 "A^-1 >= 0", "some x >> 0 has A x >> 0" and "least real eigenvalue positive"
 are equivalent (Berman and Plemmons, ch. 6).  The verdict is the minors test,
 read from the pivots of one elimination of A / scale, which no size or
 entry of A can overflow; the eigenvalue cross-checks it and a positive
-vector x = A^-k 1 with a residual proof confirms it.  Away from the Z
-pattern (public callers only) the minors condition is the test itself and
-the other checks are evidence.
+vector x = A^-k 1 with a residual proof confirms it.  The certificate
+functions take Z-matrices only and raise ValueError on any other input;
+``leading_minors`` takes any square matrix.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InconsistentChecks, NoConvergence, SolverFailure
+from .errors import InconsistentChecks, NoConvergence
 from .markov import QMatrix
-from .simplex import feasible_point
 
 # A pivot of A / scale within BOUNDARY_BAND of zero marks the certificate as
 # boundary; callers must report such cases inconclusive instead of letting the
@@ -33,19 +33,28 @@ _SUBNORMAL = np.finfo(float).smallest_subnormal
 SOLVE_STEPS = 3
 
 
-def z_pattern(a, tol: float = Z_TOL) -> bool:
-    """True iff every off-diagonal entry is <= 0, treating |entry| <= tol*scale as 0."""
+def z_pattern(a) -> bool:
+    """True iff every off-diagonal entry is <= 0, treating |entry| <= Z_TOL*scale as 0."""
     m = np.asarray(a, dtype=float)
     off = m.copy()
     np.fill_diagonal(off, 0.0)
     scale = max(1.0, float(np.abs(m).max()))
-    return bool(off.max() <= tol * scale)
+    return bool(off.max() <= Z_TOL * scale)
 
 
 def _square(a) -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
+    return m
+
+
+def _z_matrix(a) -> np.ndarray:
+    m = _square(a)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    if not z_pattern(m):
+        raise ValueError("matrix must be a Z-matrix")
     return m
 
 
@@ -76,122 +85,95 @@ def leading_minors(a, return_pivots: bool = False):
 
 
 def semipositive_certificate(a) -> Optional[np.ndarray]:
-    """A vector x with x >= 1 and A x >> 0 componentwise, or None.
+    """A vector x with x >= 1 and A x >> 0 componentwise for the Z-matrix A, or None.
 
-    For a Z-matrix, x = A^-k 1 scaled to min x = 1 for the first k <=
-    SOLVE_STEPS with fl(A x) - gamma_{n+2} |A| x > (n+2) * smallest subnormal,
-    which proves A x >> 0 exactly (gamma_k = k u / (1 - k u), u the unit
-    round-off; Higham, *Accuracy and Stability of Numerical Algorithms*,
-    section 3.5).  As A^-1 >= 0, later powers lean towards the Perron vector
-    of A^-1, whose margin survives an ill-conditioned A that spreads A^-1 1
-    past the proof.  Other matrices go to a phase-1 LP for
-    {y >= 0 : -A y <= A 1 - 1}, x = 1 + y (semipositivity is scale-invariant).
+    x = A^-k 1 scaled to min x = 1 for the first k <= SOLVE_STEPS with
+    fl(A x) - gamma_{n+2} |A| x > (n+2) * smallest subnormal, which proves
+    A x >> 0 exactly (gamma_k = k u / (1 - k u), u the unit round-off;
+    Higham, *Accuracy and Stability of Numerical Algorithms*, section 3.5).
+    As A^-1 >= 0, later powers lean towards the Perron vector of A^-1, whose
+    margin survives an ill-conditioned A that spreads A^-1 1 past the proof.
     """
-    m = _square(a)
+    m = _z_matrix(a)
     n = m.shape[0]
-    if z_pattern(m):
-        gamma = (n + 2) * _UNIT_ROUNDOFF / (1 - (n + 2) * _UNIT_ROUNDOFF)
-        x = np.ones(n)
-        for _ in range(SOLVE_STEPS):
-            try:
-                x = np.linalg.solve(m, x)
-            except np.linalg.LinAlgError:
-                return None
-            if not (np.isfinite(x).all() and (x > 0).all()):
-                return None
-            # a spread past the float range gives inf; the next solve fails
-            with np.errstate(over="ignore", invalid="ignore"):
-                x = x / x.min()
-                if np.isfinite(x).all() and (
-                        m @ x - gamma * (np.abs(m) @ x) > (n + 2) * _SUBNORMAL).all():
-                    return x
-        return None
-    y = feasible_point(-m, m @ np.ones(n) - 1.0)
-    if y is None:
-        return None
-    x = 1.0 + y
-    ax = m @ x
-    if ax.min() <= 0 or x.min() <= 0:
-        # the LP vertex should satisfy A x >= 1 - eps; anything else is a solver bug
-        raise SolverFailure("feasible vertex failed the semipositivity recheck")
-    return x
+    gamma = (n + 2) * _UNIT_ROUNDOFF / (1 - (n + 2) * _UNIT_ROUNDOFF)
+    x = np.ones(n)
+    for _ in range(SOLVE_STEPS):
+        try:
+            x = np.linalg.solve(m, x)
+        except np.linalg.LinAlgError:
+            return None
+        if not (np.isfinite(x).all() and (x > 0).all()):
+            return None
+        # a spread past the float range gives inf; the next solve fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = x / x.min()
+            if np.isfinite(x).all() and (
+                    m @ x - gamma * (np.abs(m) @ x) > (n + 2) * _SUBNORMAL).all():
+                return x
+    return None
 
 
-def least_real_eigenvalue(a) -> Optional[float]:
-    """Smallest real eigenvalue of A, or None when no eigenvalue is real.
+def least_real_eigenvalue(a) -> float:
+    """Least real eigenvalue of the Z-matrix A.
 
-    For Z-matrices the value is computed as s - rho(sI - A) with s the largest
-    diagonal entry, which is exact Perron arithmetic and always real.
+    Computed as s - rho(sI - A) with s the largest diagonal entry: sI - A is
+    nonnegative, so its spectral radius is an eigenvalue (Perron-Frobenius).
     """
-    m = np.asarray(a, dtype=float)
-    scale = max(1.0, float(np.abs(m).max()))
-    if z_pattern(m):
-        s = float(np.diag(m).max())
-        rho = float(np.abs(np.linalg.eigvals(s * np.eye(m.shape[0]) - m)).max())
-        return s - rho
-    ev = np.linalg.eigvals(m)
-    real = ev.real[np.abs(ev.imag) <= 1e-9 * scale]
-    return float(real.min()) if real.size else None
+    m = _z_matrix(a)
+    s = float(np.diag(m).max())
+    rho = float(np.abs(np.linalg.eigvals(s * np.eye(m.shape[0]) - m)).max())
+    return s - rho
 
 
 @dataclass(frozen=True, eq=False)
 class MMatrixCertificate:
-    """Evidence for or against the positive-minors / M-matrix verdict.
+    """Evidence for or against the nonsingular M-matrix verdict on a Z-matrix.
 
-    ``verdict`` is the minors test.  ``z_pattern_ok`` records whether the
-    classical equivalences apply; when they do, ``eigen_witness`` (the least
-    real eigenvalue) has the sign of the verdict, and ``positive_vector``
-    (x >> 0 with A x >> 0, proved) comes only with a true verdict, which is
-    unproved without it.  ``boundary`` flags verdicts within the round-off
-    band of singularity; ``minors`` then stops at the first leading block
-    singular to working accuracy.
+    ``verdict`` is the minors test.  ``eigen_witness`` (the least real
+    eigenvalue) has the sign of the verdict, and ``positive_vector`` (x >> 0
+    with A x >> 0, proved) comes only with a true verdict, which is unproved
+    without it.  ``boundary`` flags verdicts within the round-off band of
+    singularity; ``minors`` then stops at the first leading block singular to
+    working accuracy.
     """
 
     verdict: bool
-    z_pattern_ok: bool
     minors: np.ndarray
     positive_vector: Optional[np.ndarray]
-    eigen_witness: Optional[float]
+    eigen_witness: float
     boundary: bool
 
 
 def is_nonsingular_mmatrix(a) -> MMatrixCertificate:
-    """Run the minors, semipositivity, and eigenvalue checks on A.
+    """Run the minors, semipositivity, and eigenvalue checks on the Z-matrix A.
 
-    For Z-matrices away from the boundary band the minors and the eigenvalue
-    must agree, and a proved positive vector must agree with both, or
-    InconsistentChecks is raised (that signals ill-conditioning; perturb the
-    input or fall back to exact arithmetic at small sizes).
+    Away from the boundary band the minors and the eigenvalue must agree, and
+    a proved positive vector must agree with both, or InconsistentChecks is
+    raised (that signals ill-conditioning; perturb the input or fall back to
+    exact arithmetic at small sizes).
     """
-    m = _square(a)
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
+    m = _z_matrix(a)
     scale = max(1.0, float(np.abs(m).max()))
 
-    z_ok = z_pattern(m)
     minors, pivots = leading_minors(m, return_pivots=True)
     minors_ok = bool((pivots > BOUNDARY_BAND).all())
-    boundary = bool((np.abs(pivots) <= BOUNDARY_BAND).any())
-
     eig_w = least_real_eigenvalue(m)
     x = semipositive_certificate(m)
 
-    if z_ok:
-        if eig_w is not None and abs(eig_w) <= BOUNDARY_BAND * scale:
-            boundary = True
-        if not boundary:
-            sem_ok = x is not None
-            eig_ok = eig_w is not None and eig_w > 0
-            if minors_ok != eig_ok or (sem_ok and not minors_ok):
-                raise InconsistentChecks(
-                    f"minors={minors_ok}, semipositive={sem_ok}, eigen={eig_ok} "
-                    "disagree away from the singularity boundary")
+    boundary = (bool((np.abs(pivots) <= BOUNDARY_BAND).any())
+                or abs(eig_w) <= BOUNDARY_BAND * scale)
+    sem_ok, eig_ok = x is not None, eig_w > 0
+    if not boundary and (minors_ok != eig_ok or (sem_ok and not minors_ok)):
+        raise InconsistentChecks(
+            f"minors={minors_ok}, semipositive={sem_ok}, eigen={eig_ok} "
+            "disagree away from the singularity boundary")
 
     minors.setflags(write=False)
     if x is not None:
         x.setflags(write=False)
-    return MMatrixCertificate(verdict=minors_ok, z_pattern_ok=z_ok, minors=minors,
-                              positive_vector=x, eigen_witness=eig_w, boundary=boundary)
+    return MMatrixCertificate(verdict=minors_ok, minors=minors, positive_vector=x,
+                              eigen_witness=eig_w, boundary=boundary)
 
 
 # ---------------------------------------------------------------------------

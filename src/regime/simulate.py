@@ -259,17 +259,6 @@ def _raise_bad_rate(q: np.ndarray, xs: np.ndarray, lam: np.ndarray):
     raise NegativeOffDiagonal(f"switching rate {where} is negative")
 
 
-def step(model: SdeModel, x, regime: int, dt: float, rng: np.random.Generator) -> tuple:
-    """Single-path step: returns (x', regime').  Draws one normal vector and
-    one uniform from ``rng`` in that order."""
-    xv = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, model.dim)
-    z = rng.standard_normal((1, model.dim))
-    u = rng.random(1)
-    x_new, lam_new = _Kernel(model, dt).advance(xv, np.array([regime]), z, u)
-    out_x = x_new[0, 0] if model.dim == 1 and np.isscalar(x) else x_new[0]
-    return out_x, int(lam_new[0])
-
-
 def _simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: int,
                     r0: float, n_steps: int, dt: float, seed: int) -> tuple:
     """Run a block of paths to min(hitting time, horizon).
@@ -394,27 +383,3 @@ def truncate_chain(chain: TailHomogeneousChain, K: int) -> QMatrix:
             a[s - 1, s - 2] = chain.down(s)
     np.fill_diagonal(a, -a.sum(axis=1))
     return validate_qmatrix(a)
-
-
-def exact_regime_path(q: QMatrix, i0: int, T: float, rng: np.random.Generator) -> np.ndarray:
-    """Occupation fractions of the chain over [0, T] using exact exponential
-    clocks (constant rates only); the cross-check for per-step thinning."""
-    occ = np.zeros(q.n)
-    state = i0
-    t = 0.0
-    exit_rates = q.exit_rates
-    while t < T:
-        rate = exit_rates[state]
-        if rate <= 0:
-            occ[state] += T - t
-            break
-        hold = rng.exponential(1.0 / rate)
-        if t + hold >= T:
-            occ[state] += T - t
-            break
-        occ[state] += hold
-        t += hold
-        row = q.entries[state].copy()
-        row[state] = 0.0
-        state = int(rng.choice(q.n, p=row / row.sum()))
-    return occ / occ.sum()

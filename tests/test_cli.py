@@ -244,15 +244,47 @@ class TestClassifyCommand:
         report = json.loads(capsys.readouterr().out)
         assert (report["criterion"], report["verdict"]) == ("thm22", "exponentially-ergodic")
 
-    def test_thm22_without_a_provable_vector_is_inconclusive(self, tmp_path, capsys):
-        # unit diagonal and up-rate 1e4: every A^-k 1 leaves the float range
+    def _unprovable_doc(self):
+        # unit diagonal and up-rate 1e4: every A^-k 1 leaves the float range,
+        # and the stationary masses underflow
         doc = self._birth_death_doc(80, up=1e4, down=1e-6)
         doc["lyapunov"]["beta"] = [-row[i] - 1.0 for i, row in enumerate(doc["q"]["entries"])]
-        path = write_model(tmp_path, doc)
+        return doc
+
+    def test_thm22_without_a_provable_vector_is_inconclusive(self, tmp_path, capsys):
+        path = write_model(tmp_path, self._unprovable_doc())
         assert main(["classify", path, "--criterion", "thm22"]) == 2
         report = json.loads(capsys.readouterr().out)
         assert report["reasons"] == [
             "no positive vector x with A x >> 0 is provable in floating point"]
+
+    def test_auto_records_a_singular_solve_and_goes_on(self, tmp_path, capsys):
+        path = write_model(tmp_path, self._unprovable_doc())
+        failure = "invariant measure failed validation (residual or positivity)"
+        assert main(["classify", path, "--criterion", "thm21"]) == 1
+        assert capsys.readouterr().err == f"error: SingularSolve: {failure}\n"
+        assert main(["classify", path]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert {"criterion": "thm21", "skipped": failure} in report["attempted"]
+        assert [r for r in report["reasons"] if not r.startswith("needs")] == [
+            "no positive vector x with A x >> 0 is provable in floating point", failure]
+
+    @pytest.mark.parametrize("mode", ["auto", "thm22"])
+    def test_tolerated_round_off_leaves_a_z_matrix(self, mode, tmp_path, capsys):
+        # q[0, 3] = -2.97e-12 is round-off to the generator (within 1e-12 max|Q|,
+        # max|Q| = 3) but would be a positive entry of A = -(Q + diag beta) beyond
+        # the Z-pattern tolerance (1e-12 max|A|, max|A| = 2)
+        q = [[-3.0, 1.5, 1.5 + 2.97e-12, -2.97e-12], [1.0, -2.0, 0.5, 0.5],
+             [0.5, 0.5, -2.0, 1.0], [1.0, 0.5, 0.5, -2.0]]
+        doc = {"regimes": 4, "q": {"kind": "matrix", "entries": q},
+               "lyapunov": {"beta": [1.0, 0.5, 0.5, 0.5], "tag": "to-infinity"}}
+        path = write_model(tmp_path, doc)
+        assert main(["classify", path, "--criterion", mode]) == 2
+        report = json.loads(capsys.readouterr().out)
+        expected = ["matrix is not a nonsingular M-matrix (the test is sufficient only)"]
+        if mode == "auto":
+            expected.append("averaged drift 0.607143 is not negative beyond tolerance")
+        assert [r for r in report["reasons"] if not r.startswith("needs")] == expected
 
     def test_overflowed_minors_leave_no_nan(self, tmp_path, capsys):
         # beta = 0 makes A = -Q singular; the minors overflow before the last,

@@ -36,8 +36,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regime import SdeModel, cli, reproduce, run_ensemble, step, validate_qmatrix
+from regime import SdeModel, cli, reproduce, run_ensemble, validate_qmatrix
 from regime.modelfile import load_model
+from test_simulate import step
 
 PLANE_SIGMA = np.array([[1.0, 0.3], [0.0, 0.8]])
 

@@ -48,6 +48,11 @@ class TestValidateQMatrix:
         with pytest.raises(NegativeOffDiagonal):
             validate_qmatrix([[1, -1], [-2, 2]])
 
+    def test_tolerated_round_off_is_exactly_zero(self):
+        q = validate_qmatrix([[-1.0, 1.0, -1e-13], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]])
+        assert q.entries[0, 2] == 0.0
+        assert (q.entries - np.diag(np.diag(q.entries))).min() == 0.0
+
     def test_single_regime(self):
         q = validate_qmatrix([[0.0]])
         np.testing.assert_array_equal(invariant_measure(q), [1.0])

@@ -9,6 +9,7 @@ from regime import (
     invariant_measure,
     is_nonsingular_mmatrix,
     leading_minors,
+    least_real_eigenvalue,
     perron,
     semipositive_certificate,
     validate_qmatrix,
@@ -261,13 +262,16 @@ class TestSemipositive:
         # (Ax)_1 + (Ax)_2 = -(x_1 + x_2) < 0 for x >> 0
         assert semipositive_certificate([[1, -2], [-2, 1]]) is None
 
-    def test_transformed_benchmark_matrix_infeasible(self):
-        # row (-a, -kappa) is entrywise negative, so no x >> 0 works; the
-        # minors verdict for this matrix is true regardless (non-Z matrix)
+    @pytest.mark.parametrize("check", [semipositive_certificate, least_real_eigenvalue,
+                                       is_nonsingular_mmatrix])
+    def test_transformed_benchmark_matrix_is_rejected(self, check):
+        # the minors of this non-Z matrix are positive, but the certificates
+        # take Z-matrices only
         k = 0.5
         a = np.array([[2.0 - k, 1.0 - k], [-2.0, -k]])
-        assert semipositive_certificate(a) is None
         assert (leading_minors(a) > 0).all()
+        with pytest.raises(ValueError, match="Z-matrix"):
+            check(a)
 
     def test_found_vector_validates(self):
         rng = np.random.default_rng(2)
@@ -284,7 +288,7 @@ class TestSemipositive:
 class TestIsNonsingularMMatrix:
     def test_diagonally_dominant_z(self):
         cert = is_nonsingular_mmatrix([[2, -1], [-1, 2]])
-        assert cert.verdict and cert.z_pattern_ok and not cert.boundary
+        assert cert.verdict and not cert.boundary
         assert cert.positive_vector is not None
         assert cert.eigen_witness == pytest.approx(1.0, abs=1e-9)
 
@@ -293,20 +297,22 @@ class TestIsNonsingularMMatrix:
         assert not cert.verdict
         assert cert.boundary  # determinant is exactly zero
 
+    @staticmethod
+    def _three_class(k):
+        # -(diag beta^F + Q^F) for ex21 with classes {1}, {2}, {3, 4, ...};
+        # times H_3 it is the paper's matrix, with the same minors
+        q_f = np.array([[-1.0, 1.0, 0.0], [2.0, -3.0, 1.0], [0.0, 2.0, -2.0]])
+        return -(np.diag([k - 1.0, k - 0.5, k]) + q_f)
+
     def test_three_class_benchmark_matrix(self):
-        # -(diag beta^F + Q^F) H_3 at kappa = 0.6 passes the minors test even
-        # though entries above the diagonal are positive
-        k = 0.6
-        a = np.array([[2 - k, 1 - k, 1 - k], [-2, 1.5 - k, 0.5 - k], [0, -2, -k]])
-        cert = is_nonsingular_mmatrix(a)
+        cert = is_nonsingular_mmatrix(self._three_class(0.6))
         assert cert.verdict
-        assert not cert.z_pattern_ok
         assert not cert.boundary
+        assert cert.positive_vector is not None
 
     def test_three_class_benchmark_matrix_past_threshold(self):
         k = 0.65  # beyond (11 - sqrt(73)) / 4
-        a = np.array([[2 - k, 1 - k, 1 - k], [-2, 1.5 - k, 0.5 - k], [0, -2, -k]])
-        assert not is_nonsingular_mmatrix(a).verdict
+        assert not is_nonsingular_mmatrix(self._three_class(k)).verdict
 
     def test_equivalence_on_random_z_matrices(self):
         rng = np.random.default_rng(42)
@@ -319,7 +325,7 @@ class TestIsNonsingularMMatrix:
                 continue
             checked += 1
             sem_ok = cert.positive_vector is not None
-            eig_ok = cert.eigen_witness is not None and cert.eigen_witness > 0
+            eig_ok = cert.eigen_witness > 0
             assert cert.verdict == sem_ok == eig_ok
         assert checked > 250
 

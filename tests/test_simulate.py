@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from regime import (
+    QMatrix,
     SdeModel,
     StateDependentRates,
     TailHomogeneousChain,
-    exact_regime_path,
     invariant_measure,
     run_ensemble,
-    step,
     truncate_chain,
     validate_qmatrix,
 )
@@ -17,6 +16,41 @@ from regime.reproduce import ex21_sde_model, ex22_sde_model
 from regime.simulate import _Kernel, _simulate_paths, power_drift, regime_sigma
 
 Q2 = validate_qmatrix([[-1.0, 1.0], [2.0, -2.0]])
+
+
+def step(model: SdeModel, x, regime: int, dt: float, rng: np.random.Generator) -> tuple:
+    """Single-path step through the batch kernel: returns (x', regime').  Draws
+    one normal vector and one uniform from ``rng`` in that order."""
+    xv = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, model.dim)
+    z = rng.standard_normal((1, model.dim))
+    u = rng.random(1)
+    x_new, lam_new = _Kernel(model, dt).advance(xv, np.array([regime]), z, u)
+    out_x = x_new[0, 0] if model.dim == 1 and np.isscalar(x) else x_new[0]
+    return out_x, int(lam_new[0])
+
+
+def exact_regime_path(q: QMatrix, i0: int, T: float, rng: np.random.Generator) -> np.ndarray:
+    """Occupation fractions of the chain over [0, T] using exact exponential
+    clocks (constant rates only); the cross-check for per-step thinning."""
+    occ = np.zeros(q.n)
+    state = i0
+    t = 0.0
+    exit_rates = q.exit_rates
+    while t < T:
+        rate = exit_rates[state]
+        if rate <= 0:
+            occ[state] += T - t
+            break
+        hold = rng.exponential(1.0 / rate)
+        if t + hold >= T:
+            occ[state] += T - t
+            break
+        occ[state] += hold
+        t += hold
+        row = q.entries[state].copy()
+        row[state] = 0.0
+        state = int(rng.choice(q.n, p=row / row.sum()))
+    return occ / occ.sum()
 
 
 def _const_model(drift_slope=0.0, sigma=1.0, rates=Q2, boundary="none"):

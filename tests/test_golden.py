@@ -22,7 +22,10 @@ delta != 1 is a schema error (``test_ou_drift_is_the_linear_power_drift``,
 the M-matrix certificate became A^-1 1 with a residual proof and thm23/thm24
 began to certify the Z-matrix A instead of A H (same leading minors): the
 positive vector, the matrix, its Z flag, its least real eigenvalue and the
-last bits of some minors changed, and no verdict did.  ``VERDICTS_FILE`` pins,
+last bits of some minors changed, and no verdict did.  Eleven were
+re-recorded when the certificate dropped its Z-pattern flag, which every
+report printed as true: each transcript lost only its ``z_pattern_ok``
+lines.  ``VERDICTS_FILE`` pins,
 apart from certificate numbers, what every ``classify`` run concludes on the
 same documents: exit code, verdict, criterion, and each attempt's verdict and
 reason (or skip message, or error line).
@@ -143,30 +146,30 @@ STEP_SWITCHES = 26
 CLI_DIGEST = {
     ("cor31", "classify"): "59778622abbcf03a62a004eed14bed5f7fb888af13e3dafc09ef88fd323029d2",
     ("cor31", "simulate"): "0ec894992741274700c431ccef23bef3b7a188f381f87b0416208cafba0cd3be",
-    ("ex21", "classify"): "09dc92a02f97b9cf0ff98059c6ee4a3485b1925aeb90eec2e83ec60919e1ba00",
-    ("ex22", "classify"): "4f712f2b888fe34f3b3b5fc2a808ed7a7837e60b46bf477ca238a0136cfbb572",
+    ("ex21", "classify"): "6ce2a0db5a0426e370465ca170f6310f2a05efb7ded18c8eead89952d246b547",
+    ("ex22", "classify"): "a26dbb8fe1912f1e45811d14040ce5d857e516ee36581da9e4d88325e1d601a8",
     ("ex22", "simulate"): "5ecf65ce543d54e6fa7cd00a24b6a5e79c7c12145996c35319ac950f10a4897b",
     ("ou", "classify"): "10d14ac1a22246ee70618314dec6a903c0a3fb5f23056a9ef0af9927cfd76767",
     ("ou", "simulate"): "4ecad45025270891523b810887e1ce949049489dc718a6ddd0419b22254609d1",
-    ("beta-boundary", "classify-modes"): "c3d20091387c2daf5ff4e44f40ea4f827c1e205d008fec8bc3e15d1152fb2086",
-    ("beta-inf", "classify-modes"): "c118b6d007853422235e5cb18fca7c0a6613ea40d35e4df18bfa5b044faa1737",
-    ("beta-zero", "classify-modes"): "f971dcdec3a6644c37f3c84583657d513f70e7db00aec1a8d488e4ac3affe9a3",
+    ("beta-boundary", "classify-modes"): "38e5175497069c54769c1989db6e3774e166149bc87d25444abd031a658dc6b3",
+    ("beta-inf", "classify-modes"): "923bc6b2ec4b380ff63b92397df409b64b5c8b5d103c4f7f93c9462d4689d29e",
+    ("beta-zero", "classify-modes"): "8ceb90cd53e248d833f6fdccbae269441af1f293757d4f50bda4b57838ca3b29",
     ("cor31", "classify-modes"): "161fada3cefab37e8d194881a43c94dc72ebc131d97fdea8b51b008e03ab21eb",
-    ("ex21", "classify-modes"): "cb2426defd1d4b85ef33c16bb2e627ad295fc77ff9faf884951227ed0bf75aeb",
-    ("ex22", "classify-modes"): "3a22b4c8eda7769924c5989b17d4c0a50c8f6176a9e3a9e9a24df52b3d96d561",
-    ("infinite-gap", "classify-modes"): "a2db151ec59b3911c918f4a400d43840316033a24c37b944df2788fcb214e5a1",
+    ("ex21", "classify-modes"): "dd23ba95696d0e7f52424b87d5f6a8011982a5aa7723f1b92ff166b9124bfdea",
+    ("ex22", "classify-modes"): "831d9b9a21cdcd7c09f775396d6548a307d38c954649b84425ace30aaba32689",
+    ("infinite-gap", "classify-modes"): "fb3406c81943ca6ac3a94df5deb1d91a65006a1c1275c6a214ad2ac72068ad3e",
     ("infinite-no-partition", "classify-modes"): "8fdfb0de35ef5e1609c359e395a2a5f03be7a0b7a2678533f98baf3cc0f31414",
     ("infinite-transient-chain", "classify-modes"): "8691571054ea89af56a7f426c57af5cb6c9d77c274517ab4eb91331ca9b0b780",
-    ("infinite-zero", "classify-modes"): "8fa5aec26381a42570bf0d615fb7c6215eb388a648676bc7bb72b4b070fc9136",
+    ("infinite-zero", "classify-modes"): "77aa2b9ab7543f5b2e1346083951a2a9fa03331a708cd453854dbf82b9e36da0",
     ("ou", "classify-modes"): "4df40d1b07722b17184a0ad5096da9e9ff36e9020b1e719b80c0a73e6e2dc380",
     ("power-linear", "classify-modes"): "4df40d1b07722b17184a0ad5096da9e9ff36e9020b1e719b80c0a73e6e2dc380",
-    ("preset-abs", "classify-modes"): "565318f324ebabb74d6717e0be8e3edce4b70df340eec772e6039617261fecbf",
+    ("preset-abs", "classify-modes"): "e0eebbd912a65e6587e1650e9e7c18020b03d9b22218b76849954758d063d44d",
     ("preset-inverse-abs", "classify-modes"): "96b256d8322f5dea5f245eb76c2556c5cb10b2cb224c2b8a5cecfb8586d4cf36",
     ("radial", "classify-modes"): "c937c3d4d7ea669dea8531ead0b15f7eabe236765993e6e49dfa967e5ba70248",
     ("radial-gap", "classify-modes"): "8d0022cc4570dd3222a4b2200cbb54363d8950501babf2eeb21f209a3bd4ce16",
     ("two-matrix", "classify-modes"): "162ae590799d13ceb9b9a9c0875d06654e3a3237b2a969e3f4af55c55b56e980",
     ("two-matrix-gap", "classify-modes"): "1510ff89934215575eb4a55c819ac0b169c7de0577665e7f150097b4a89e0223",
-    ("two-rates", "classify-modes"): "a9f2c8303b2f42eac19d143ba73a315e7fe9d52411cd7b13d9fff5877e9cbbec",
+    ("two-rates", "classify-modes"): "0f9c380669fbb43b188bf425bf8e3bbf61b5609207146023fa96f5827c4abb3f",
     ("two-rates-gap", "classify-modes"): "e559eeb39ce2d9085621d032755f5a894c9eed50e2c74842ef437c9a7935628a",
 }
 CLI_SIMULATE_ARGS = ["--x0", "2", "--r0", "1", "--T", "1.0", "--dt", "0.01",

@@ -135,8 +135,6 @@ def cmd_classify(args) -> int:
         try:
             result = RUNNERS[name](model)
         except (CriterionNotApplicable, SingularSolve) as exc:
-            # under auto a criterion that does not apply, or whose solve
-            # fails, is recorded and the next one runs
             if args.criterion != "auto":
                 raise
             attempted.append({"criterion": name, "skipped": str(exc)})

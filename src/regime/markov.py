@@ -79,9 +79,6 @@ def _strongly_connected(adj: np.ndarray) -> bool:
 def validate_qmatrix(raw) -> QMatrix:
     """Validate a raw rate matrix: signs, zero row sums, irreducibility.
 
-    Negative off-diagonal entries within the round-off tolerance are set to 0,
-    so every QMatrix has off-diagonal entries >= 0 exactly.
-
     Raises
     ------
     NegativeOffDiagonal, RowSumNonzero, Reducible
@@ -104,7 +101,7 @@ def validate_qmatrix(raw) -> QMatrix:
         raise RowSumNonzero(f"row {i} sums to {rows[i]:g}, expected 0")
     if not _strongly_connected(off > PATTERN_TOL * scale):
         raise Reducible("positivity pattern of the generator is not strongly connected")
-    a[off < 0] = 0.0  # tolerated round-off; -(Q + diag b) is then exactly a Z-matrix
+    a[off < 0] = 0.0  # tolerated round-off: off-diagonal entries are >= 0 exactly
     a.setflags(write=False)
     return QMatrix(entries=a)
 

@@ -1,15 +1,13 @@
 """Nonsingular M-matrix certificates and Perron-Frobenius data.
 
-The classifiers test Z-matrices ``-(Q + diag b)``, Q a generator whose
-off-diagonal entries are >= 0 exactly (``markov.validate_qmatrix``).  For a
+The classifiers test Z-matrices ``-(Q + diag b)``, Q a generator.  For a
 Z-matrix A, "nonsingular M-matrix", "all leading principal minors positive",
 "A^-1 >= 0", "some x >> 0 has A x >> 0" and "least real eigenvalue positive"
 are equivalent (Berman and Plemmons, ch. 6).  The verdict is the minors test,
 read from the pivots of one elimination of A / scale, which no size or
 entry of A can overflow; the eigenvalue cross-checks it and a positive
-vector x = A^-k 1 with a residual proof confirms it.  The certificate
-functions take Z-matrices only and raise ValueError on any other input;
-``leading_minors`` takes any square matrix.
+vector x = A^-k 1 with a residual proof confirms it.  The certificates
+take Z-matrices only; ``leading_minors`` takes any square matrix.
 """
 
 from __future__ import annotations
@@ -51,10 +49,8 @@ def _square(a) -> np.ndarray:
 
 def _z_matrix(a) -> np.ndarray:
     m = _square(a)
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    if not z_pattern(m):
-        raise ValueError("matrix must be a Z-matrix")
+    if not (np.isfinite(m).all() and z_pattern(m)):
+        raise ValueError("matrix must be a finite Z-matrix")
     return m
 
 
@@ -115,11 +111,7 @@ def semipositive_certificate(a) -> Optional[np.ndarray]:
 
 
 def least_real_eigenvalue(a) -> float:
-    """Least real eigenvalue of the Z-matrix A.
-
-    Computed as s - rho(sI - A) with s the largest diagonal entry: sI - A is
-    nonnegative, so its spectral radius is an eigenvalue (Perron-Frobenius).
-    """
+    """Least real eigenvalue s - rho(sI - A) of the Z-matrix A, s its largest diagonal entry."""
     m = _z_matrix(a)
     s = float(np.diag(m).max())
     rho = float(np.abs(np.linalg.eigvals(s * np.eye(m.shape[0]) - m)).max())

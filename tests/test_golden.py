@@ -7,6 +7,8 @@ cases cover the built-in benchmark models (state-dependent ex22 rates, the
 2-regime OU generator, the 12-regime truncated ex21 chain), the models the
 CLI builds from emitted files (cor31 has delta = 0.5, the nonlinear power
 drift), a 2-d model with a noise matrix, and one single-path ``step`` sequence.
+``RATES3_DOC``, a three-regime ``rates`` file with absent pairs, pins the
+``simulate`` output of a compiled rate table that skips regimes and pairs.
 The CLI's ``classify`` and ``simulate`` output on every emitted model is
 pinned by sha256 of its bytes, recorded before constant subexpressions of
 rate expressions were folded at load time.  ``classify-modes`` pins, for
@@ -174,6 +176,19 @@ CLI_DIGEST = {
 }
 CLI_SIMULATE_ARGS = ["--x0", "2", "--r0", "1", "--T", "1.0", "--dt", "0.01",
                      "--trials", "100", "--seed", "3"]
+
+# a three-regime rates file with two absent pairs (1 -> 3 and 3 -> 2), so each
+# regime's rates are read on its own paths' positions while the others are 0;
+# its ``simulate`` output was recorded while the rates were called per (i, j)
+RATES3_DOC = {"regimes": 3,
+              "q": {"kind": "rates",
+                    "entries": [{"i": 1, "j": 2, "expr": "2 + exp(-x)"},
+                                {"i": 2, "j": 1, "expr": "sqrt(1 + x)"},
+                                {"i": 2, "j": 3, "expr": "3*x/(1 + x)"},
+                                {"i": 3, "j": 1, "expr": "1 + tanh(x)"}]},
+              "drift": {"kind": "power", "b": [-1.0, 0.5, -0.5], "delta": 0.5},
+              "sigma": [1.0, 0.8, 1.2], "boundary": "reflect"}
+RATES3_SIMULATE_DIGEST = "d65cee30ec3a5e89371e41cf3405693db69bd7fc34d667bd70cb0c4f3fc600bf"
 CLI_MODES = ("auto", "cor31", "prop22", "thm22", "thm23", "thm24",
              "thm21", "thm31", "thm32", "thm33")
 
@@ -314,6 +329,14 @@ def test_cli_output_is_bitwise_golden(stem, command, model_dir, capsys):
         assert cli.main([command, path] + extra) == 0
         out = capsys.readouterr().out.replace(path, "MODEL")
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGEST[(stem, command)]
+
+
+def test_three_regime_rates_simulate_is_bitwise_golden(tmp_path, capsys):
+    path = tmp_path / "rates3.json"
+    path.write_text(json.dumps(RATES3_DOC), encoding="utf-8")
+    assert cli.main(["simulate", str(path)] + CLI_SIMULATE_ARGS) == 0
+    out = capsys.readouterr().out.replace(str(path), "MODEL")
+    assert hashlib.sha256(out.encode()).hexdigest() == RATES3_SIMULATE_DIGEST
 
 
 def test_classify_verdicts_are_pinned(model_dir, capsys):

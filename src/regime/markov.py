@@ -166,19 +166,28 @@ class ScanGrid:
 class StateDependentRates:
     """Bounded switching rates q_ij(x) on a 1-d state space.
 
-    ``rate_fn(x, i, j)`` must accept a 1-d array of positions and return the
-    matching array of rates (anything broadcastable works).  Optional
-    ``hints[(i, j)] = (inf, sup)`` give closed-form bounds over the whole
-    domain and take precedence over scanning.
+    ``rate_fn(x, lam)`` is called with positions ``x`` of shape (k,) and the
+    regime of each, an integer array ``lam`` of shape (k,), and returns the
+    (n, k) rate table: entry (j, p) is q_{lam[p], j}(x[p]), and entry
+    (lam[p], p) is 0.  Optional ``hints[(i, j)] = (inf, sup)`` give
+    closed-form bounds over the whole domain and take precedence over
+    scanning.
     """
 
     n: int
-    rate_fn: Callable[[np.ndarray, int, int], np.ndarray]
+    rate_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     hints: Optional[dict] = None
 
+    def evaluate(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """``rate_fn(x, lam)`` as floats, checked to have the shape (n, k)."""
+        q = np.asarray(self.rate_fn(x, lam), dtype=float)
+        if q.shape != (self.n, x.shape[0]):
+            raise ValueError(f"rate_fn(x, lam) must return the rate table shape (n, k) = "
+                             f"{(self.n, x.shape[0])}, got {q.shape}")
+        return q
 
-def _scan_extremum(fn, xs: np.ndarray, i: int, j: int, cap: float, want_sup: bool) -> float:
-    vals = np.broadcast_to(np.asarray(fn(xs, i, j), dtype=float), xs.shape)
+
+def _extremum(vals: np.ndarray, i: int, j: int, cap: float, want_sup: bool) -> float:
     if not np.isfinite(vals).all():
         raise UnboundedRate(f"q[{i},{j}] evaluated to a non-finite value on the scan grid")
     if np.abs(vals).max() > cap:
@@ -191,7 +200,8 @@ def bound_rates(rates: StateDependentRates, grid: Optional[ScanGrid] = None,
     """Bounding generator: sup of each rate below the diagonal, inf above.
 
     Closed-form hints are used where available; otherwise each entry is
-    scanned on ``grid`` and once more on a doubled grid, and the two passes
+    scanned on ``grid`` and once more on a doubled grid (one ``rate_fn`` call
+    per pass for each row that has an entry without a hint), and the two passes
     must agree to 1e-6 relative.  The diagonal is chosen conservative and the
     result is validated like any generator (so a bounding matrix that comes
     out reducible or with negative entries raises rather than being guessed
@@ -201,6 +211,7 @@ def bound_rates(rates: StateDependentRates, grid: Optional[ScanGrid] = None,
     out = np.zeros((n, n))
     hints = rates.hints or {}
     for i in range(n):
+        scans = None  # row i on the grid and on the doubled grid
         for j in range(n):
             if i == j:
                 continue
@@ -212,8 +223,11 @@ def bound_rates(rates: StateDependentRates, grid: Optional[ScanGrid] = None,
             else:
                 if grid is None:
                     raise EmptyGrid(f"no hint for q[{i},{j}] and no scan grid supplied")
-                coarse = _scan_extremum(rates.rate_fn, grid.build(1), i, j, rate_cap, want_sup)
-                fine = _scan_extremum(rates.rate_fn, grid.build(2), i, j, rate_cap, want_sup)
+                if scans is None:
+                    scans = [rates.evaluate(xs, np.full(xs.size, i))
+                             for xs in (grid.build(1), grid.build(2))]
+                coarse = _extremum(scans[0][j], i, j, rate_cap, want_sup)
+                fine = _extremum(scans[1][j], i, j, rate_cap, want_sup)
                 if abs(fine - coarse) > 1e-6 * max(1.0, abs(fine)):
                     raise ScanNotStabilized(
                         f"q[{i},{j}] bound moved from {coarse:g} to {fine:g} under refinement")

@@ -220,17 +220,24 @@ def _parse_q(doc, n_regimes):
             if not (_is_int(i) and _is_int(j)
                     and 1 <= i <= n_regimes and 1 <= j <= n_regimes and i != j):
                 raise SchemaError(f"q.entries[{k}]: bad index pair ({i},{j})")
-            fns[(i - 1, j - 1)] = compile_rate_expr(str(ent["expr"]))
+            fns.setdefault(i - 1, {})[j - 1] = compile_rate_expr(str(ent["expr"]))
             if "inf" in ent and "sup" in ent:
                 hints[(i - 1, j - 1)] = (_finite_number(ent["inf"], f"q.entries[{k}].inf"),
                                          _finite_number(ent["sup"], f"q.entries[{k}].sup"))
             elif "inf" in ent or "sup" in ent:
                 raise SchemaError(f"q.entries[{k}]: give both inf and sup hints or neither")
 
-        def rate_fn(x, i, j, _fns=fns):
-            f = _fns.get((i, j))
-            return f(np.asarray(x, dtype=float)) if f is not None else np.zeros_like(
-                np.asarray(x, dtype=float))
+        def rate_fn(x, lam, _fns=fns):
+            # each source regime's expressions run on its own paths' positions;
+            # pairs absent from the table stay 0
+            q = np.zeros((n_regimes, x.shape[0]))
+            for i, row in _fns.items():
+                at = lam == i
+                if at.any():
+                    xi = x[at]
+                    for j, f in row.items():
+                        q[j, at] = f(xi)
+            return q
 
         scan = None
         if "scan" in doc:

@@ -92,14 +92,10 @@ def ex21_transience_verdict(kappa: float, m: int, a: float = 2.0, b: float = 1.0
 def ex22_rates(a: float = 2.0, b: float = 1.0) -> StateDependentRates:
     """Two-state rates q_12(x) = b (1+2x)/(1+x), q_21(x) = a (1+2x)/(2(1+x))."""
 
-    def rate_fn(x, i, j):
-        x = np.asarray(x, dtype=float)
+    def rate_fn(x, lam):
         bump = (1.0 + 2.0 * x) / (1.0 + x)
-        if (i, j) == (0, 1):
-            return b * bump
-        if (i, j) == (1, 0):
-            return a * bump / 2.0
-        return np.zeros_like(x)
+        down = lam == 1
+        return np.stack([np.where(down, (a * bump) / 2.0, 0.0), np.where(down, 0.0, b * bump)])
 
     hints = {(0, 1): (b, 2.0 * b), (1, 0): (a / 2.0, a)}
     return StateDependentRates(n=2, rate_fn=rate_fn, hints=hints)

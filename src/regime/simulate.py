@@ -8,10 +8,10 @@ before the horizon, so reports corroborate the analytic verdicts rather than
 prove them.
 
 One step of a whole batch is a fixed handful of numpy operations
-(``_Kernel``): the model's drift and sigma are called once on every active
-path with its regime array, and switching gathers a per-ensemble table of
-cumulative rates (constant generators) or evaluates the rates of the occupied
-regimes only (state-dependent rates).
+(``_Kernel``): the model's drift, sigma and, for state-dependent switching,
+``rate_fn`` are each called once on every active path with its regime array;
+a constant generator instead gathers a per-ensemble table of cumulative
+rates.
 
 Reproducibility contract: path k draws from its own generator seeded with
 ``SeedSequence(seed, spawn_key=(k,))``, consuming one block of normals and one
@@ -47,9 +47,11 @@ class SdeModel:
     matrix for the batch.  Per-regime coefficients are gathered by regime,
     ``coef[lam][:, None]``, as ``power_drift`` and ``regime_sigma`` do;
     callables that ignore the regime work unchanged.  ``rates`` is either a
-    constant generator or 1-d state-dependent rates, and ``n_regimes`` is its
-    ``n``.  ``boundary="reflect"`` keeps d = 1 paths on the half-line by
-    reflecting at zero.
+    constant generator or 1-d ``StateDependentRates``, whose
+    ``rate_fn(x, lam)`` takes the same batch (positions as shape (k,)) and
+    returns the (n, k) table of rates out of each path's regime;
+    ``n_regimes`` is its ``n``.  ``boundary="reflect"`` keeps d = 1 paths on
+    the half-line by reflecting at zero.
     """
 
     dim: int
@@ -143,10 +145,12 @@ class _Kernel:
 
     Built once per ensemble.  For a constant generator it holds the
     cumulative off-diagonal rows ``cumsum(q_ij dt)``, gathered by regime at
-    each step; a path switches when its uniform falls below its row's total
-    and moves to the first regime whose cumulative entry exceeds it.  The
-    model's callables are read from ``model`` at every step, so a copy of the
-    model with other callables is honoured.
+    each step; for state-dependent rates it sums the (n, k) table of one
+    ``rate_fn(x, lam)`` call down its columns instead.  A path switches when
+    its uniform falls below its total and moves to the first regime whose
+    cumulative entry exceeds it.  The model's callables are read from
+    ``model`` at every step, so a copy of the model with other callables is
+    honoured.
     """
 
     def __init__(self, model: SdeModel, dt: float):
@@ -211,31 +215,15 @@ class _Kernel:
 
     def _rate_cumsum(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Cumulative switching probabilities, (n, k): row j sums q_{lam,l}(x) dt
-        over l <= j.  ``rate_fn`` is called for occupied regimes only, on the
-        positions of their paths."""
-        rates = self.model.rates
-        n, k = rates.n, x.shape[0]
+        over l <= j, from one ``rate_fn(x, lam)`` call on the whole batch."""
         xs = x[:, 0]
-        q = np.zeros((n, k))
-        placed = 0
-        for i in range(n):
-            idx = (lam == i).nonzero()[0]
-            if idx.size == 0:
-                continue
-            sel = slice(None) if idx.size == k else idx
-            xi = xs[sel]
-            for j in range(n):
-                if j != i:
-                    q[j][sel] = rates.rate_fn(xi, i, j)
-            placed += idx.size
-            if placed == k:
-                break
+        q = self.model.rates.evaluate(xs, lam)
         if not q.min() >= 0.0:
             _raise_bad_rate(q, xs, lam)
         # row-by-row running sum: np.cumsum along the short axis is slower,
         # and adds in the same order
         cum = q * self.dt
-        for j in range(1, n):
+        for j in range(1, len(cum)):
             np.add(cum[j - 1], cum[j], out=cum[j])
         top = cum[-1].max()
         if not top <= _MAX_SWITCH_PROB:

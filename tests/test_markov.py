@@ -102,57 +102,71 @@ class TestInvariantMeasure:
         np.testing.assert_allclose(invariant_measure(qp), mu[perm], atol=1e-12)
 
 
+def two_regime_rates(up, down):
+    """``rate_fn(x, lam)`` of two regimes with q_01(x) = up(x), q_10(x) = down(x)."""
+    def rate_fn(x, lam):
+        return np.stack([np.where(lam == 1, down(x), 0.0), np.where(lam == 0, up(x), 0.0)])
+    return rate_fn
+
+
 class TestBoundRates:
     def test_hints_take_precedence(self):
         # rates b(1+2x)/(1+x) up and a(1+2x)/(2(1+x)) down collapse to the
-        # constant chain with up-rate b and down-rate a
+        # constant chain with up-rate b and down-rate a; with every rate
+        # hinted, rate_fn is never called, scan grid or not
         a, b = 2.0, 1.0
 
-        def fn(x, i, j):
-            x = np.asarray(x, dtype=float)
-            bump = (1 + 2 * x) / (1 + x)
-            if (i, j) == (0, 1):
-                return b * bump
-            if (i, j) == (1, 0):
-                return a * bump / 2
-            return np.zeros_like(x)
+        def fn(x, lam):
+            raise AssertionError("rate_fn called although every rate has a hint")
 
         rates = StateDependentRates(n=2, rate_fn=fn,
                                     hints={(0, 1): (b, 2 * b), (1, 0): (a / 2, a)})
-        qt = bound_rates(rates)
-        np.testing.assert_array_equal(qt.entries, [[-b, b], [a, -a]])
+        for grid in (None, ScanGrid(lo=0.01, hi=100.0)):
+            qt = bound_rates(rates, grid)
+            np.testing.assert_array_equal(qt.entries, [[-b, b], [a, -a]])
+
+    def test_one_call_per_scanned_row_and_grid_pass(self):
+        # row 0 is fully hinted; rows 1 and 2 are read on the grid, then on the doubled grid
+        calls = []
+
+        def fn(x, lam):
+            calls.append((x.size, np.unique(lam).tolist()))
+            return np.where(np.arange(3)[:, None] == lam, 0.0, 1.0 + 0.0 * x)
+
+        rates = StateDependentRates(n=3, rate_fn=fn, hints={(0, 1): (1.0, 1.0), (0, 2): (1.0, 1.0)})
+        qt = bound_rates(rates, ScanGrid(lo=1.0, hi=2.0, points=5))
+        assert calls == [(5, [1]), (9, [1]), (5, [2]), (9, [2])]
+        np.testing.assert_array_equal(qt.entries, [[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0],
+                                                   [1.0, 1.0, -2.0]])
+
+    def test_bad_rate_table_shape_is_rejected(self):
+        # one rate per position is not the (n, k) table
+        rates = StateDependentRates(n=2, rate_fn=lambda x, lam: np.ones_like(x))
+        with pytest.raises(ValueError, match=r"rate_fn\(x, lam\)"):
+            bound_rates(rates, ScanGrid(lo=0.01, hi=100.0))
 
     def test_constant_rates_identity(self):
-        def fn(x, i, j):
-            return np.full_like(np.asarray(x, dtype=float), 0.7 if j > i else 1.3)
-
+        fn = two_regime_rates(up=lambda x: 0.7, down=lambda x: 1.3)
         rates = StateDependentRates(n=2, rate_fn=fn)
         qt = bound_rates(rates, ScanGrid(lo=0.01, hi=100.0))
         np.testing.assert_array_equal(qt.entries, [[-0.7, 0.7], [1.3, -1.3]])
 
     def test_monotone_rate_scanned_to_its_limit(self):
-        def fn(x, i, j):
-            x = np.asarray(x, dtype=float)
-            if (i, j) == (0, 1):
-                return 1.0 + np.exp(-x)
-            return np.ones_like(x)
-
+        fn = two_regime_rates(up=lambda x: 1.0 + np.exp(-x), down=lambda x: 1.0)
         rates = StateDependentRates(n=2, rate_fn=fn)
         qt = bound_rates(rates, ScanGrid(lo=1e-3, hi=60.0))
         # entry above the diagonal takes the infimum, reached as x -> infinity
         np.testing.assert_allclose(qt.entries, [[-1, 1], [1, -1]], atol=1e-9)
 
     def test_rate_cap(self):
-        def fn(x, i, j):
-            return np.asarray(x, dtype=float) if (i, j) == (0, 1) else np.ones_like(
-                np.asarray(x, dtype=float))
-
+        fn = two_regime_rates(up=lambda x: x, down=lambda x: 1.0)
         rates = StateDependentRates(n=2, rate_fn=fn)
         with pytest.raises(UnboundedRate):
             bound_rates(rates, ScanGrid(lo=1.0, hi=1e6), rate_cap=100.0)
 
     def test_grid_required_without_hints(self):
-        rates = StateDependentRates(n=2, rate_fn=lambda x, i, j: np.ones_like(x))
+        rates = StateDependentRates(n=2, rate_fn=two_regime_rates(up=lambda x: 1.0,
+                                                                   down=lambda x: 1.0))
         with pytest.raises(EmptyGrid):
             bound_rates(rates)
 
@@ -162,12 +176,8 @@ class TestBoundRates:
 
     def test_refinement_detects_unstable_scan(self):
         # a spike the coarse grid misses entirely
-        def fn(x, i, j):
-            x = np.asarray(x, dtype=float)
-            if (i, j) == (1, 0):
-                return 5.0 * np.maximum(0.0, 1.0 - np.abs(x - 1.25) * 40.0)
-            return np.ones_like(x)
-
+        fn = two_regime_rates(up=lambda x: 1.0,
+                              down=lambda x: 5.0 * np.maximum(0.0, 1.0 - np.abs(x - 1.25) * 40.0))
         rates = StateDependentRates(n=2, rate_fn=fn)
         with pytest.raises(ScanNotStabilized):
             bound_rates(rates, ScanGrid(lo=1.0, hi=2.0, points=3, spacing="linear"))

@@ -247,9 +247,40 @@ class TestCallbackContract:
             _Kernel(model, 0.01).advance(np.ones((3, 2)), np.zeros(3, dtype=int),
                                          np.zeros((3, 2)), np.ones(3))
 
+    @pytest.mark.parametrize("table", [
+        np.ones(3),             # one rate per path, as a per-pair callable returns
+        np.ones((3, 2)),        # (k, n) instead of (n, k)
+        np.ones((2, 1)),
+        np.float64(1.0),
+    ])
+    def test_bad_rate_table_shapes_are_rejected(self, table):
+        rates = StateDependentRates(n=2, rate_fn=lambda x, lam: table)
+        model = SdeModel(dim=1, drift=lambda x, lam: -x, sigma=lambda x, lam: 1.0, rates=rates)
+        with pytest.raises(ValueError, match=r"rate_fn\(x, lam\)"):
+            _Kernel(model, 0.01).advance(np.ones((3, 1)), np.zeros(3, dtype=int),
+                                         np.zeros((3, 1)), np.ones(3))
+
+    def test_rate_fn_sees_the_batch_once_per_step(self):
+        seen = []
+
+        def rate_fn(x, lam):
+            seen.append((x.shape, lam.copy()))
+            return np.where(np.arange(2)[:, None] == lam, 0.0, 1.0)
+
+        model = SdeModel(dim=1, drift=lambda x, lam: np.zeros_like(x), sigma=lambda x, lam: 0.0,
+                         rates=StateDependentRates(n=2, rate_fn=rate_fn))
+        _Kernel(model, 0.01).advance(np.ones((3, 1)), np.array([0, 1, 1]),
+                                     np.zeros((3, 1)), np.ones(3))
+        assert len(seen) == 1
+        assert seen[0][0] == (3,) and seen[0][1].tolist() == [0, 1, 1]
+
 
 class TestStateDependentRateValues:
-    def _model(self, rate_fn):
+    def _model(self, rate):
+        # the same rate rate(x) out of either regime into the other one
+        def rate_fn(x, lam):
+            return np.where(np.arange(2)[:, None] == lam, 0.0, rate(x))
+
         rates = StateDependentRates(n=2, rate_fn=rate_fn)
         return SdeModel(dim=1, drift=lambda x, lam: -x,
                         sigma=lambda x, lam: 0.0, rates=rates, boundary="reflect")
@@ -257,18 +288,18 @@ class TestStateDependentRateValues:
     def test_negative_rate_raises_at_first_visited_position(self):
         # x shrinks by the factor 1 - dt each step; the rate x - 3 turns
         # negative on the first step below 3
-        model = self._model(lambda x, i, j: x - 3.0)
+        model = self._model(lambda x: x - 3.0)
         with pytest.raises(NegativeOffDiagonal, match=r"x = 2\.99"):
             run_ensemble(model, x0=5.0, i0=0, r0=1.0, T=1.0, dt=1e-3, trials=100, seed=0)
 
     def test_step_too_large_for_the_rates_met(self):
         # the exit rate 200 at x < 3 makes q dt = 0.2 once a path gets there
-        model = self._model(lambda x, i, j: np.where(x < 3.0, 200.0, 1.0))
+        model = self._model(lambda x: np.where(x < 3.0, 200.0, 1.0))
         with pytest.raises(StepTooLarge, match=r"dt \* q = 0\.2 > 0\.1"):
             run_ensemble(model, x0=5.0, i0=0, r0=1.0, T=1.0, dt=1e-3, trials=100, seed=0)
 
     def test_nonfinite_rate_raises(self):
-        model = self._model(lambda x, i, j: np.where(x < 3.0, np.inf, 1.0))
+        model = self._model(lambda x: np.where(x < 3.0, np.inf, 1.0))
         with pytest.raises(UnboundedRate, match=r"x = 2\.99"):
             run_ensemble(model, x0=5.0, i0=0, r0=1.0, T=1.0, dt=1e-3, trials=100, seed=0)
 

@@ -309,21 +309,11 @@ def classify_two_function_state_dependent(q_tilde: QMatrix, beta, h_limit: Limit
     n = q_tilde.n
     if b.shape != (n,):
         raise ValueError("beta length must match the number of regimes")
-    rows = []
-    rhs = []
-    for i in range(n - 1):
-        r = np.zeros(n)
-        r[i + 1], r[i] = 1.0, -1.0  # eta_{i+1} <= eta_i
-        rows.append(r)
-        rhs.append(0.0)
-    last = np.zeros(n)
-    last[n - 1] = -1.0  # eta_n >= 1
-    rows.append(last)
-    rhs.append(-1.0)
-    rows.append(q_tilde.entries)  # (Q~ eta)_i <= -1 - beta_i
-    rhs.extend((-1.0 - b).tolist())
-    a_ub = np.vstack([np.atleast_2d(r) for r in rows])
-    eta = feasible_point(a_ub, np.asarray(rhs))
+    # rows i < n-1: eta_{i+1} - eta_i <= 0; row n-1: -eta_n <= -1; then
+    # (Q~ eta)_i <= -1 - beta_i
+    a_ub = np.vstack([np.eye(n, k=1) - np.eye(n), q_tilde.entries])
+    rhs = np.concatenate([np.zeros(n - 1), [-1.0], -1.0 - b])
+    eta = feasible_point(a_ub, rhs)
     if eta is None:
         return Classification(Verdict.INCONCLUSIVE, "thm32", {"beta": b},
                               reason="no nonincreasing positive eta satisfies "

@@ -236,6 +236,30 @@ class TestClassifyTwoFunctionStateDependent:
         out = classify_two_function_state_dependent(Q2, [0.5, -1.0], TO_INF)
         assert out.verdict is Verdict.INCONCLUSIVE
 
+    def test_lp_is_the_row_by_row_system(self, monkeypatch):
+        # reference: the row-by-row construction the eye differences replaced;
+        # the LP must be byte-identical so that its Bland vertex is too
+        posed = []
+        monkeypatch.setattr(criteria, "feasible_point", lambda a, b: posed.append((a, b)))
+        rng = np.random.default_rng(32)
+        for n in (1, 2, 5, 12):
+            q = random_generator(rng, n) if n > 1 else validate_qmatrix([[0.0]])
+            beta = rng.standard_normal(n)
+            classify_two_function_state_dependent(q, beta, TO_INF)
+            rows, rhs = [], []
+            for i in range(n - 1):
+                r = np.zeros(n)
+                r[i + 1], r[i] = 1.0, -1.0
+                rows.append(r)
+                rhs.append(0.0)
+            last = np.zeros(n)
+            last[n - 1] = -1.0
+            a_ub = np.vstack(rows + [last, q.entries])
+            b_ub = np.asarray(rhs + [-1.0] + (-1.0 - beta).tolist())
+            a, b = posed.pop()
+            assert a.shape == a_ub.shape and a.tobytes() == a_ub.tobytes()
+            assert b.shape == b_ub.shape and b.tobytes() == b_ub.tobytes()
+
 
 class TestRadialBeta:
     def test_pure_radial_drift(self):
@@ -382,12 +406,19 @@ class TestThresholdConsistency:
                    - (math.sqrt(17) - 1) / 4) <= 1e-6
 
     def test_refinement_ordering(self):
-        # splitting the tail finer improves the recurrence bound but happens to
-        # worsen the transience bound; both orderings are intentional
+        # finer singleton partitions do not keep improving the recurrence
+        # bound: it rises from 2 to 3 classes and falls at 4 and again at 6;
+        # from 2 to 3 classes the transience bound happens to worsen
         rec2, trans2 = kappa_thresholds(2.0, 1.0)
         rec3 = (11 - math.sqrt(73)) / 4
         trans3 = (math.sqrt(17) - 1) / 4
+        rec4, rec6 = (bisect_verdict(lambda k: ex21_recurrence_verdict(k, m), 0.01, 1.0)
+                      for m in (4, 6))
         assert rec3 > rec2
+        assert rec4 < rec3
+        assert rec6 < rec4
+        assert rec4 == pytest.approx(0.5858, abs=1e-4)
+        assert rec6 == pytest.approx(0.5127, abs=1e-4)
         assert trans3 > trans2
         assert trans3 == pytest.approx(0.7807764, abs=1e-7)
         assert trans2 == pytest.approx(0.7320508, abs=1e-7)

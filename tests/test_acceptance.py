@@ -182,6 +182,7 @@ def test_criterion_5_power_drift_completeness():
     assert elapsed < 1.0
 
 
+@pytest.mark.slow
 def test_criterion_6_monte_carlo_corroboration():
     t0 = time.perf_counter()
     common = dict(x0=5.0, i0=0, r0=1.0, T=500.0, dt=1e-3, trials=500,

@@ -49,7 +49,7 @@ class SolverFailure(RegimeError):
 
 
 class InconsistentChecks(RegimeError):
-    """Equivalent certificate tests disagreed away from the singularity boundary."""
+    """A proved positive vector contradicted the minors test away from the singularity boundary."""
 
 
 class NoConvergence(RegimeError):

@@ -5,9 +5,9 @@ Z-matrix A, "nonsingular M-matrix", "all leading principal minors positive",
 "A^-1 >= 0", "some x >> 0 has A x >> 0" and "least real eigenvalue positive"
 are equivalent (Berman and Plemmons, ch. 6).  The verdict is the minors test,
 read from the pivots of one elimination of A / scale, which no size or
-entry of A can overflow; the eigenvalue cross-checks it and a positive
-vector x = A^-k 1 with a residual proof confirms it.  The certificates
-take Z-matrices only; ``leading_minors`` takes any square matrix.
+entry of A can overflow; a positive vector x = A^-k 1 with a residual proof
+confirms it, and alone proves A an M-matrix.  The certificates take
+Z-matrices only; ``leading_minors`` takes any square matrix.
 """
 
 from __future__ import annotations
@@ -122,50 +122,39 @@ def least_real_eigenvalue(a) -> float:
 class MMatrixCertificate:
     """Evidence for or against the nonsingular M-matrix verdict on a Z-matrix.
 
-    ``verdict`` is the minors test.  ``eigen_witness`` (the least real
-    eigenvalue) has the sign of the verdict, and ``positive_vector`` (x >> 0
-    with A x >> 0, proved) comes only with a true verdict, which is unproved
-    without it.  ``boundary`` flags verdicts within the round-off band of
-    singularity; ``minors`` then stops at the first leading block singular to
+    ``verdict`` is the minors test, and ``positive_vector`` (x >> 0 with
+    A x >> 0, proved) comes only with a true verdict, which is unproved
+    without it.  ``boundary`` flags a pivot within the round-off band of
+    zero; ``minors`` then stops at the first leading block singular to
     working accuracy.
     """
 
     verdict: bool
     minors: np.ndarray
     positive_vector: Optional[np.ndarray]
-    eigen_witness: float
     boundary: bool
 
 
 def is_nonsingular_mmatrix(a) -> MMatrixCertificate:
-    """Run the minors, semipositivity, and eigenvalue checks on the Z-matrix A.
+    """Run the minors and semipositivity checks on the Z-matrix A.
 
-    Away from the boundary band the minors and the eigenvalue must agree, and
-    a proved positive vector must agree with both, or InconsistentChecks is
-    raised (that signals ill-conditioning; perturb the input or fall back to
-    exact arithmetic at small sizes).
+    A proved positive vector with the minors test failing away from the
+    boundary band raises InconsistentChecks (that signals ill-conditioning;
+    perturb the input or fall back to exact arithmetic at small sizes).
     """
     m = _z_matrix(a)
-    scale = max(1.0, float(np.abs(m).max()))
-
     minors, pivots = leading_minors(m, return_pivots=True)
     minors_ok = bool((pivots > BOUNDARY_BAND).all())
-    eig_w = least_real_eigenvalue(m)
+    boundary = bool((np.abs(pivots) <= BOUNDARY_BAND).any())
     x = semipositive_certificate(m)
-
-    boundary = (bool((np.abs(pivots) <= BOUNDARY_BAND).any())
-                or abs(eig_w) <= BOUNDARY_BAND * scale)
-    sem_ok, eig_ok = x is not None, eig_w > 0
-    if not boundary and (minors_ok != eig_ok or (sem_ok and not minors_ok)):
-        raise InconsistentChecks(
-            f"minors={minors_ok}, semipositive={sem_ok}, eigen={eig_ok} "
-            "disagree away from the singularity boundary")
+    if not boundary and x is not None and not minors_ok:
+        raise InconsistentChecks("a proved positive vector contradicts the minors off the band")
 
     minors.setflags(write=False)
     if x is not None:
         x.setflags(write=False)
     return MMatrixCertificate(verdict=minors_ok, minors=minors, positive_vector=x,
-                              eigen_witness=eig_w, boundary=boundary)
+                              boundary=boundary)
 
 
 # ---------------------------------------------------------------------------

@@ -229,9 +229,17 @@ class _Kernel:
         if not top <= _MAX_SWITCH_PROB:
             if not np.isfinite(top):
                 _raise_bad_rate(q, xs, lam)
-            reg = int(lam[cum[-1].argmax()])
-            raise StepTooLarge(f"dt * q = {top:.3g} > 0.1 in regime {reg}; shrink dt")
+            p = int(cum[-1].argmax())
+            _check_diagonal(q, xs, lam, p)
+            raise StepTooLarge(f"dt * q = {top:.3g} > 0.1 in regime {lam[p]}; shrink dt")
         return cum
+
+
+def _check_diagonal(q: np.ndarray, xs: np.ndarray, lam: np.ndarray, p: int):
+    """Raise ValueError unless entry (lam[p], p) of the rate table is 0."""
+    if q[lam[p], p] != 0.0:
+        raise ValueError(f"rate_fn(x, lam) entry (lam[p], p) = ({lam[p]}, {p}) must be 0, "
+                         f"got {q[lam[p], p]:.6g} at x = {xs[p]:.6g}")
 
 
 def _raise_bad_rate(q: np.ndarray, xs: np.ndarray, lam: np.ndarray):
@@ -239,6 +247,7 @@ def _raise_bad_rate(q: np.ndarray, xs: np.ndarray, lam: np.ndarray):
     include a negative or non-finite value."""
     bad = ~(np.isfinite(q) & (q >= 0.0))
     p = int(bad.any(axis=0).argmax())
+    _check_diagonal(q, xs, lam, p)
     j = int(bad[:, p].argmax())
     i, value = int(lam[p]), float(q[j, p])
     where = f"q[{i},{j}](x = {float(xs[p]):.6g}) = {value:.6g}"

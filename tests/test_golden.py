@@ -43,6 +43,8 @@ import pytest
 
 from regime import SdeModel, cli, reproduce, run_ensemble, validate_qmatrix
 from regime.modelfile import load_model
+from regime.mmatrix import least_real_eigenvalue
+from test_mmatrix import exact_leading_minors, exactly_semipositive
 from test_simulate import step
 
 PLANE_SIGMA = np.array([[1.0, 0.3], [0.0, 0.8]])
@@ -346,6 +348,31 @@ def test_classify_verdicts_are_pinned(model_dir, capsys):
     for stem in stems:
         path = str(model_dir / f"{stem}.json")
         assert _verdicts(path, capsys) == pinned[stem], stem
+
+
+def test_conclusive_mmatrix_certificates_check_out(model_dir, capsys):
+    # every conclusive thm22/thm23/thm24 attempt, re-checked from its JSON
+    # certificate alone: the positive vector exactly, the eigenvalue, and the
+    # exact minors where they are cheap
+    seen = set()
+    for path in sorted(model_dir.glob("*.json")):
+        for mode in CLI_MODES:
+            if cli.main(["classify", str(path), "--criterion", mode]) == 1:
+                capsys.readouterr()
+                continue
+            for att in json.loads(capsys.readouterr().out)["attempted"]:
+                if (att["criterion"] not in ("thm22", "thm23", "thm24")
+                        or att.get("verdict", "inconclusive") == "inconclusive"):
+                    continue
+                cert = att["certificate"]
+                a = np.array(cert["matrix"])
+                where = (path.stem, mode, att["criterion"])
+                assert exactly_semipositive(a, cert["mmatrix"]["positive_vector"]), where
+                assert least_real_eigenvalue(a) > 0, where
+                if len(a) <= 8:
+                    assert all(m > 0 for m in exact_leading_minors(a)), where
+                seen.add(att["criterion"])
+    assert seen == {"thm22", "thm23", "thm24"}
 
 
 @pytest.mark.parametrize("stem", ["ou", "preset-abs"])

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from regime import mmatrix
+from regime.errors import InconsistentChecks
+from regime.mmatrix import BOUNDARY_BAND
 from regime import (
     invariant_measure,
     is_nonsingular_mmatrix,
@@ -249,7 +251,7 @@ class TestIllConditioned:
         a = birth_death_z_matrix(n, 1e4, 1e-6, np.zeros(n))
         a -= np.diag(np.diag(a) - 1.0)
         cert = is_nonsingular_mmatrix(a)
-        assert cert.verdict and not cert.boundary and cert.eigen_witness > 0
+        assert cert.verdict and not cert.boundary and least_real_eigenvalue(a) > 0
         assert cert.positive_vector is None
 
 
@@ -289,7 +291,26 @@ class TestIsNonsingularMMatrix:
         cert = is_nonsingular_mmatrix([[2, -1], [-1, 2]])
         assert cert.verdict and not cert.boundary
         assert cert.positive_vector is not None
-        assert cert.eigen_witness == pytest.approx(1.0, abs=1e-9)
+        assert least_real_eigenvalue([[2, -1], [-1, 2]]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_no_eigenvalue_is_computed(self, monkeypatch):
+        def forbidden(a):
+            raise AssertionError("the certificate must not compute eigenvalues")
+
+        monkeypatch.setattr(mmatrix, "least_real_eigenvalue", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+        cert = is_nonsingular_mmatrix([[2, -1], [-1, 2]])
+        assert cert.verdict and cert.positive_vector is not None
+
+    def test_proved_vector_against_failing_minors_raises(self, monkeypatch):
+        # the vector is proved on a dominant matrix, so a clearly negative pivot
+        # off the band is a fault, not a verdict
+        a = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        monkeypatch.setattr(mmatrix, "leading_minors",
+                            lambda m, return_pivots: (np.array([2.0, -1.0]),
+                                                      np.array([1.0, -0.5])))
+        with pytest.raises(InconsistentChecks, match="positive vector"):
+            is_nonsingular_mmatrix(a)
 
     def test_singular_case(self):
         cert = is_nonsingular_mmatrix([[1, -1], [-1, 1]])
@@ -320,12 +341,12 @@ class TestIsNonsingularMMatrix:
             n = int(rng.integers(1, 11))
             a = random_z_matrix(rng, n)
             cert = is_nonsingular_mmatrix(a)  # raises InconsistentChecks on failure
-            if cert.boundary:
+            tau = least_real_eigenvalue(a)
+            if cert.boundary or abs(tau) <= BOUNDARY_BAND * max(1.0, np.abs(a).max()):
                 continue
             checked += 1
             sem_ok = cert.positive_vector is not None
-            eig_ok = cert.eigen_witness > 0
-            assert cert.verdict == sem_ok == eig_ok
+            assert cert.verdict == sem_ok == (tau > 0)
         assert checked > 250
 
 

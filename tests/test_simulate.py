@@ -303,6 +303,25 @@ class TestStateDependentRateValues:
         with pytest.raises(UnboundedRate, match=r"x = 2\.99"):
             run_ensemble(model, x0=5.0, i0=0, r0=1.0, T=1.0, dt=1e-3, trials=100, seed=0)
 
+    def test_generator_column_names_the_diagonal(self):
+        # a column of Q (-q on the diagonal) is not the rate table; it used to
+        # fail as a negative off-diagonal rate q[0,0]
+        rates = StateDependentRates(n=2, rate_fn=lambda x, lam: np.where(
+            np.arange(2)[:, None] == lam, -1.0, 1.0) + 0.0 * x)
+        model = SdeModel(dim=1, drift=lambda x, lam: -x, sigma=lambda x, lam: 0.0, rates=rates)
+        with pytest.raises(ValueError, match=r"rate_fn\(x, lam\) entry \(lam\[p\], p\) = "
+                                             r"\(0, 0\) must be 0, got -1 at x = 3"):
+            run_ensemble(model, x0=3.0, i0=0, r0=1.0, T=1.0, dt=1e-3, trials=100, seed=0)
+
+    def test_positive_diagonal_is_not_a_step_too_large(self):
+        # a table of 60s counts the diagonal toward dt * q = 0.12, while the
+        # exit probability is 0.06, below the bound
+        rates = StateDependentRates(n=2, rate_fn=lambda x, lam: np.full((2, x.shape[0]), 60.0))
+        model = SdeModel(dim=1, drift=lambda x, lam: -x, sigma=lambda x, lam: 0.0, rates=rates)
+        with pytest.raises(ValueError, match=r"rate_fn\(x, lam\) entry \(lam\[p\], p\) = "
+                                             r"\(0, 0\) must be 0, got 60 at x = 3"):
+            run_ensemble(model, x0=3.0, i0=0, r0=1.0, T=1.0, dt=1e-3, trials=100, seed=0)
+
 
 class TestMultiDimensional:
     def test_matrix_sigma_plane_model(self):

@@ -27,7 +27,9 @@ positive vector, the matrix, its Z flag, its least real eigenvalue and the
 last bits of some minors changed, and no verdict did.  Eleven were
 re-recorded when the certificate dropped its Z-pattern flag, which every
 report printed as true: each transcript lost only its ``z_pattern_ok``
-lines.  ``VERDICTS_FILE`` pins,
+lines.  Eleven were re-recorded when the certificate stopped computing the
+least real eigenvalue: each transcript lost only its ``eigen_witness``
+lines, and no exit code changed.  ``VERDICTS_FILE`` pins,
 apart from certificate numbers, what every ``classify`` run concludes on the
 same documents: exit code, verdict, criterion, and each attempt's verdict and
 reason (or skip message, or error line).
@@ -150,30 +152,30 @@ STEP_SWITCHES = 26
 CLI_DIGEST = {
     ("cor31", "classify"): "59778622abbcf03a62a004eed14bed5f7fb888af13e3dafc09ef88fd323029d2",
     ("cor31", "simulate"): "0ec894992741274700c431ccef23bef3b7a188f381f87b0416208cafba0cd3be",
-    ("ex21", "classify"): "6ce2a0db5a0426e370465ca170f6310f2a05efb7ded18c8eead89952d246b547",
-    ("ex22", "classify"): "a26dbb8fe1912f1e45811d14040ce5d857e516ee36581da9e4d88325e1d601a8",
+    ("ex21", "classify"): "12c3e413fe80c88b27d02ccbfe9a49891c3d41acd861bc1ddfff4a768c675071",
+    ("ex22", "classify"): "9f1074a1ea19db7bf5e835c1da122edd20762b5afe9b66e21f41605478b1d3ec",
     ("ex22", "simulate"): "5ecf65ce543d54e6fa7cd00a24b6a5e79c7c12145996c35319ac950f10a4897b",
     ("ou", "classify"): "10d14ac1a22246ee70618314dec6a903c0a3fb5f23056a9ef0af9927cfd76767",
     ("ou", "simulate"): "4ecad45025270891523b810887e1ce949049489dc718a6ddd0419b22254609d1",
-    ("beta-boundary", "classify-modes"): "38e5175497069c54769c1989db6e3774e166149bc87d25444abd031a658dc6b3",
-    ("beta-inf", "classify-modes"): "923bc6b2ec4b380ff63b92397df409b64b5c8b5d103c4f7f93c9462d4689d29e",
-    ("beta-zero", "classify-modes"): "8ceb90cd53e248d833f6fdccbae269441af1f293757d4f50bda4b57838ca3b29",
+    ("beta-boundary", "classify-modes"): "4c3f6d3803955a55af97e4ea814d1dde6c2927aab7ce84982d90406b880d5de5",
+    ("beta-inf", "classify-modes"): "39913561bbe07a59364e222f908f2bd8178c57fb87d79a9b4efcea1ff4ec3058",
+    ("beta-zero", "classify-modes"): "a1f181a57dc6632748cc090c4528d99d2ff356f65b2ad567246fc7661ce2397a",
     ("cor31", "classify-modes"): "161fada3cefab37e8d194881a43c94dc72ebc131d97fdea8b51b008e03ab21eb",
-    ("ex21", "classify-modes"): "dd23ba95696d0e7f52424b87d5f6a8011982a5aa7723f1b92ff166b9124bfdea",
-    ("ex22", "classify-modes"): "831d9b9a21cdcd7c09f775396d6548a307d38c954649b84425ace30aaba32689",
-    ("infinite-gap", "classify-modes"): "fb3406c81943ca6ac3a94df5deb1d91a65006a1c1275c6a214ad2ac72068ad3e",
+    ("ex21", "classify-modes"): "2f5b4afd960a2a2d0b859b61fb64dcc597daae5ff66c61ecce15cc1ce6cc5a00",
+    ("ex22", "classify-modes"): "aea75d60218b4af11fbe7f81cfa31bafd7c26f05e943800730b9d13574fecf91",
+    ("infinite-gap", "classify-modes"): "417c9d23a5bc56a87baaeb0b5bf1445704ac4a5d151d68970cb78e131f8f473c",
     ("infinite-no-partition", "classify-modes"): "8fdfb0de35ef5e1609c359e395a2a5f03be7a0b7a2678533f98baf3cc0f31414",
     ("infinite-transient-chain", "classify-modes"): "8691571054ea89af56a7f426c57af5cb6c9d77c274517ab4eb91331ca9b0b780",
-    ("infinite-zero", "classify-modes"): "77aa2b9ab7543f5b2e1346083951a2a9fa03331a708cd453854dbf82b9e36da0",
+    ("infinite-zero", "classify-modes"): "fe28f9880dda633a225a19f12a1b044ef79c8617ad129a21916d4bb8c7ddea87",
     ("ou", "classify-modes"): "4df40d1b07722b17184a0ad5096da9e9ff36e9020b1e719b80c0a73e6e2dc380",
     ("power-linear", "classify-modes"): "4df40d1b07722b17184a0ad5096da9e9ff36e9020b1e719b80c0a73e6e2dc380",
-    ("preset-abs", "classify-modes"): "e0eebbd912a65e6587e1650e9e7c18020b03d9b22218b76849954758d063d44d",
+    ("preset-abs", "classify-modes"): "78b61cfd4a8665185e7bf1cc3c28a385222a5ba5fe33015a85282837f201bbdd",
     ("preset-inverse-abs", "classify-modes"): "96b256d8322f5dea5f245eb76c2556c5cb10b2cb224c2b8a5cecfb8586d4cf36",
     ("radial", "classify-modes"): "c937c3d4d7ea669dea8531ead0b15f7eabe236765993e6e49dfa967e5ba70248",
     ("radial-gap", "classify-modes"): "8d0022cc4570dd3222a4b2200cbb54363d8950501babf2eeb21f209a3bd4ce16",
     ("two-matrix", "classify-modes"): "162ae590799d13ceb9b9a9c0875d06654e3a3237b2a969e3f4af55c55b56e980",
     ("two-matrix-gap", "classify-modes"): "1510ff89934215575eb4a55c819ac0b169c7de0577665e7f150097b4a89e0223",
-    ("two-rates", "classify-modes"): "0f9c380669fbb43b188bf425bf8e3bbf61b5609207146023fa96f5827c4abb3f",
+    ("two-rates", "classify-modes"): "bc6a1b176f9cc8f6788407f4cde8214e59c8391c52ca4044278d69aaa045b0be",
     ("two-rates-gap", "classify-modes"): "e559eeb39ce2d9085621d032755f5a894c9eed50e2c74842ef437c9a7935628a",
 }
 CLI_SIMULATE_ARGS = ["--x0", "2", "--r0", "1", "--T", "1.0", "--dt", "0.01",

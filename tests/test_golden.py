@@ -43,9 +43,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regime import SdeModel, cli, reproduce, run_ensemble, validate_qmatrix
+from regime import (SdeModel, cli, least_real_eigenvalue, reproduce, run_ensemble,
+                    validate_qmatrix)
 from regime.modelfile import load_model
-from regime.mmatrix import least_real_eigenvalue
 from test_mmatrix import exact_leading_minors, exactly_semipositive
 from test_simulate import step
 

@@ -32,7 +32,9 @@ least real eigenvalue: each transcript lost only its ``eigen_witness``
 lines, and no exit code changed.  ``VERDICTS_FILE`` pins,
 apart from certificate numbers, what every ``classify`` run concludes on the
 same documents: exit code, verdict, criterion, and each attempt's verdict and
-reason (or skip message, or error line).
+reason (or skip message, or error line).  ``three-rates`` joined the pinned
+documents as the one whose thm32 certificate needs a non-constant eta; its
+verdicts were pinned before thm32 was posed over the increments of eta.
 """
 
 import dataclasses
@@ -200,6 +202,15 @@ _Q2 = {"kind": "matrix", "entries": [[-1.0, 1.0], [2.0, -2.0]]}
 _RATES2 = {"kind": "rates",
            "entries": [{"i": 1, "j": 2, "expr": "1.0*(1+2*x)/(1+x)", "inf": 1.0, "sup": 2.0},
                        {"i": 2, "j": 1, "expr": "(1+2*x)/(1+x)", "inf": 1.0, "sup": 2.0}]}
+# three hinted regimes; Q~ is [[-1.5, 1, 0.5], [2, -3, 1], [1, 1, -2]], and
+# beta_1 = 0.5 > -1 makes every thm32 certificate raise eta_1 above eta_3
+_RATES3 = {"kind": "rates",
+           "entries": [{"i": 1, "j": 2, "expr": "1 + x/(1 + x)", "inf": 1.0, "sup": 2.0},
+                       {"i": 1, "j": 3, "expr": "0.5 + 0.5*x/(1 + x)", "inf": 0.5, "sup": 1.0},
+                       {"i": 2, "j": 1, "expr": "2 - exp(-x)", "inf": 1.0, "sup": 2.0},
+                       {"i": 2, "j": 3, "expr": "1 + exp(-x)", "inf": 1.0, "sup": 2.0},
+                       {"i": 3, "j": 1, "expr": "1 - 0.5*exp(-x)", "inf": 0.5, "sup": 1.0},
+                       {"i": 3, "j": 2, "expr": "0.5 + 0.5*tanh(x)", "inf": 0.5, "sup": 1.0}]}
 
 
 def _birth_death(kappa, cutpoints, tag, a=2.0, b=1.0):
@@ -237,6 +248,8 @@ CLASSIFY_DOCS = {
                   "two_function": {"beta": [-2.0, -2.0], "h_limit": "to-zero"}},
     "two-rates-gap": {"regimes": 2, "q": _RATES2,
                       "two_function": {"beta": [0.5, 0.5], "h_limit": "to-infinity"}},
+    "three-rates": {"regimes": 3, "q": _RATES3,
+                    "two_function": {"beta": [0.5, -3.0, -5.0], "h_limit": "to-infinity"}},
     "radial": {"regimes": 2, "q": _Q2, "dimension": 2,
                "drift": {"kind": "radial", "delta": 0.0,
                          "radial_component": [[-1.0, 0.2], [-0.8, 0.4]]}},

@@ -302,22 +302,26 @@ def classify_two_function_state_dependent(q_tilde: QMatrix, beta, h_limit: Limit
     """State-dependent two-function test via a nonincreasing weight eta.
 
     Searches for eta_1 >= ... >= eta_n >= 1 with beta_i + (Q~ eta)_i <= -1
-    componentwise (the strict inequalities are scale-invariant, so the unit
-    slack loses nothing).  Feasible eta certifies the h-limit verdict.
+    componentwise (the strict inequalities with a unit margin).  Feasible eta
+    certifies the h-limit verdict.
+
+    Every row of Q~ sums to 0, so adding a constant to eta leaves Q~ eta
+    unchanged, and eta_n = 1 loses nothing.  The LP is posed over the n - 1
+    increments d_l = eta_l - eta_{l+1} >= 0, whose signs are the monotonicity:
+    eta_k = 1 + sum_{l >= k} d_l gives (Q~ eta)_i = sum_l d_l sum_{k <= l} q~_ik,
+    so its n rows are the first n - 1 columns of the row-wise cumulative sums
+    of Q~, with right-hand side -1 - beta.
     """
     b = np.asarray(beta, dtype=float).ravel()
     n = q_tilde.n
     if b.shape != (n,):
         raise ValueError("beta length must match the number of regimes")
-    # rows i < n-1: eta_{i+1} - eta_i <= 0; row n-1: -eta_n <= -1; then
-    # (Q~ eta)_i <= -1 - beta_i
-    a_ub = np.vstack([np.eye(n, k=1) - np.eye(n), q_tilde.entries])
-    rhs = np.concatenate([np.zeros(n - 1), [-1.0], -1.0 - b])
-    eta = feasible_point(a_ub, rhs)
-    if eta is None:
+    d = feasible_point(np.cumsum(q_tilde.entries, axis=1)[:, :-1], -1.0 - b)
+    if d is None:
         return Classification(Verdict.INCONCLUSIVE, "thm32", {"beta": b},
                               reason="no nonincreasing positive eta satisfies "
                                      "beta + Q~ eta << 0")
+    eta = 1.0 + np.cumsum(np.append(d, 0.0)[::-1])[::-1]  # eta_k = 1 + sum_{l >= k} d_l
     return Classification(_verdict(h_limit, Verdict.RECURRENT), "thm32", {"beta": b, "eta": eta})
 
 

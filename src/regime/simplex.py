@@ -1,7 +1,8 @@
 """Small dense phase-1 simplex for linear feasibility questions.
 
-The certificate searches in this package only ever ask "is there an x >= 0
-with A x <= b", with a few dozen variables and up to a few hundred rows, so a
+Its one run-time caller is the thm32 test
+(``criteria.classify_two_function_state_dependent``), which asks "is there an
+x >= 0 with A x <= b" with n rows and n - 1 variables for n regimes, so a
 dense tableau with Bland's rule is plenty and keeps the answer
 self-contained.
 
@@ -49,6 +50,8 @@ def feasible_point(a_ub, b_ub, max_iter: int = 20000) -> Optional[np.ndarray]:
         raise ValueError("feasibility data must be finite")
     if (b >= 0).all():
         return np.zeros(n)  # the slack basis is already feasible
+    if n == 0:
+        return None  # nothing to choose, and some row asks 0 <= b_i < 0
 
     # row-equilibrate, flip rows to rhs >= 0, add slacks and artificials
     norms = np.maximum(np.abs(a).max(axis=1), np.abs(b))

@@ -29,6 +29,7 @@ from regime import (
     validate_qmatrix,
 )
 from regime.errors import ChainNotRecurrent, NotSolvable
+from regime.simplex import feasible_point
 from regime.reproduce import (
     ex21_beta,
     ex21_chain,
@@ -236,9 +237,15 @@ class TestClassifyTwoFunctionStateDependent:
         out = classify_two_function_state_dependent(Q2, [0.5, -1.0], TO_INF)
         assert out.verdict is Verdict.INCONCLUSIVE
 
-    def test_lp_is_the_row_by_row_system(self, monkeypatch):
-        # reference: the row-by-row construction the eye differences replaced;
-        # the LP must be byte-identical so that its Bland vertex is too
+    def test_one_regime_poses_an_lp_with_no_variables(self):
+        # Q~ = [[0]] leaves beta + Q~ eta = beta, and eta = (1,)
+        q = validate_qmatrix([[0.0]])
+        assert classify_two_function_state_dependent(q, [0.5], TO_INF).verdict is Verdict.INCONCLUSIVE
+        out = classify_two_function_state_dependent(q, [-2.0], TO_INF)
+        assert out.verdict is Verdict.RECURRENT
+        assert out.certificate["eta"].tolist() == [1.0]
+
+    def test_lp_is_over_the_increments_of_eta(self, monkeypatch):
         posed = []
         monkeypatch.setattr(criteria, "feasible_point", lambda a, b: posed.append((a, b)))
         rng = np.random.default_rng(32)
@@ -246,19 +253,53 @@ class TestClassifyTwoFunctionStateDependent:
             q = random_generator(rng, n) if n > 1 else validate_qmatrix([[0.0]])
             beta = rng.standard_normal(n)
             classify_two_function_state_dependent(q, beta, TO_INF)
-            rows, rhs = [], []
-            for i in range(n - 1):
-                r = np.zeros(n)
-                r[i + 1], r[i] = 1.0, -1.0
-                rows.append(r)
-                rhs.append(0.0)
-            last = np.zeros(n)
-            last[n - 1] = -1.0
-            a_ub = np.vstack(rows + [last, q.entries])
-            b_ub = np.asarray(rhs + [-1.0] + (-1.0 - beta).tolist())
             a, b = posed.pop()
-            assert a.shape == a_ub.shape and a.tobytes() == a_ub.tobytes()
-            assert b.shape == b_ub.shape and b.tobytes() == b_ub.tobytes()
+            want = np.cumsum(q.entries, axis=1)[:, :-1]
+            assert a.shape == (n, n - 1) and a.tobytes() == want.tobytes()
+            assert b.tobytes() == (-1.0 - beta).tobytes()
+
+    def test_verdict_is_the_row_systems(self):
+        # the row system over eta, solved by the same simplex, decides alike,
+        # and each returned eta satisfies its rows
+        for n, kind, q, beta in thm32_systems():
+            a_ub, b_ub = thm32_row_system(q, beta)
+            out = classify_two_function_state_dependent(q, beta, TO_INF)
+            assert out.conclusive == (feasible_point(a_ub, b_ub) is not None), (n, kind)
+            assert out.conclusive == THM32_FEASIBLE.get(kind, out.conclusive), (n, kind)
+            if out.conclusive:
+                assert (a_ub @ out.certificate["eta"] <= b_ub + 1e-9).all(), (n, kind)
+
+
+def thm32_row_system(q, beta):
+    """The thm32 LP as rows over eta: eta_{i+1} - eta_i <= 0, -eta_n <= -1,
+    then (Q~ eta)_i <= -1 - beta_i."""
+    n = q.n
+    a_ub = np.vstack([np.eye(n, k=1) - np.eye(n), q.entries])
+    return a_ub, np.concatenate([np.zeros(n - 1), [-1.0], -1.0 - np.asarray(beta)])
+
+
+# a feasible eta gives mu.beta = mu.(beta + Q~ eta) <= -1, so only the kinds
+# built around a decreasing eta with mu.beta < -1 are feasible
+THM32_FEASIBLE = {"lp": True, "edge-below": True, "edge-above": False,
+                  "mu.beta=+0.5": False, "mu.beta=-0.5": False}
+
+
+def thm32_systems():
+    """Seeded (n, kind, Q~, beta) at n = 1, 2, 5, 12, 20, 50: the benchmark's
+    four kinds (beta < 0; mu.beta = +0.5 or -0.5; feasible by construction)
+    and beta 1e-6 on either side of the Farkas edge mu.beta = -1."""
+    rng = np.random.default_rng(3232)
+    for n in (1, 2, 5, 12, 20, 50):
+        q = random_generator(rng, n) if n > 1 else validate_qmatrix([[0.0]])
+        mu = invariant_measure(q)
+        yield n, "dominant", q, -(0.5 + rng.random(n))
+        for shift in (0.5, -0.5):
+            beta = rng.standard_normal(n)
+            yield n, f"mu.beta={shift:+}", q, beta + shift - mu @ beta
+        eta = 1.0 + np.sort(2.0 * rng.random(n))[::-1]
+        yield n, "lp", q, -1.0 - q.entries @ eta - (0.1 + 0.4 * rng.random(n))
+        for kind, margin in (("edge-below", 1e-6), ("edge-above", -1e-6)):
+            yield n, kind, q, -1.0 - q.entries @ eta - margin
 
 
 class TestRadialBeta:

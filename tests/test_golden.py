@@ -40,6 +40,7 @@ verdicts were pinned before thm32 was posed over the increments of eta.
 import dataclasses
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,7 @@ import pytest
 
 from regime import (SdeModel, cli, least_real_eigenvalue, reproduce, run_ensemble,
                     validate_qmatrix)
+from regime.markov import bound_rates
 from regime.modelfile import load_model
 from test_mmatrix import exact_leading_minors, exactly_semipositive
 from test_simulate import step
@@ -388,6 +390,33 @@ def test_conclusive_mmatrix_certificates_check_out(model_dir, capsys):
                     assert all(m > 0 for m in exact_leading_minors(a)), where
                 seen.add(att["criterion"])
     assert seen == {"thm22", "thm23", "thm24"}
+
+
+def test_conclusive_thm32_certificates_check_out(model_dir, capsys):
+    # every conclusive thm32 attempt, re-checked in exact arithmetic against
+    # the model's own beta and the Q~ that bound_rates makes of the loaded model
+    seen = set()
+    for path in sorted(model_dir.glob("*.json")):
+        for mode in CLI_MODES:
+            if cli.main(["classify", str(path), "--criterion", mode]) == 1:
+                capsys.readouterr()
+                continue
+            for att in json.loads(capsys.readouterr().out)["attempted"]:
+                if att["criterion"] != "thm32" or att.get("verdict", "inconclusive") == "inconclusive":
+                    continue
+                model = load_model(path)
+                q = [[Fraction(v) for v in row]
+                     for row in bound_rates(model.switching, model.scan).entries.tolist()]
+                beta = [Fraction(v) for v in model.two_function.beta.tolist()]
+                eta = [Fraction(v) for v in att["certificate"]["eta"]]
+                where = (path.stem, mode)
+                assert [Fraction(v) for v in att["certificate"]["beta"]] == beta, where
+                assert all(e > 0 for e in eta), where
+                assert all(a >= b for a, b in zip(eta, eta[1:])), where
+                assert all(b + sum(qij * e for qij, e in zip(row, eta)) < 0
+                           for b, row in zip(beta, q)), where
+                seen.add((path.stem, len(set(eta)) > 1))
+    assert seen == {("two-rates", False), ("three-rates", True)}
 
 
 @pytest.mark.parametrize("stem", ["ou", "preset-abs"])

@@ -257,3 +257,9 @@ def test_shape_mismatch_raises_value_error(a_ub, b_ub):
 def test_nonfinite_data_raises_value_error(a_ub, b_ub):
     with pytest.raises(ValueError, match="finite"):
         feasible_point(a_ub, b_ub)
+
+
+def test_no_variables_is_feasible_only_when_b_is_nonnegative():
+    assert feasible_point(np.zeros((2, 0)), [1.0, -1.0]) is None
+    x = feasible_point(np.zeros((2, 0)), [1.0, 0.0])
+    assert x is not None and x.shape == (0,)

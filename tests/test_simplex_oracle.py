@@ -6,7 +6,9 @@ points to a defect in one of the two.  The systems are feasible by
 construction (some with tight, degenerate rows), infeasible by construction
 (a contradictory pair of rows), or drawn freely, with many zero and unit
 entries.  The same systems also check that the vectorised tableau returns
-the row-by-row loop's vertex bit for bit.
+the row-by-row loop's vertex bit for bit.  The thm32 verdict, which poses its
+LP over the increments of eta, is checked against HiGHS on the row system
+over eta itself.
 """
 
 import numpy as np
@@ -17,7 +19,9 @@ linprog = pytest.importorskip("scipy.optimize").linprog
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from regime import Limit, classify_two_function_state_dependent, validate_qmatrix  # noqa: E402
 from regime.simplex import feasible_point  # noqa: E402
+from test_criteria import thm32_row_system, thm32_systems  # noqa: E402
 from test_simplex import _digest, _loop_feasible_point  # noqa: E402
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
@@ -94,3 +98,28 @@ def test_feasible_systems_agree_with_highs(system):
 @given(infeasible_systems())
 def test_infeasible_systems_agree_with_highs(system):
     _check(*system, want=False)
+
+
+@st.composite
+def thm32_integer_systems(draw):
+    """An n-regime generator with integer rates 1..3 and integer beta."""
+    n = draw(st.integers(1, 5))
+    a = _matrix(draw, n, n, 1, 3)
+    np.fill_diagonal(a, 0.0)
+    np.fill_diagonal(a, -a.sum(axis=1))
+    beta = np.array(draw(st.lists(st.integers(-6, 2), min_size=n, max_size=n)), dtype=float)
+    return validate_qmatrix(a), beta
+
+
+@SETTINGS
+@given(thm32_integer_systems())
+def test_thm32_integer_systems_agree_with_highs(system):
+    q, beta = system
+    out = classify_two_function_state_dependent(q, beta, Limit.TO_INFINITY)
+    assert out.conclusive == _highs_feasible(*thm32_row_system(q, beta))
+
+
+def test_thm32_verdicts_agree_with_highs():
+    for n, kind, q, beta in thm32_systems():
+        out = classify_two_function_state_dependent(q, beta, Limit.TO_INFINITY)
+        assert out.conclusive == _highs_feasible(*thm32_row_system(q, beta)), (n, kind)

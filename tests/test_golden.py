@@ -34,7 +34,10 @@ apart from certificate numbers, what every ``classify`` run concludes on the
 same documents: exit code, verdict, criterion, and each attempt's verdict and
 reason (or skip message, or error line).  ``three-rates`` joined the pinned
 documents as the one whose thm32 certificate needs a non-constant eta; its
-verdicts were pinned before thm32 was posed over the increments of eta.
+verdicts were pinned before thm32 was posed over the increments of eta, and
+its digest after, when its eta became exactly (2, 1, 1) (it was
+(1.9999999999999998, 0.9999999999999999, 1.0), not nonincreasing).  No other
+digest moved with that change.
 """
 
 import dataclasses
@@ -181,6 +184,7 @@ CLI_DIGEST = {
     ("two-matrix-gap", "classify-modes"): "1510ff89934215575eb4a55c819ac0b169c7de0577665e7f150097b4a89e0223",
     ("two-rates", "classify-modes"): "bc6a1b176f9cc8f6788407f4cde8214e59c8391c52ca4044278d69aaa045b0be",
     ("two-rates-gap", "classify-modes"): "e559eeb39ce2d9085621d032755f5a894c9eed50e2c74842ef437c9a7935628a",
+    ("three-rates", "classify-modes"): "56e16df56df8951fe11db13c84cbed2db992733a7b73975fe755f2641fd7c7a3",
 }
 CLI_SIMULATE_ARGS = ["--x0", "2", "--r0", "1", "--T", "1.0", "--dt", "0.01",
                      "--trials", "100", "--seed", "3"]

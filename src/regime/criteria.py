@@ -302,8 +302,8 @@ def classify_two_function_state_dependent(q_tilde: QMatrix, beta, h_limit: Limit
     """State-dependent two-function test via a nonincreasing weight eta.
 
     Searches for eta_1 >= ... >= eta_n >= 1 with beta_i + (Q~ eta)_i <= -1
-    componentwise (the strict inequalities with a unit margin).  Feasible eta
-    certifies the h-limit verdict.
+    componentwise: the strict inequalities, posed with a unit margin.  Feasible
+    eta certifies the h-limit verdict.
 
     Every row of Q~ sums to 0, so adding a constant to eta leaves Q~ eta
     unchanged, and eta_n = 1 loses nothing.  The LP is posed over the n - 1
@@ -321,7 +321,7 @@ def classify_two_function_state_dependent(q_tilde: QMatrix, beta, h_limit: Limit
         return Classification(Verdict.INCONCLUSIVE, "thm32", {"beta": b},
                               reason="no nonincreasing positive eta satisfies "
                                      "beta + Q~ eta << 0")
-    eta = 1.0 + np.cumsum(np.append(d, 0.0)[::-1])[::-1]  # eta_k = 1 + sum_{l >= k} d_l
+    eta = 1.0 + np.cumsum(np.append(d, 0.0)[::-1])[::-1]
     return Classification(_verdict(h_limit, Verdict.RECURRENT), "thm32", {"beta": b, "eta": eta})
 
 

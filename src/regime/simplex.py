@@ -51,7 +51,7 @@ def feasible_point(a_ub, b_ub, max_iter: int = 20000) -> Optional[np.ndarray]:
     if (b >= 0).all():
         return np.zeros(n)  # the slack basis is already feasible
     if n == 0:
-        return None  # nothing to choose, and some row asks 0 <= b_i < 0
+        return None  # with no variables row i reads 0 <= b_i, and some b_i < 0
 
     # row-equilibrate, flip rows to rhs >= 0, add slacks and artificials
     norms = np.maximum(np.abs(a).max(axis=1), np.abs(b))

@@ -29,7 +29,6 @@ from regime import (
     validate_qmatrix,
 )
 from regime.errors import ChainNotRecurrent, NotSolvable
-from regime.simplex import feasible_point
 from regime.reproduce import (
     ex21_beta,
     ex21_chain,
@@ -38,6 +37,7 @@ from regime.reproduce import (
     ex21_transience_verdict,
     ex22_qtilde,
 )
+from regime.simplex import feasible_point
 
 Q2 = validate_qmatrix([[-1.0, 1.0], [2.0, -2.0]])
 TO_INF, TO_ZERO = Limit.TO_INFINITY, Limit.TO_ZERO

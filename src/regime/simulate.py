@@ -13,11 +13,13 @@ One step of a whole batch is a fixed handful of numpy operations
 a constant generator instead gathers a per-ensemble table of cumulative
 rates.
 
-Reproducibility contract: path k draws from its own generator seeded with
-``SeedSequence(seed, spawn_key=(k,))``, consuming one block of normals and one
-block of uniforms per BLOCK steps.  Results are therefore bitwise identical
-for a given (seed, config) no matter how paths are chunked; aggregation is
-ordered by path index.
+Reproducibility contract: path k draws from exactly numpy's PCG64 stream
+seeded with ``SeedSequence(seed, spawn_key=(k,))``, consuming one block of
+normals and one block of uniforms per BLOCK steps.  The states of all paths
+are derived in one vectorised pass (``_path_states``, checked against numpy
+in the tests) and one generator is switched between them.  Results are
+therefore bitwise identical for a given (seed, config), and for per-axis
+noise no matter how paths are chunked; aggregation is ordered by path index.
 """
 
 from __future__ import annotations
@@ -31,8 +33,19 @@ from .errors import NegativeOffDiagonal, StepTooLarge, UnboundedRate
 from .markov import QMatrix, StateDependentRates, TailHomogeneousChain, validate_qmatrix
 
 BLOCK = 8192
+# paths drawn into one contiguous scratch before a single copy into the
+# step-major buffers
+_FILL_GROUP = 32
 # largest admissible switching probability q_i(x) dt of one step
 _MAX_SWITCH_PROB = 0.1 + 1e-12
+
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,6 +269,62 @@ def _raise_bad_rate(q: np.ndarray, xs: np.ndarray, lam: np.ndarray):
     raise NegativeOffDiagonal(f"switching rate {where} is negative")
 
 
+def _hashmix(value: np.ndarray, h: int, mult: int = _MULT_A) -> tuple:
+    """SeedSequence's ``hashmix`` of a uint32 array; returns it with the
+    advanced hash constant."""
+    value = value ^ np.uint32(h)
+    h = (h * mult) & _MASK32
+    value *= np.uint32(h)
+    value ^= value >> 16
+    return value, h
+
+
+def _path_states(seed: int, path_ids: np.ndarray) -> list:
+    """PCG64 state of ``SeedSequence(seed, spawn_key=(k,))`` for every path id k.
+
+    The same states numpy derives one path at a time, in one pass vectorised
+    over the paths.  A one-word spawn key enters the entropy last, so it is
+    mixed into the parent's pool by four more ``hashmix`` rounds, whose hash
+    constant has advanced 16 + 4 max(0, words - 4) steps past INIT_A while
+    the parent's ``words`` entropy words were mixed.
+    ``generate_state(4, uint64)`` then hashes the pool into the LCG's initial
+    state and stream, and PCG64's ``srandom`` steps it twice.  Returns one
+    ``bit_generator.state`` dict per path.
+    """
+    ids = np.asarray(path_ids)
+    if ids.size and not (ids.min() >= 0 and ids.max() <= _MASK32):
+        # numpy spreads a larger key over two words
+        raise ValueError("path ids must lie in [0, 2**32)")
+    pool = np.random.SeedSequence(entropy=seed).pool.tolist()
+    words = max(1, -(-int(seed).bit_length() // 32))
+    h = _INIT_A
+    for _ in range(16 + 4 * max(0, words - 4)):
+        h = (h * _MULT_A) & _MASK32
+    key = ids.astype(np.uint32)
+    mixer = []
+    for word in pool:
+        mixed, h = _hashmix(key, h)
+        m = np.uint32((_MIX_L * word) & _MASK32) - np.uint32(_MIX_R) * mixed
+        m ^= m >> 16
+        mixer.append(m)
+    h = _INIT_B
+    halves = []
+    for i in range(8):
+        value, h = _hashmix(mixer[i % 4], h, _MULT_B)
+        halves.append(value.astype(np.uint64))
+    # little-endian pairs of words: the high and low halves of the initial
+    # state, then of the stream selector
+    s_hi, s_lo, q_hi, q_lo = ((halves[2 * j] | halves[2 * j + 1] << np.uint64(32)).tolist()
+                              for j in range(4))
+    states = []
+    for a, b, c, e in zip(s_hi, s_lo, q_hi, q_lo):
+        inc = (((c << 64) | e) << 1 | 1) & _MASK128
+        state = ((inc + ((a << 64) | b)) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
 def _simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: int,
                     r0: float, n_steps: int, dt: float, seed: int) -> tuple:
     """Run a block of paths to min(hitting time, horizon).
@@ -264,28 +333,46 @@ def _simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: i
     order; a step where some path hits removes it.  Random numbers sit in
     step-major buffers, one column per active path at the start of each
     block, so a step reads a contiguous row until the first path of the
-    block retires.  Returns each path's hitting time (nan if none), final
-    radius (at the hit for returned paths) and whether it is still out.
+    block retires.  One generator serves every path: it is set to a path's
+    state, draws that path's block into a contiguous group scratch, and
+    the group is copied into the buffers at once.  Returns each path's
+    hitting time (nan if none), final radius (at the hit for returned paths)
+    and whether it is still out.
     """
     k = path_ids.size
     d = model.dim
     kernel = _Kernel(model, dt)
-    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(int(pid),)))
-            for pid in path_ids]
+    states = _path_states(seed, path_ids)
+    gen = np.random.Generator(np.random.PCG64())
+    bitgen = gen.bit_generator
     x_end = np.tile(x0, (k, 1))
     hit_time = np.full(k, np.nan)
     ids = np.arange(k)
     x = x_end.copy()
     lam = np.full(k, i0, dtype=np.intp)
 
-    z_buf = np.empty((BLOCK, k, d))
-    u_buf = np.empty((BLOCK, k))
+    rows = min(BLOCK, n_steps)
+    z_buf = np.empty((rows, k, d))
+    u_buf = np.empty((rows, k))
+    group = min(_FILL_GROUP, k)
+    z_grp = np.empty((group, rows, d))
+    u_grp = np.empty((group, rows))
     done_steps = 0
     while done_steps < n_steps and ids.size:
         span = min(BLOCK, n_steps - done_steps)
-        for col, j in enumerate(ids.tolist()):
-            z_buf[:span, col] = rngs[j].standard_normal((span, d))
-            u_buf[:span, col] = rngs[j].random(span)
+        more = done_steps + span < n_steps
+        active = ids.tolist()
+        for c0 in range(0, len(active), group):
+            members = active[c0:c0 + group]
+            for g, j in enumerate(members):
+                bitgen.state = states[j]
+                gen.standard_normal(out=z_grp[g, :span])
+                gen.random(out=u_grp[g, :span])
+                if more:
+                    states[j] = bitgen.state
+            c1 = c0 + len(members)
+            z_buf[:span, c0:c1] = z_grp[:len(members), :span].swapaxes(0, 1)
+            u_buf[:span, c0:c1] = u_grp[:len(members), :span].T
         width = ids.size
         cols = None  # buffer columns of the active paths once one has retired
         for s in range(span):
@@ -325,6 +412,9 @@ def run_ensemble(model: SdeModel, x0, i0: int, r0: float, T: float, dt: float,
 
     Paths run until they enter the ball of radius r0 or the horizon T ends.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = int(seed)
     x0v = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0v.shape != (model.dim,):
         raise ValueError("x0 must match the model dimension")

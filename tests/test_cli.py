@@ -354,6 +354,14 @@ class TestSimulateCommand:
         assert out == "" and len(err.splitlines()) == 1
         assert err.startswith("error: trials must be at least 100")
 
+    def test_negative_seed_fails_with_one_error_line(self, tmp_path, capsys):
+        path = write_model(tmp_path, benchmark_documents()["ou"])
+        assert main(["simulate", path, "--x0", "3", "--r0", "1", "--T", "1.0",
+                     "--dt", "0.01", "--trials", "100", "--seed", "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: seed must be a non-negative integer")
+
     def test_infinite_chain_fails_with_one_error_line(self, tmp_path, capsys):
         doc = benchmark_documents()["ex21"]
         doc.update(drift={"kind": "ou", "b": [-1.0]}, sigma=1.0)

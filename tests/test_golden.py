@@ -49,21 +49,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regime import (SdeModel, cli, least_real_eigenvalue, reproduce, run_ensemble,
-                    validate_qmatrix)
+from regime import cli, least_real_eigenvalue, reproduce, run_ensemble
 from regime.markov import bound_rates
 from regime.modelfile import load_model
 from test_mmatrix import exact_leading_minors, exactly_semipositive
-from test_simulate import step
-
-PLANE_SIGMA = np.array([[1.0, 0.3], [0.0, 0.8]])
-
-
-def _plane_model():
-    return SdeModel(dim=2, drift=lambda x, lam: -0.5 * x,
-                    sigma=lambda x, lam: PLANE_SIGMA,
-                    rates=validate_qmatrix([[-1.0, 1.0], [2.0, -2.0]]),
-                    sigma_mode="matrix")
+from test_simulate import plane_model, step
 
 
 # name -> (model builder taking the emitted-model directory, run_ensemble kwargs)
@@ -83,7 +73,7 @@ CASES = {
                dict(x0=3.0, i0=1, r0=1.0, T=2.0, dt=1e-3, trials=120, seed=8)),
     "cli_cor31": (lambda d: cli._build_sde(load_model(d / "cor31.json")),
                   dict(x0=2.0, i0=0, r0=1.0, T=3.0, dt=1e-3, trials=120, seed=9)),
-    "plane_matrix": (lambda d: _plane_model(),
+    "plane_matrix": (lambda d: plane_model(),
                      dict(x0=[3.0, 4.0], i0=0, r0=2.0, T=3.0, dt=1e-2, trials=100,
                           seed=12)),
 }

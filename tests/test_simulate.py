@@ -13,9 +13,17 @@ from regime import (
 )
 from regime.errors import NegativeOffDiagonal, StepTooLarge, UnboundedRate
 from regime.reproduce import ex21_sde_model, ex22_sde_model
-from regime.simulate import _Kernel, _simulate_paths, power_drift, regime_sigma
+from regime import simulate
+from regime.simulate import _Kernel, _norm, _simulate_paths, power_drift, regime_sigma
 
 Q2 = validate_qmatrix([[-1.0, 1.0], [2.0, -2.0]])
+PLANE_SIGMA = np.array([[1.0, 0.3], [0.0, 0.8]])
+
+
+def plane_model() -> SdeModel:
+    """2-d linear pull toward the origin with a constant correlated noise matrix."""
+    return SdeModel(dim=2, drift=lambda x, lam: -0.5 * x,
+                    sigma=lambda x, lam: PLANE_SIGMA, rates=Q2, sigma_mode="matrix")
 
 
 def step(model: SdeModel, x, regime: int, dt: float, rng: np.random.Generator) -> tuple:
@@ -51,6 +59,49 @@ def exact_regime_path(q: QMatrix, i0: int, T: float, rng: np.random.Generator) -
         row[state] = 0.0
         state = int(rng.choice(q.n, p=row / row.sum()))
     return occ / occ.sum()
+
+
+def reference_simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: int,
+                             r0: float, n_steps: int, dt: float, seed: int) -> tuple:
+    """``_simulate_paths`` with one numpy generator per path, seeded by
+    ``default_rng(SeedSequence(seed, spawn_key=(k,)))``, and each block filled
+    one buffer column at a time: the reference for the one-pass seeding, the
+    shared generator and the grouped fill."""
+    k = path_ids.size
+    d = model.dim
+    kernel = _Kernel(model, dt)
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(int(pid),)))
+            for pid in path_ids]
+    x_end = np.tile(x0, (k, 1))
+    hit_time = np.full(k, np.nan)
+    ids = np.arange(k)
+    x = x_end.copy()
+    lam = np.full(k, i0, dtype=np.intp)
+    done_steps = 0
+    while done_steps < n_steps and ids.size:
+        span = min(simulate.BLOCK, n_steps - done_steps)
+        z_buf = np.empty((span, ids.size, d))
+        u_buf = np.empty((span, ids.size))
+        for col, j in enumerate(ids.tolist()):
+            z_buf[:, col] = rngs[j].standard_normal((span, d))
+            u_buf[:, col] = rngs[j].random(span)
+        cols = np.arange(ids.size)
+        for s in range(span):
+            x, lam = kernel.advance(x, lam, z_buf[s, cols], u_buf[s, cols])
+            hit = _norm(x) <= r0
+            if hit.any():
+                gone = ids[hit]
+                hit_time[gone] = (done_steps + s + 1) * dt
+                x_end[gone] = x[hit]
+                keep = ~hit
+                ids, x, lam, cols = ids[keep], x[keep], lam[keep], cols[keep]
+                if ids.size == 0:
+                    break
+        done_steps += span
+    x_end[ids] = x
+    active = np.zeros(k, dtype=bool)
+    active[ids] = True
+    return hit_time, _norm(x_end), active
 
 
 def _const_model(drift_slope=0.0, sigma=1.0, rates=Q2, boundary="none"):
@@ -172,6 +223,59 @@ class TestRunEnsemble:
             part = _simulate_paths(model, block, *args)
             for w, p in zip(whole, part):
                 np.testing.assert_array_equal(w[block], p)
+
+    @pytest.mark.parametrize("build, x0", [(lambda: ex22_sde_model(0.3), [3.0]),
+                                           (lambda: ex21_sde_model(0.3), [3.0]),
+                                           (plane_model, [3.0, 4.0])],
+                             ids=["ex22", "ex21", "plane_matrix"])
+    def test_shared_generator_matches_per_path_generators(self, monkeypatch, build, x0):
+        # 3000 steps cross 30 blocks of 100, and groups of 3 do not divide the
+        # 40 paths or the active counts as paths retire mid-block
+        monkeypatch.setattr(simulate, "BLOCK", 100)
+        monkeypatch.setattr(simulate, "_FILL_GROUP", 3)
+        model = build()
+        args = (np.array(x0), 0, 1.0 if model.dim == 1 else 2.0, 3000, 1e-3, 99)
+        ids = np.arange(40)
+        whole = _simulate_paths(model, ids, *args)
+        assert np.isfinite(whole[0]).sum() > 3 and whole[2].sum() > 3
+        assert np.unique(whole[0][np.isfinite(whole[0])] // 0.1).size > 3
+        for w, r in zip(whole, reference_simulate_paths(model, ids, *args)):
+            np.testing.assert_array_equal(w, r)
+        for block in (ids[:1], ids[1:20], np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])):
+            part = _simulate_paths(model, block, *args)
+            for w, p, r in zip(whole, part, reference_simulate_paths(model, block, *args)):
+                np.testing.assert_array_equal(p, r)
+                if model.sigma_mode == "diag":
+                    # a matrix sigma's z @ sig.T rounds differently by batch width
+                    np.testing.assert_array_equal(w[block], p)
+
+    def test_seeding_cost_does_not_grow_with_trials(self, monkeypatch):
+        # one SeedSequence or Generator per path cost about 13 us each; the
+        # ensemble makes a fixed number whatever its width
+        made = []
+        for name in ("SeedSequence", "Generator", "PCG64", "default_rng"):
+            def counted(*a, _make=getattr(np.random, name), **kw):
+                made.append(_make)
+                return _make(*a, **kw)
+
+            monkeypatch.setattr(np.random, name, counted)
+        run_ensemble(ex22_sde_model(1.2), x0=5.0, i0=0, r0=1.0, T=0.01, dt=1e-3,
+                     trials=500, seed=7)
+        assert 0 < len(made) <= 3
+
+    @pytest.mark.parametrize("seed", [None, True, -1, 1.5, "3", np.int64(-2), np.float64(3.0)])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        seen = []
+        model = SdeModel(dim=1, drift=lambda x, lam: seen.append(1) or -x,
+                         sigma=lambda x, lam: 1.0, rates=Q2)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            run_ensemble(model, x0=5.0, i0=0, r0=1.0, T=0.1, dt=1e-2, trials=100, seed=seed)
+        assert seen == []
+
+    def test_numpy_integer_seed_is_the_int_seed(self):
+        kwargs = dict(x0=5.0, i0=0, r0=1.0, T=0.5, dt=1e-2, trials=100)
+        model = ex22_sde_model(0.3)
+        assert run_ensemble(model, seed=np.uint32(9), **kwargs) == run_ensemble(model, seed=9, **kwargs)
 
     def test_validates_inputs(self):
         model = ex22_sde_model(0.3)
@@ -325,18 +429,7 @@ class TestStateDependentRateValues:
 
 class TestMultiDimensional:
     def test_matrix_sigma_plane_model(self):
-        # 2-d linear pull toward the origin with a constant correlated noise matrix
-        smat = np.array([[1.0, 0.3], [0.0, 0.8]])
-
-        def drift(x, i):
-            return -0.5 * x
-
-        def sigma(x, i):
-            return smat
-
-        model = SdeModel(dim=2, drift=drift, sigma=sigma, rates=Q2,
-                         sigma_mode="matrix")
-        rep = run_ensemble(model, x0=[3.0, 4.0], i0=0, r0=1.0, T=20.0, dt=0.01,
+        rep = run_ensemble(plane_model(), x0=[3.0, 4.0], i0=0, r0=1.0, T=20.0, dt=0.01,
                            trials=100, seed=12)
         assert rep.return_fraction > 0.9  # contracting drift pulls paths in
         assert rep.x0 == (3.0, 4.0)

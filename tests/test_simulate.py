@@ -8,12 +8,12 @@ from regime import (
     TailHomogeneousChain,
     invariant_measure,
     run_ensemble,
+    simulate,
     truncate_chain,
     validate_qmatrix,
 )
 from regime.errors import NegativeOffDiagonal, StepTooLarge, UnboundedRate
 from regime.reproduce import ex21_sde_model, ex22_sde_model
-from regime import simulate
 from regime.simulate import _Kernel, _norm, _simulate_paths, power_drift, regime_sigma
 
 Q2 = validate_qmatrix([[-1.0, 1.0], [2.0, -2.0]])
@@ -238,6 +238,7 @@ class TestRunEnsemble:
         ids = np.arange(40)
         whole = _simulate_paths(model, ids, *args)
         assert np.isfinite(whole[0]).sum() > 3 and whole[2].sum() > 3
+        # the returns fall in several blocks of 0.1 time units
         assert np.unique(whole[0][np.isfinite(whole[0])] // 0.1).size > 3
         for w, r in zip(whole, reference_simulate_paths(model, ids, *args)):
             np.testing.assert_array_equal(w, r)
@@ -275,7 +276,8 @@ class TestRunEnsemble:
     def test_numpy_integer_seed_is_the_int_seed(self):
         kwargs = dict(x0=5.0, i0=0, r0=1.0, T=0.5, dt=1e-2, trials=100)
         model = ex22_sde_model(0.3)
-        assert run_ensemble(model, seed=np.uint32(9), **kwargs) == run_ensemble(model, seed=9, **kwargs)
+        assert (run_ensemble(model, seed=np.uint32(9), **kwargs)
+                == run_ensemble(model, seed=9, **kwargs))
 
     def test_validates_inputs(self):
         model = ex22_sde_model(0.3)

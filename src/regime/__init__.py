@@ -16,15 +16,12 @@ from .criteria import (
     classify_mmatrix,
     classify_ou,
     classify_power_1d,
-    classify_radial,
     classify_radial_sampled,
     classify_state_dependent,
     classify_two_function,
     classify_two_function_state_dependent,
     fredholm_solve,
     kappa_thresholds,
-    radial_beta,
-    sphere_grid,
 )
 from .markov import (
     BetaSequence,
@@ -65,10 +62,10 @@ __all__ = [
     "Classification", "FredholmPair", "Limit", "LyapunovBehavior",
     "TwoFunctionData", "Verdict", "bisect_verdict", "classify_avg",
     "classify_coarse", "classify_infinite", "classify_mmatrix", "classify_ou",
-    "classify_power_1d", "classify_radial", "classify_radial_sampled",
+    "classify_power_1d", "classify_radial_sampled",
     "classify_state_dependent", "classify_two_function",
     "classify_two_function_state_dependent", "fredholm_solve",
-    "kappa_thresholds", "radial_beta", "sphere_grid",
+    "kappa_thresholds",
     "BetaSequence", "Partition", "QMatrix", "ScanGrid", "StateDependentRates",
     "TailHomogeneousChain", "bound_rates", "coarsen", "invariant_measure",
     "validate_qmatrix",

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ChainNotRecurrent, NonConvergent, NotSolvable, SingularSolve
+from .errors import ChainNotRecurrent, NotSolvable, SingularSolve
 from .markov import (
     BetaSequence,
     Partition,
@@ -30,6 +30,8 @@ from .mmatrix import is_nonsingular_mmatrix
 from .simplex import feasible_point
 
 SIGN_TOL = 1e-10
+BISECT_TOL = 1e-9
+BISECT_MAX_ITER = 200
 
 
 class Verdict(str, enum.Enum):
@@ -326,124 +328,28 @@ def classify_two_function_state_dependent(q_tilde: QMatrix, beta, h_limit: Limit
 
 
 # ---------------------------------------------------------------------------
-# radial profiles and the 1-d power-drift dichotomy
+# radial drift samples and the 1-d power-drift dichotomy
 # ---------------------------------------------------------------------------
 
-def sphere_grid(dim: int, points: int = 1024) -> np.ndarray:
-    """Deterministic grid of unit vectors: exact for dim 1, angular for dim 2,
-    seeded quasi-uniform for higher dimensions."""
-    if dim < 1:
-        raise ValueError("dimension must be positive")
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    if dim == 2:
-        th = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
-        return np.column_stack([np.cos(th), np.sin(th)])
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal((points, dim))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def radial_beta(drift_profile: Callable, n_regimes: int, delta: float,
-                mode: str = "limsup", *, dim: Optional[int] = None,
-                grid: Optional[np.ndarray] = None,
-                a_profile: Optional[Callable] = None,
-                radii: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-regime radial drift bound over the sphere.
-
-    For delta in (-1, 1) the radial component b^(phi, i) . phi depends on the
-    direction only, so limsup/liminf at infinity reduce to a max/min over the
-    sphere grid.  For delta = -1 the diffusion terms
-    tr(a)/2 - phi' a phi / 2 enter as well; they are evaluated along the
-    ``radii`` schedule and the last two radii must agree to 1e-6 or
-    NonConvergent is raised.
-
-    ``drift_profile(phis, i)`` maps an (m, d) array of unit vectors to the
-    (m, d) drift directions; ``a_profile(xs, i)`` maps (m, d) positions to
-    (m, d, d) diffusion matrices (a constant (d, d) matrix also works).
-    """
-    if mode not in ("limsup", "liminf"):
-        raise ValueError("mode must be 'limsup' or 'liminf'")
-    if not -1.0 <= delta < 1.0:
-        raise ValueError("delta must lie in [-1, 1)")
-    if grid is None:
-        if dim is None:
-            raise ValueError("pass dim or an explicit sphere grid")
-        grid = sphere_grid(dim)
-    phis = np.asarray(grid, dtype=float)
-    phis = phis / np.linalg.norm(phis, axis=1, keepdims=True)
-    reduce = np.max if mode == "limsup" else np.min
-
-    def radial_part(i: int) -> np.ndarray:
-        bhat = np.asarray(drift_profile(phis, i), dtype=float)
-        return np.einsum("md,md->m", bhat, phis)
-
-    if delta > -1.0:
-        out = np.array([reduce(radial_part(i)) for i in range(n_regimes)])
-    else:
-        if a_profile is None:
-            raise ValueError("delta = -1 needs the diffusion profile")
-        if radii is None:
-            radii = np.geomspace(1e3, 1e9, 13)
-        radii = np.asarray(radii, dtype=float)
-
-        def level(i: int, r: float) -> float:
-            xs = r * phis
-            a = np.asarray(a_profile(xs, i), dtype=float)
-            if a.ndim == 2:
-                a = np.broadcast_to(a, (phis.shape[0],) + a.shape)
-            tr = np.trace(a, axis1=1, axis2=2)
-            quad = np.einsum("md,mde,me->m", phis, a, phis)
-            return float(reduce(0.5 * tr - 0.5 * quad + radial_part(i)))
-
-        out = np.empty(n_regimes)
-        for i in range(n_regimes):
-            prev, last = level(i, radii[-2]), level(i, radii[-1])
-            if abs(last - prev) > 1e-6 * max(1.0, abs(last)):
-                raise NonConvergent(
-                    f"regime {i}: radial level moved from {prev:g} to {last:g} at the "
-                    "largest radii; extend the schedule")
-            out[i] = last
-    if not np.isfinite(out).all():
-        raise NonConvergent("radial bound is not finite")
-    return out
-
-
-def _radial_verdict(q: QMatrix, beta_up: np.ndarray, beta_lo: np.ndarray,
-                    extra_cert: dict) -> Classification:
+def classify_radial_sampled(q: QMatrix, radial_samples, delta: float) -> Classification:
+    """Radial criterion from samples of b^(phi, i) . phi, shaped (n_directions,
+    n_regimes): recurrent when the mu-average of the per-regime maxima (the
+    limsup bound) is negative, transient when that of the minima is positive."""
+    s = np.asarray(radial_samples, dtype=float)
+    if s.ndim != 2 or s.shape[1] != q.n:
+        raise ValueError("samples must be (n_directions, n_regimes)")
     mu = invariant_measure(q)
-    s_up = float(mu @ beta_up)
-    s_lo = float(mu @ beta_lo)
-    tol = SIGN_TOL * max(1.0, float(np.abs(beta_up).max()), float(np.abs(beta_lo).max()))
+    beta_up, beta_lo = s.max(axis=0), s.min(axis=0)
+    s_up, s_lo = float(mu @ beta_up), float(mu @ beta_lo)
+    tol = SIGN_TOL * max(1.0, float(np.abs(s).max()))
     cert = {"mu": mu, "beta": beta_up, "beta_tilde": beta_lo,
-            "mu_beta": s_up, "mu_beta_tilde": s_lo, **extra_cert}
+            "mu_beta": s_up, "mu_beta_tilde": s_lo, "delta": delta}
     if s_up < -tol:
         return Classification(Verdict.RECURRENT, "thm33", cert)
     if s_lo > tol:
         return Classification(Verdict.TRANSIENT, "thm33", cert)
     return Classification(Verdict.INCONCLUSIVE, "thm33", cert,
                           reason="averaged radial bounds straddle zero (criterion gap)")
-
-
-def classify_radial(q: QMatrix, drift_profile: Callable, delta: float, *,
-                    dim: int, a_profile: Optional[Callable] = None,
-                    grid: Optional[np.ndarray] = None,
-                    radii: Optional[np.ndarray] = None) -> Classification:
-    """Radial criterion: recurrent when the averaged limsup bound is negative,
-    transient when the averaged liminf bound is positive."""
-    common = dict(dim=dim, grid=grid, a_profile=a_profile, radii=radii)
-    beta_up = radial_beta(drift_profile, q.n, delta, "limsup", **common)
-    beta_lo = radial_beta(drift_profile, q.n, delta, "liminf", **common)
-    return _radial_verdict(q, beta_up, beta_lo, {"delta": delta})
-
-
-def classify_radial_sampled(q: QMatrix, radial_samples, delta: float) -> Classification:
-    """Radial criterion from precomputed samples of b^(phi, i) . phi,
-    shaped (n_directions, n_regimes)."""
-    s = np.asarray(radial_samples, dtype=float)
-    if s.ndim != 2 or s.shape[1] != q.n:
-        raise ValueError("samples must be (n_directions, n_regimes)")
-    return _radial_verdict(q, s.max(axis=0), s.min(axis=0), {"delta": delta})
 
 
 def classify_power_1d(q: QMatrix, b, sigma, delta: float) -> Classification:
@@ -505,14 +411,13 @@ def kappa_thresholds(a: float, b: float) -> tuple:
     return float(kappa_rec), float(kappa_trans)
 
 
-def bisect_verdict(fn: Callable[[float], bool], lo: float, hi: float,
-                   tol: float = 1e-9, max_iter: int = 200) -> float:
+def bisect_verdict(fn: Callable[[float], bool], lo: float, hi: float) -> float:
     """Bisect the flip point of a boolean-valued function of one parameter."""
     flo, fhi = fn(lo), fn(hi)
     if flo == fhi:
         raise ValueError("verdict does not flip on the bracket")
-    for _ in range(max_iter):
-        if hi - lo <= tol:
+    for _ in range(BISECT_MAX_ITER):
+        if hi - lo <= BISECT_TOL:
             break
         mid = 0.5 * (lo + hi)
         if fn(mid) == flo:

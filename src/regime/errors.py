@@ -24,7 +24,7 @@ class SingularSolve(RegimeError):
 
 # rate bounding / coarsening
 class UnboundedRate(RegimeError):
-    """A scanned rate exceeded the configured cap or returned non-finite values."""
+    """A scanned rate exceeded the rate cap 1e8 or returned non-finite values."""
 
 
 class EmptyGrid(RegimeError):
@@ -65,10 +65,6 @@ class ChainNotRecurrent(RegimeError):
     """The switching chain itself is transient; the partition criterion needs recurrence."""
 
 
-class NonConvergent(RegimeError):
-    """A radius schedule failed its stabilization check."""
-
-
 # simulation
 class StepTooLarge(RegimeError):
     """dt times the total switching rate exceeds the per-step thinning bound."""
@@ -76,7 +72,7 @@ class StepTooLarge(RegimeError):
 
 # model files / CLI
 class ParseError(RegimeError):
-    """The model file is not valid JSON (or uses non-finite literals)."""
+    """A model file is not valid JSON, uses non-finite literals or has a bad rate expression."""
 
 
 class SchemaError(RegimeError):

@@ -29,6 +29,7 @@ from .errors import (
 PATTERN_TOL = 1e-14
 OFFDIAG_TOL = 1e-12
 ROWSUM_TOL = 1e-12
+RATE_CAP = 1e8  # largest scanned rate bound_rates accepts
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,25 +188,24 @@ class StateDependentRates:
         return q
 
 
-def _extremum(vals: np.ndarray, i: int, j: int, cap: float, want_sup: bool) -> float:
+def _extremum(vals: np.ndarray, i: int, j: int, want_sup: bool) -> float:
     if not np.isfinite(vals).all():
         raise UnboundedRate(f"q[{i},{j}] evaluated to a non-finite value on the scan grid")
-    if np.abs(vals).max() > cap:
-        raise UnboundedRate(f"q[{i},{j}] exceeds the rate cap {cap:g} on the scan grid")
+    if np.abs(vals).max() > RATE_CAP:
+        raise UnboundedRate(f"q[{i},{j}] exceeds the rate cap {RATE_CAP:g} on the scan grid")
     return float(vals.max() if want_sup else vals.min())
 
 
-def bound_rates(rates: StateDependentRates, grid: Optional[ScanGrid] = None,
-                rate_cap: float = 1e8) -> QMatrix:
+def bound_rates(rates: StateDependentRates, grid: Optional[ScanGrid] = None) -> QMatrix:
     """Bounding generator: sup of each rate below the diagonal, inf above.
 
     Closed-form hints are used where available; otherwise each entry is
     scanned on ``grid`` and once more on a doubled grid (one ``rate_fn`` call
     per pass for each row that has an entry without a hint), and the two passes
-    must agree to 1e-6 relative.  The diagonal is chosen conservative and the
-    result is validated like any generator (so a bounding matrix that comes
-    out reducible or with negative entries raises rather than being guessed
-    around).
+    must agree to 1e-6 relative; a scanned rate above RATE_CAP raises.  The
+    diagonal is chosen conservative and the result is validated like any
+    generator (so a bounding matrix that comes out reducible or with negative
+    entries raises rather than being guessed around).
     """
     n = rates.n
     out = np.zeros((n, n))
@@ -226,8 +226,8 @@ def bound_rates(rates: StateDependentRates, grid: Optional[ScanGrid] = None,
                 if scans is None:
                     scans = [rates.evaluate(xs, np.full(xs.size, i))
                              for xs in (grid.build(1), grid.build(2))]
-                coarse = _extremum(scans[0][j], i, j, rate_cap, want_sup)
-                fine = _extremum(scans[1][j], i, j, rate_cap, want_sup)
+                coarse = _extremum(scans[0][j], i, j, want_sup)
+                fine = _extremum(scans[1][j], i, j, want_sup)
                 if abs(fine - coarse) > 1e-6 * max(1.0, abs(fine)):
                     raise ScanNotStabilized(
                         f"q[{i},{j}] bound moved from {coarse:g} to {fine:g} under refinement")

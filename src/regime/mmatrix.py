@@ -29,6 +29,7 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _SUBNORMAL = np.finfo(float).smallest_subnormal
 # solves A x <- x tried for the positive vector; see semipositive_certificate
 SOLVE_STEPS = 3
+PERRON_MAX_ITER = 100000
 
 
 def z_pattern(a) -> bool:
@@ -174,7 +175,7 @@ class PerronData:
     xi: np.ndarray
 
 
-def perron(q: QMatrix, beta, p: float, max_iter: int = 100000) -> PerronData:
+def perron(q: QMatrix, beta, p: float) -> PerronData:
     """Power iteration for the Perron pair of Q + p diag(beta).
 
     The iteration runs on the shifted matrix M = Q_p + c I with
@@ -196,7 +197,7 @@ def perron(q: QMatrix, beta, p: float, max_iter: int = 100000) -> PerronData:
 
     x = np.full(q.n, 1.0 / q.n)
     rho_prev = np.inf
-    for _ in range(max_iter):
+    for _ in range(PERRON_MAX_ITER):
         y = m @ x
         rho = float(x @ y / (x @ x))
         x = y / y.sum()

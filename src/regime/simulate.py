@@ -412,12 +412,20 @@ def run_ensemble(model: SdeModel, x0, i0: int, r0: float, T: float, dt: float,
 
     Paths run until they enter the ball of radius r0 or the horizon T ends.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    seed = int(seed)
+    for name, v in (("seed", seed), ("trials", trials), ("i0", i0)):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
+    seed, trials, i0 = int(seed), int(trials), int(i0)
     x0v = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0v.shape != (model.dim,):
         raise ValueError("x0 must match the model dimension")
+    r0, T, dt, escape_radius = float(r0), float(T), float(dt), float(escape_radius)
+    if dt <= 0 or T <= 0:
+        raise ValueError("T and dt must be positive")
+    for name, v in (("x0", x0v), ("r0", r0), ("T", T), ("dt", dt),
+                    ("escape_radius", escape_radius), ("T / dt", T / dt)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite")
     if trials < 100:
         raise ValueError("trials must be at least 100 for the CI normal approximation")
     start_radius = float(np.sqrt((x0v * x0v).sum()))
@@ -425,8 +433,6 @@ def run_ensemble(model: SdeModel, x0, i0: int, r0: float, T: float, dt: float,
         raise ValueError("|x0| must exceed the return radius r0")
     if not 0 <= i0 < model.n_regimes:
         raise ValueError("i0 out of range")
-    if dt <= 0 or T <= 0:
-        raise ValueError("T and dt must be positive")
     n_steps = int(round(T / dt))
     if n_steps < 1:
         raise ValueError("horizon shorter than one step")
@@ -447,8 +453,7 @@ def run_ensemble(model: SdeModel, x0, i0: int, r0: float, T: float, dt: float,
         growth = None
     return SimulationReport(
         trials=trials, t_horizon=n_steps * dt, dt=dt, seed=seed,
-        x0=tuple(float(v) for v in x0v), i0=i0, r0=float(r0),
-        escape_radius=float(escape_radius),
+        x0=tuple(float(v) for v in x0v), i0=i0, r0=r0, escape_radius=escape_radius,
         returned=returned, return_fraction=p_ret, return_ci95=float(ci),
         mean_hitting_time=mean_hit, escape_count=n_esc, escape_fraction=p_esc,
         censored=int((survived & ~escaped).sum()), growth_exponent=growth)

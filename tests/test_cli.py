@@ -362,6 +362,23 @@ class TestSimulateCommand:
         assert out == "" and len(err.splitlines()) == 1
         assert err.startswith("error: seed must be a non-negative integer")
 
+    @pytest.mark.parametrize("override, message", [
+        ({"--T": "inf"}, "T must be finite"),
+        ({"--x0": "nan"}, "x0 must be finite"),
+        ({"--r0": "nan"}, "r0 must be finite"),
+        ({"--escape-radius": "nan"}, "escape_radius must be finite"),
+        ({"--T": "1e300", "--dt": "1e-300"}, "T / dt must be finite"),
+    ])
+    def test_nonfinite_inputs_fail_with_one_error_line(self, tmp_path, capsys, override,
+                                                       message):
+        path = write_model(tmp_path, benchmark_documents()["ou"])
+        opts = {"--x0": "3", "--r0": "1", "--T": "1.0", "--dt": "0.01", "--trials": "100",
+                **override}
+        assert main(["simulate", path, *(s for kv in opts.items() for s in kv)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err == f"error: {message}\n"
+
     def test_infinite_chain_fails_with_one_error_line(self, tmp_path, capsys):
         doc = benchmark_documents()["ex21"]
         doc.update(drift={"kind": "ou", "b": [-1.0]}, sigma=1.0)

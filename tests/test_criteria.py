@@ -16,7 +16,7 @@ from regime import (
     classify_mmatrix,
     classify_ou,
     classify_power_1d,
-    classify_radial,
+    classify_radial_sampled,
     classify_state_dependent,
     classify_two_function,
     classify_two_function_state_dependent,
@@ -25,7 +25,6 @@ from regime import (
     invariant_measure,
     kappa_thresholds,
     leading_minors,
-    radial_beta,
     validate_qmatrix,
 )
 from regime.errors import ChainNotRecurrent, NotSolvable
@@ -302,47 +301,13 @@ def thm32_systems():
             yield n, kind, q, -1.0 - q.entries @ eta - margin
 
 
-class TestRadialBeta:
-    def test_pure_radial_drift(self):
-        slopes = (-1.0, 0.5)
-
-        def profile(phis, i):
-            return slopes[i] * phis
-
-        for mode in ("limsup", "liminf"):
-            out = radial_beta(profile, 2, 0.5, mode, dim=2)
-            np.testing.assert_allclose(out, slopes, atol=1e-12)
-
-    def test_tangential_field_vanishes(self):
-        def profile(phis, i):
-            return np.column_stack([-phis[:, 1], phis[:, 0]])
-
-        out = radial_beta(profile, 1, 0.0, "limsup", dim=2)
-        np.testing.assert_allclose(out, [0.0], atol=1e-12)
-
-    def test_cosine_plus_offset(self):
-        offs = (0.3, -0.7)
-
-        def profile(phis, i):
-            return (phis[:, 0] + offs[i])[:, None] * phis
-
-        up = radial_beta(profile, 2, 0.2, "limsup", dim=2)
-        lo = radial_beta(profile, 2, 0.2, "liminf", dim=2)
-        np.testing.assert_allclose(up, [1.3, 0.3], atol=1e-12)
-        np.testing.assert_allclose(lo, [-0.7, -1.7], atol=1e-12)
-
-    def test_delta_minus_one_includes_diffusion_terms(self):
-        # a = diag(2, 1): tr/2 - phi' a phi / 2 = 1 - cos^2 / 2 in [1/2, 1]
-        def profile(phis, i):
-            return 0.25 * phis
-
-        def a_profile(xs, i):
-            return np.diag([2.0, 1.0])
-
-        up = radial_beta(profile, 1, -1.0, "limsup", dim=2, a_profile=a_profile)
-        lo = radial_beta(profile, 1, -1.0, "liminf", dim=2, a_profile=a_profile)
-        np.testing.assert_allclose(up, [1.25], atol=1e-12)
-        np.testing.assert_allclose(lo, [0.75], atol=1e-12)
+def radial_samples(profile, n_regimes):
+    """Samples b^(phi, i) . phi of a drift profile over 1024 angles of the
+    circle, shaped (n_directions, n_regimes)."""
+    th = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
+    phis = np.column_stack([np.cos(th), np.sin(th)])
+    return np.column_stack([np.einsum("md,md->m", profile(phis, i), phis)
+                            for i in range(n_regimes)])
 
 
 class TestClassifyRadial:
@@ -352,22 +317,34 @@ class TestClassifyRadial:
         def profile(phis, i):
             return slopes[i] * phis
 
-        out = classify_radial(Q2, profile, 0.5, dim=2)
+        out = classify_radial_sampled(Q2, radial_samples(profile, 2), 0.5)
         assert out.verdict is Verdict.RECURRENT
         assert out.certificate["mu_beta"] == pytest.approx(-0.5, abs=1e-12)
+        np.testing.assert_allclose(out.certificate["beta"], slopes, atol=1e-12)
 
     def test_outward_drift_everywhere(self):
         def profile(phis, i):
             return 0.8 * phis
 
-        assert classify_radial(Q2, profile, 0.0, dim=2).verdict is Verdict.TRANSIENT
+        out = classify_radial_sampled(Q2, radial_samples(profile, 2), 0.0)
+        assert out.verdict is Verdict.TRANSIENT
+        assert out.certificate["mu_beta_tilde"] == pytest.approx(0.8, abs=1e-12)
 
     def test_criterion_gap(self):
         # beta = +1, beta~ = -1 for a pure cosine field: both averages straddle 0
         def profile(phis, i):
             return phis[:, :1] * phis
 
-        assert classify_radial(Q2, profile, 0.5, dim=2).verdict is Verdict.INCONCLUSIVE
+        out = classify_radial_sampled(Q2, radial_samples(profile, 2), 0.5)
+        assert out.verdict is Verdict.INCONCLUSIVE
+        assert "straddle zero" in out.reason
+        np.testing.assert_allclose(out.certificate["beta"], [1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(out.certificate["beta_tilde"], [-1.0, -1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("samples", [np.zeros(2), np.zeros((4, 3)), np.zeros((4, 2, 1))])
+    def test_samples_must_be_directions_by_regimes(self, samples):
+        with pytest.raises(ValueError, match=r"samples must be \(n_directions, n_regimes\)"):
+            classify_radial_sampled(Q2, samples, 0.5)
 
 
 class TestClassifyPower1d:

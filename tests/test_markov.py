@@ -159,10 +159,11 @@ class TestBoundRates:
         np.testing.assert_allclose(qt.entries, [[-1, 1], [1, -1]], atol=1e-9)
 
     def test_rate_cap(self):
-        fn = two_regime_rates(up=lambda x: x, down=lambda x: 1.0)
+        # x**2 reaches 1e12 on the grid, above the fixed cap of 1e8
+        fn = two_regime_rates(up=lambda x: x**2, down=lambda x: 1.0)
         rates = StateDependentRates(n=2, rate_fn=fn)
-        with pytest.raises(UnboundedRate):
-            bound_rates(rates, ScanGrid(lo=1.0, hi=1e6), rate_cap=100.0)
+        with pytest.raises(UnboundedRate, match=r"q\[0,1\] exceeds the rate cap 1e\+08"):
+            bound_rates(rates, ScanGrid(lo=1.0, hi=1e6))
 
     def test_grid_required_without_hints(self):
         rates = StateDependentRates(n=2, rate_fn=two_regime_rates(up=lambda x: 1.0,

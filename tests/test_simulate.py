@@ -274,10 +274,37 @@ class TestRunEnsemble:
         assert seen == []
 
     def test_numpy_integer_seed_is_the_int_seed(self):
-        kwargs = dict(x0=5.0, i0=0, r0=1.0, T=0.5, dt=1e-2, trials=100)
+        # numpy integer seed, trials and i0 run and are reported as the ints
+        kwargs = dict(x0=5.0, r0=1.0, T=0.5, dt=1e-2)
         model = ex22_sde_model(0.3)
-        assert (run_ensemble(model, seed=np.uint32(9), **kwargs)
-                == run_ensemble(model, seed=9, **kwargs))
+        rep = run_ensemble(model, seed=np.uint32(9), trials=np.int64(100), i0=np.int32(1),
+                           **kwargs)
+        assert rep == run_ensemble(model, seed=9, trials=100, i0=1, **kwargs)
+        assert all(type(v) is int for v in (rep.seed, rep.trials, rep.i0))
+
+    @pytest.mark.parametrize("bad, message", [
+        (dict(x0=np.nan), "x0 must be finite"),
+        (dict(x0=np.inf), "x0 must be finite"),
+        (dict(r0=np.nan), "r0 must be finite"),
+        (dict(T=np.inf), "T must be finite"),
+        (dict(T=np.nan), "T must be finite"),
+        (dict(dt=np.nan), "dt must be finite"),
+        (dict(escape_radius=np.nan), "escape_radius must be finite"),
+        (dict(T=1e300, dt=1e-300), "T / dt must be finite"),
+        (dict(trials=150.5), "trials must be a non-negative integer"),
+        (dict(trials=True), "trials must be a non-negative integer"),
+        (dict(i0=0.7), "i0 must be a non-negative integer"),
+        (dict(i0=np.float64(0.0)), "i0 must be a non-negative integer"),
+        (dict(i0=-1), "i0 must be a non-negative integer"),
+    ])
+    def test_nonfinite_or_noninteger_inputs_raise(self, bad, message):
+        seen = []
+        model = SdeModel(dim=1, drift=lambda x, lam: seen.append(1) or -x,
+                         sigma=lambda x, lam: 1.0, rates=Q2)
+        kwargs = {**dict(x0=5.0, i0=0, r0=1.0, T=0.1, dt=1e-2, trials=100, seed=0), **bad}
+        with pytest.raises(ValueError, match=message):
+            run_ensemble(model, **kwargs)
+        assert seen == []
 
     def test_validates_inputs(self):
         model = ex22_sde_model(0.3)

@@ -73,9 +73,13 @@ CASES = {
                dict(x0=3.0, i0=1, r0=1.0, T=2.0, dt=1e-3, trials=120, seed=8)),
     "cli_cor31": (lambda d: cli._build_sde(load_model(d / "cor31.json")),
                   dict(x0=2.0, i0=0, r0=1.0, T=3.0, dt=1e-3, trials=120, seed=9)),
-    "plane_matrix": (lambda d: plane_model(),
+    "plane_matrix": (lambda d: dataclasses.replace(
+                         plane_model(), sigma=lambda x, lam: np.array([[1.0, 0.3], [0.0, 0.8]]),
+                         sigma_mode="matrix"),
                      dict(x0=[3.0, 4.0], i0=0, r0=2.0, T=3.0, dt=1e-2, trials=100,
                           seed=12)),
+    "plane": (lambda d: plane_model(),
+              dict(x0=[3.0, 4.0], i0=0, r0=2.0, T=3.0, dt=1e-2, trials=100, seed=12)),
 }
 
 GOLDEN = {
@@ -134,6 +138,13 @@ GOLDEN = {
         "mean_hitting_time": "0x1.a6aa3224043cbp+0", "escape_count": 0,
         "escape_fraction": "0x0.0p+0", "censored": 13,
         "growth_exponent": "-0x1.acbc5e664f685p-3",
+    },
+    "plane": {
+        "t_horizon": "0x1.8000000000000p+1", "returned": 91,
+        "return_fraction": "0x1.d1eb851eb851fp-1", "return_ci95": "0x1.cb80a9e47f4a9p-5",
+        "mean_hitting_time": "0x1.c1ff532865b98p+0", "escape_count": 0,
+        "escape_fraction": "0x0.0p+0", "censored": 9,
+        "growth_exponent": "-0x1.bbd7507a357a9p-3",
     },
 }
 

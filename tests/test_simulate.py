@@ -17,13 +17,13 @@ from regime.reproduce import ex21_sde_model, ex22_sde_model
 from regime.simulate import _Kernel, _norm, _simulate_paths, power_drift, regime_sigma
 
 Q2 = validate_qmatrix([[-1.0, 1.0], [2.0, -2.0]])
-PLANE_SIGMA = np.array([[1.0, 0.3], [0.0, 0.8]])
+PLANE_SIGMA = np.array([1.0, 0.8])
 
 
 def plane_model() -> SdeModel:
-    """2-d linear pull toward the origin with a constant correlated noise matrix."""
+    """2-d linear pull toward the origin with constant per-axis noise scales."""
     return SdeModel(dim=2, drift=lambda x, lam: -0.5 * x,
-                    sigma=lambda x, lam: PLANE_SIGMA, rates=Q2, sigma_mode="matrix")
+                    sigma=lambda x, lam: PLANE_SIGMA, rates=Q2)
 
 
 def step(model: SdeModel, x, regime: int, dt: float, rng: np.random.Generator) -> tuple:
@@ -226,8 +226,8 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("build, x0", [(lambda: ex22_sde_model(0.3), [3.0]),
                                            (lambda: ex21_sde_model(0.3), [3.0]),
-                                           (plane_model, [3.0, 4.0])],
-                             ids=["ex22", "ex21", "plane_matrix"])
+                                           (plane_model, [6.0, 8.0])],
+                             ids=["ex22", "ex21", "plane"])
     def test_shared_generator_matches_per_path_generators(self, monkeypatch, build, x0):
         # 3000 steps cross 30 blocks of 100, and groups of 3 do not divide the
         # 40 paths or the active counts as paths retire mid-block
@@ -246,9 +246,7 @@ class TestRunEnsemble:
             part = _simulate_paths(model, block, *args)
             for w, p, r in zip(whole, part, reference_simulate_paths(model, block, *args)):
                 np.testing.assert_array_equal(p, r)
-                if model.sigma_mode == "diag":
-                    # a matrix sigma's z @ sig.T rounds differently by batch width
-                    np.testing.assert_array_equal(w[block], p)
+                np.testing.assert_array_equal(w[block], p)
 
     def test_seeding_cost_does_not_grow_with_trials(self, monkeypatch):
         # one SeedSequence or Generator per path cost about 13 us each; the
@@ -457,7 +455,7 @@ class TestStateDependentRateValues:
 
 
 class TestMultiDimensional:
-    def test_matrix_sigma_plane_model(self):
+    def test_per_axis_sigma_plane_model(self):
         rep = run_ensemble(plane_model(), x0=[3.0, 4.0], i0=0, r0=1.0, T=20.0, dt=0.01,
                            trials=100, seed=12)
         assert rep.return_fraction > 0.9  # contracting drift pulls paths in

@@ -180,17 +180,40 @@ class StateDependentRates:
     hints: Optional[dict] = None
 
     def evaluate(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """``rate_fn(x, lam)`` as floats, checked to have the shape (n, k)."""
+        """``rate_fn(x, lam)`` as floats, checked to have the shape (n, k) and
+        no negative or NaN entry; the first bad path raises."""
         q = np.asarray(self.rate_fn(x, lam), dtype=float)
         if q.shape != (self.n, x.shape[0]):
             raise ValueError(f"rate_fn(x, lam) must return the rate table shape (n, k) = "
                              f"{(self.n, x.shape[0])}, got {q.shape}")
+        if not q.min() >= 0.0:
+            _raise_bad_rate(q, x, lam)
         return q
 
 
+def _check_diagonal(q: np.ndarray, xs: np.ndarray, lam: np.ndarray, p: int):
+    """Raise ValueError unless entry (lam[p], p) of the rate table is 0."""
+    if q[lam[p], p] != 0.0:
+        raise ValueError(f"rate_fn(x, lam) entry (lam[p], p) = ({lam[p]}, {p}) must be 0, "
+                         f"got {q[lam[p], p]:.6g} at x = {xs[p]:.6g}")
+
+
+def _raise_bad_rate(q: np.ndarray, xs: np.ndarray, lam: np.ndarray):
+    """Raise for the first path (in batch order) whose rates out of its regime
+    include a negative or non-finite value."""
+    bad = ~(np.isfinite(q) & (q >= 0.0))
+    p = int(bad.any(axis=0).argmax())
+    _check_diagonal(q, xs, lam, p)
+    j = int(bad[:, p].argmax())
+    i, value = int(lam[p]), float(q[j, p])
+    where = f"q[{i},{j}](x = {float(xs[p]):.6g}) = {value:.6g}"
+    if not np.isfinite(value):
+        raise UnboundedRate(f"switching rate {where} is not finite")
+    raise NegativeOffDiagonal(f"switching rate {where} is negative")
+
+
 def _extremum(vals: np.ndarray, i: int, j: int, want_sup: bool) -> float:
-    if not np.isfinite(vals).all():
-        raise UnboundedRate(f"q[{i},{j}] evaluated to a non-finite value on the scan grid")
+    # evaluate has rejected NaN; an infinite rate fails the cap
     if np.abs(vals).max() > RATE_CAP:
         raise UnboundedRate(f"q[{i},{j}] exceeds the rate cap {RATE_CAP:g} on the scan grid")
     return float(vals.max() if want_sup else vals.min())
@@ -202,7 +225,8 @@ def bound_rates(rates: StateDependentRates, grid: Optional[ScanGrid] = None) -> 
     Closed-form hints are used where available; otherwise each entry is
     scanned on ``grid`` and once more on a doubled grid (one ``rate_fn`` call
     per pass for each row that has an entry without a hint), and the two passes
-    must agree to 1e-6 relative; a scanned rate above RATE_CAP raises.  The
+    must agree to 1e-6 relative; a scanned rate that is negative, NaN or above
+    RATE_CAP raises.  The
     diagonal is chosen conservative and the result is validated like any
     generator (so a bounding matrix that comes out reducible or with negative
     entries raises rather than being guessed around).

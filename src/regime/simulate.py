@@ -11,15 +11,15 @@ One step of a whole batch is a fixed handful of numpy operations
 (``_Kernel``): the model's drift, sigma and, for state-dependent switching,
 ``rate_fn`` are each called once on every active path with its regime array;
 a constant generator instead gathers a per-ensemble table of cumulative
-rates.
+rates, whose step bound is checked once, before any path is seeded.
 
 Reproducibility contract: path k draws from exactly numpy's PCG64 stream
 seeded with ``SeedSequence(seed, spawn_key=(k,))``, consuming one block of
 normals and one block of uniforms per BLOCK steps.  The states of all paths
 are derived in one vectorised pass (``_path_states``, checked against numpy
 in the tests) and one generator is switched between them.  Results are
-therefore bitwise identical for a given (seed, config), and for per-axis
-noise no matter how paths are chunked; aggregation is ordered by path index.
+therefore bitwise identical for a given (seed, config) no matter how paths
+are chunked; aggregation is ordered by path index.
 """
 
 from __future__ import annotations
@@ -29,8 +29,15 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import NegativeOffDiagonal, StepTooLarge, UnboundedRate
-from .markov import QMatrix, StateDependentRates, TailHomogeneousChain, validate_qmatrix
+from .errors import StepTooLarge
+from .markov import (
+    QMatrix,
+    StateDependentRates,
+    TailHomogeneousChain,
+    _check_diagonal,
+    _raise_bad_rate,
+    validate_qmatrix,
+)
 
 BLOCK = 8192
 # paths drawn into one contiguous scratch before a single copy into the
@@ -56,8 +63,7 @@ class SdeModel:
     whole active batch: positions ``x`` of shape (k, d) and the regime of each
     path, an integer array ``lam`` of shape (k,).  drift returns (k, d).
     sigma returns per-axis noise scales, as a scalar or of shape (d,), (k, 1)
-    or (k, d); with ``sigma_mode="matrix"`` it returns one (d, d) noise
-    matrix for the batch.  Per-regime coefficients are gathered by regime,
+    or (k, d).  Per-regime coefficients are gathered by regime,
     ``coef[lam][:, None]``, as ``power_drift`` and ``regime_sigma`` do;
     callables that ignore the regime work unchanged.  ``rates`` is either a
     constant generator or 1-d ``StateDependentRates``, whose
@@ -72,7 +78,6 @@ class SdeModel:
     sigma: Callable[[np.ndarray, np.ndarray], np.ndarray]
     rates: Union[QMatrix, StateDependentRates]
     boundary: str = "none"
-    sigma_mode: str = "diag"
 
     def __post_init__(self):
         if self.dim < 1:
@@ -81,8 +86,6 @@ class SdeModel:
             raise ValueError("boundary must be 'none' or 'reflect'")
         if self.boundary == "reflect" and self.dim != 1:
             raise ValueError("reflection at zero is a half-line (d = 1) feature")
-        if self.sigma_mode not in ("diag", "matrix"):
-            raise ValueError("sigma_mode must be 'diag' or 'matrix'")
         if not isinstance(self.rates, (QMatrix, StateDependentRates)):
             raise ValueError("rates must be a QMatrix or StateDependentRates "
                              "(truncate infinite chains first)")
@@ -158,8 +161,10 @@ class _Kernel:
 
     Built once per ensemble.  For a constant generator it holds the
     cumulative off-diagonal rows ``cumsum(q_ij dt)``, gathered by regime at
-    each step; for state-dependent rates it sums the (n, k) table of one
-    ``rate_fn(x, lam)`` call down its columns instead.  A path switches when
+    each step, and raises StepTooLarge at once if any regime's total breaks
+    the thinning bound; for state-dependent rates it sums the (n, k) table of
+    one ``rate_fn(x, lam)`` call down its columns instead, and checks the
+    bound at each step, since it depends on x.  A path switches when
     its uniform falls below its total and moves to the first regime whose
     cumulative entry exceeds it.  The model's callables are read from
     ``model`` at every step, so a copy of the model with other callables is
@@ -175,10 +180,11 @@ class _Kernel:
             np.fill_diagonal(off, 0.0)
             self.table = np.cumsum(off * dt, axis=1)
             self.switch_prob = self.table[:, -1].copy()
-            self.exit_prob = off.sum(axis=1) * dt
-            too_fast = self.exit_prob > _MAX_SWITCH_PROB
-            # regimes whose exit rate breaks the thinning bound, checked only if any
-            self.too_fast = too_fast if too_fast.any() else None
+            too_fast = (self.switch_prob > _MAX_SWITCH_PROB).nonzero()[0]
+            if too_fast.size:
+                reg = int(too_fast[0])
+                raise StepTooLarge(f"dt * q = {self.switch_prob[reg]:.3g} > 0.1 in regime {reg}; "
+                                   f"shrink dt")
         else:
             self.table = None
 
@@ -192,27 +198,16 @@ class _Kernel:
                              f"got {drift.shape}; gather per-regime coefficients "
                              f"as coef[lam][:, None]")
         sig = np.asarray(model.sigma(x, lam), dtype=float)
-        if model.sigma_mode == "diag":
-            if sig.shape not in ((), (d,), (k, 1), (k, d)):
-                raise ValueError(f"sigma(x, lam) must return a scalar or shape (d,), (k, 1) "
-                                 f"or (k, d) with (k, d) = {(k, d)}, got {sig.shape}")
-            noise = sig * z
-        elif sig.shape == (d, d):
-            noise = z @ sig.T
-        else:
-            raise ValueError(f"matrix sigma(x, lam) must return one (d, d) matrix, "
-                             f"d = {d}, got shape {sig.shape}")
-        x_new = x + drift * self.dt + noise * self.sqrt_dt
+        if sig.shape not in ((), (d,), (k, 1), (k, d)):
+            raise ValueError(f"sigma(x, lam) must return a scalar or shape (d,), (k, 1) "
+                             f"or (k, d) with (k, d) = {(k, d)}, got {sig.shape}")
+        x_new = x + drift * self.dt + sig * z * self.sqrt_dt
         if model.boundary == "reflect":
             np.abs(x_new, out=x_new)
         if self.table is None:
             cum = self._rate_cumsum(x, lam)
             last = cum[-1]
         else:
-            if self.too_fast is not None and self.too_fast[lam].any():
-                reg = int(lam[self.too_fast[lam]].min())
-                raise StepTooLarge(f"dt * q = {self.exit_prob[reg]:.3g} > 0.1 in regime {reg}; "
-                                   f"shrink dt")
             last = self.switch_prob[lam]
         moved = (u < last).nonzero()[0]
         if moved.size == 0:
@@ -231,8 +226,6 @@ class _Kernel:
         over l <= j, from one ``rate_fn(x, lam)`` call on the whole batch."""
         xs = x[:, 0]
         q = self.model.rates.evaluate(xs, lam)
-        if not q.min() >= 0.0:
-            _raise_bad_rate(q, xs, lam)
         # row-by-row running sum: np.cumsum along the short axis is slower,
         # and adds in the same order
         cum = q * self.dt
@@ -246,27 +239,6 @@ class _Kernel:
             _check_diagonal(q, xs, lam, p)
             raise StepTooLarge(f"dt * q = {top:.3g} > 0.1 in regime {lam[p]}; shrink dt")
         return cum
-
-
-def _check_diagonal(q: np.ndarray, xs: np.ndarray, lam: np.ndarray, p: int):
-    """Raise ValueError unless entry (lam[p], p) of the rate table is 0."""
-    if q[lam[p], p] != 0.0:
-        raise ValueError(f"rate_fn(x, lam) entry (lam[p], p) = ({lam[p]}, {p}) must be 0, "
-                         f"got {q[lam[p], p]:.6g} at x = {xs[p]:.6g}")
-
-
-def _raise_bad_rate(q: np.ndarray, xs: np.ndarray, lam: np.ndarray):
-    """Raise for the first path (in batch order) whose rates out of its regime
-    include a negative or non-finite value."""
-    bad = ~(np.isfinite(q) & (q >= 0.0))
-    p = int(bad.any(axis=0).argmax())
-    _check_diagonal(q, xs, lam, p)
-    j = int(bad[:, p].argmax())
-    i, value = int(lam[p]), float(q[j, p])
-    where = f"q[{i},{j}](x = {float(xs[p]):.6g}) = {value:.6g}"
-    if not np.isfinite(value):
-        raise UnboundedRate(f"switching rate {where} is not finite")
-    raise NegativeOffDiagonal(f"switching rate {where} is negative")
 
 
 def _hashmix(value: np.ndarray, h: int, mult: int = _MULT_A) -> tuple:

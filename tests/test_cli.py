@@ -416,6 +416,39 @@ class TestSimulateCommand:
         assert err.startswith(f"error: {error}: ")
 
 
+# q_21(x) = x - 3 is negative below x = 3; without a hint bound_rates scans it
+NEGATIVE_RATE_DOC = {
+    "regimes": 2,
+    "q": {"kind": "rates",
+          "entries": [{"i": 1, "j": 2, "expr": "1 + x/(1 + x)"}, {"i": 2, "j": 1, "expr": "x - 3"}],
+          "scan": {"lo": 1e-3, "hi": 1e3}},
+    "drift": {"kind": "power", "b": [-1.0, -0.5], "delta": 1.0},
+    "sigma": 1.0,
+    "lyapunov": {"beta": [-1.0, -0.5], "tag": "to-infinity"},
+    "two_function": {"beta": [-1.0, -0.5], "h_limit": "to-infinity"},
+}
+
+
+@pytest.mark.parametrize("args", [["classify", "--criterion", "auto"],
+                                  ["classify", "--criterion", "thm23"],
+                                  ["classify", "--criterion", "thm32"],
+                                  ["simulate", "--x0", "5", "--r0", "1", "--T", "1.0",
+                                   "--dt", "0.001", "--trials", "100"]],
+                         ids=["auto", "thm23", "thm32", "simulate"])
+def test_negative_rate_fails_with_one_error_line(tmp_path, capsys, args):
+    # the rate table is judged in one place, so the classifiers' scan of
+    # q_21 fails where the simulator's paths would
+    path = write_model(tmp_path, NEGATIVE_RATE_DOC)
+    assert main([args[0], path, *args[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: NegativeOffDiagonal: switching rate q[1,0](x = ")
+    if args[0] == "classify":
+        # the first point of the scan grid
+        assert err == ("error: NegativeOffDiagonal: switching rate q[1,0](x = 0.001) = "
+                       "-2.999 is negative\n")
+
+
 class TestReproduceCommand:
     def test_ex21_table(self, tmp_path, capsys):
         assert main(["reproduce", "ex21", "--out", str(tmp_path), "--json"]) == 0

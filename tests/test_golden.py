@@ -6,7 +6,9 @@ change to the integrator that moves any report by one ulp fails here.  The
 cases cover the built-in benchmark models (state-dependent ex22 rates, the
 2-regime OU generator, the 12-regime truncated ex21 chain), the models the
 CLI builds from emitted files (cor31 has delta = 0.5, the nonlinear power
-drift), a 2-d model with a noise matrix, and one single-path ``step`` sequence.
+drift), a 2-d model with per-axis noise (recorded before matrix noise was
+removed from the engine, which took its ``plane_matrix`` case along), and one
+single-path ``step`` sequence.
 ``RATES3_DOC``, a three-regime ``rates`` file with absent pairs, pins the
 ``simulate`` output of a compiled rate table that skips regimes and pairs.
 The CLI's ``classify`` and ``simulate`` output on every emitted model is
@@ -73,11 +75,6 @@ CASES = {
                dict(x0=3.0, i0=1, r0=1.0, T=2.0, dt=1e-3, trials=120, seed=8)),
     "cli_cor31": (lambda d: cli._build_sde(load_model(d / "cor31.json")),
                   dict(x0=2.0, i0=0, r0=1.0, T=3.0, dt=1e-3, trials=120, seed=9)),
-    "plane_matrix": (lambda d: dataclasses.replace(
-                         plane_model(), sigma=lambda x, lam: np.array([[1.0, 0.3], [0.0, 0.8]]),
-                         sigma_mode="matrix"),
-                     dict(x0=[3.0, 4.0], i0=0, r0=2.0, T=3.0, dt=1e-2, trials=100,
-                          seed=12)),
     "plane": (lambda d: plane_model(),
               dict(x0=[3.0, 4.0], i0=0, r0=2.0, T=3.0, dt=1e-2, trials=100, seed=12)),
 }
@@ -131,13 +128,6 @@ GOLDEN = {
         "mean_hitting_time": "0x1.65c122a34e44fp-1", "escape_count": 0,
         "escape_fraction": "0x0.0p+0", "censored": 28,
         "growth_exponent": "0x1.01b608b52527bp-2",
-    },
-    "plane_matrix": {
-        "t_horizon": "0x1.8000000000000p+1", "returned": 87,
-        "return_fraction": "0x1.bd70a3d70a3d7p-1", "return_ci95": "0x1.0dfd62175dfe0p-4",
-        "mean_hitting_time": "0x1.a6aa3224043cbp+0", "escape_count": 0,
-        "escape_fraction": "0x0.0p+0", "censored": 13,
-        "growth_exponent": "-0x1.acbc5e664f685p-3",
     },
     "plane": {
         "t_horizon": "0x1.8000000000000p+1", "returned": 91,

@@ -165,6 +165,21 @@ class TestBoundRates:
         with pytest.raises(UnboundedRate, match=r"q\[0,1\] exceeds the rate cap 1e\+08"):
             bound_rates(rates, ScanGrid(lo=1.0, hi=1e6))
 
+    @pytest.mark.parametrize("up, down, error, message", [
+        (lambda x: 1.0, lambda x: x - 3.0, NegativeOffDiagonal,
+         r"^switching rate q\[1,0\]\(x = 0\.001\) = -2\.999 is negative$"),
+        (lambda x: np.where(x < 2.0, 1.0, np.nan), lambda x: 1.0, UnboundedRate,
+         r"^switching rate q\[0,1\]\(x = 2\.\d+\) = nan is not finite$"),
+        (lambda x: np.where(x < 2.0, 1.0, np.inf), lambda x: 1.0, UnboundedRate,
+         r"^q\[0,1\] exceeds the rate cap 1e\+08 on the scan grid$"),
+    ], ids=["negative", "nan", "inf"])
+    def test_bad_scanned_rates_are_rejected(self, up, down, error, message):
+        # the table is judged as the simulator judges it: a negative or NaN
+        # rate at its first grid point, an infinite one by the rate cap
+        rates = StateDependentRates(n=2, rate_fn=two_regime_rates(up=up, down=down))
+        with pytest.raises(error, match=message):
+            bound_rates(rates, ScanGrid(lo=1e-3, hi=1e3))
+
     def test_grid_required_without_hints(self):
         rates = StateDependentRates(n=2, rate_fn=two_regime_rates(up=lambda x: 1.0,
                                                                    down=lambda x: 1.0))

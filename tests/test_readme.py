@@ -1,10 +1,15 @@
-"""Every ```python block of README.md runs as written, so the documented
-examples cannot drift from the library's signatures."""
+"""Every ```python block of README.md runs as written, and its ``SdeModel``
+signature lists the dataclass's fields, so the documented examples cannot
+drift from the library's signatures."""
 
+import ast
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
+
+from regime import SdeModel
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
@@ -19,3 +24,13 @@ def test_readme_has_python_blocks():
 def test_readme_python_block_runs(index, capsys):
     exec(compile(BLOCKS[index], f"README.md python block {index + 1}", "exec"), {})  # noqa: S102
     assert capsys.readouterr().out
+
+
+def test_readme_sdemodel_signature_lists_its_fields():
+    sigs = re.findall(r"`SdeModel\(([^)`]*)\)`", README.read_text(encoding="utf-8"))
+    assert len(sigs) == 1
+    documented = []
+    for param in sigs[0].split(", "):
+        name, _, default = param.partition("=")
+        documented.append((name, ast.literal_eval(default) if default else dataclasses.MISSING))
+    assert documented == [(f.name, f.default) for f in dataclasses.fields(SdeModel)]

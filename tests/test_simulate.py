@@ -144,6 +144,17 @@ class TestStep:
         with pytest.raises(StepTooLarge):
             step(model, 1.0, 0, 0.01, np.random.default_rng(0))
 
+    def test_constant_generator_step_is_checked_before_any_step(self):
+        # only regime 2 breaks q dt <= 0.1 (0.3); the ensemble starts in
+        # regime 0 and fails before a path is seeded or the drift is called
+        q3 = validate_qmatrix([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [15.0, 15.0, -30.0]])
+        seen = []
+        model = SdeModel(dim=1, drift=lambda x, lam: seen.append(1) or -x,
+                         sigma=lambda x, lam: 1.0, rates=q3)
+        with pytest.raises(StepTooLarge, match=r"dt \* q = 0\.3 > 0\.1 in regime 2; shrink dt"):
+            run_ensemble(model, x0=5.0, i0=0, r0=1.0, T=1.0, dt=1e-2, trials=100, seed=0)
+        assert seen == []
+
     def test_reflection_keeps_half_line(self):
         model = _const_model(drift_slope=-0.5, sigma=2.0, boundary="reflect")
         rng = np.random.default_rng(3)
@@ -364,16 +375,12 @@ class TestCallbackContract:
             _Kernel(model, 0.01).advance(np.ones((3, 1)), np.array([0, 1, 0]),
                                          np.zeros((3, 1)), np.ones(3))
 
-    @pytest.mark.parametrize("mode, sig", [
-        ("diag", np.array([1.0, 2.0, 3.0])),       # (k,) aligns with the axis dimension
-        ("diag", np.ones((3, 3))),
-        ("matrix", np.ones(2)),
-        ("matrix", np.ones((3, 2))),
-        ("matrix", np.ones((3, 2, 2))),
-    ])
-    def test_bad_sigma_shapes_are_rejected(self, mode, sig):
-        model = SdeModel(dim=2, drift=lambda x, lam: -x,
-                         sigma=lambda x, lam: sig, rates=Q2, sigma_mode=mode)
+    @pytest.mark.parametrize("sig", [
+        np.array([1.0, 2.0, 3.0]),      # (k,) aligns with the axis dimension
+        np.ones((3, 3)),                # a (d, d) noise matrix is not a scale
+    ], ids=["diag-sig0", "diag-sig1"])
+    def test_bad_sigma_shapes_are_rejected(self, sig):
+        model = SdeModel(dim=2, drift=lambda x, lam: -x, sigma=lambda x, lam: sig, rates=Q2)
         with pytest.raises(ValueError, match=r"sigma\(x, lam\)"):
             _Kernel(model, 0.01).advance(np.ones((3, 2)), np.zeros(3, dtype=int),
                                          np.zeros((3, 2)), np.ones(3))

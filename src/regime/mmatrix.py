@@ -24,7 +24,6 @@ from .markov import QMatrix
 # boundary; callers must report such cases inconclusive instead of letting the
 # verdict flip on round-off.
 BOUNDARY_BAND = 1e-8
-Z_TOL = 1e-12
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _SUBNORMAL = np.finfo(float).smallest_subnormal
 # solves A x <- x tried for the positive vector; see semipositive_certificate
@@ -33,12 +32,11 @@ PERRON_MAX_ITER = 100000
 
 
 def z_pattern(a) -> bool:
-    """True iff every off-diagonal entry is <= 0, treating |entry| <= Z_TOL*scale as 0."""
-    m = np.asarray(a, dtype=float)
-    off = m.copy()
+    """True iff every off-diagonal entry is <= 0, exactly: generator
+    validation already zeroes the round-off it tolerates."""
+    off = np.array(a, dtype=float)
     np.fill_diagonal(off, 0.0)
-    scale = max(1.0, float(np.abs(m).max()))
-    return bool(off.max() <= Z_TOL * scale)
+    return bool(off.max() <= 0.0)
 
 
 def _square(a) -> np.ndarray:

@@ -116,8 +116,12 @@ class TestZPattern:
         a = np.array([[1.5, 0.5], [-2.0, -0.5]])
         assert not z_pattern(a)
 
-    def test_tiny_positive_entries_count_as_zero(self):
-        assert z_pattern([[1.0, 1e-14], [-1.0, 1.0]])
+    def test_tiny_positive_entry_is_not_z(self):
+        # its inverse has the entry -1e-13, so no tolerance may pass it
+        a = [[1.0, 1e-13], [-1.0, 1.0]]
+        assert not z_pattern(a)
+        with pytest.raises(ValueError, match="Z-matrix"):
+            is_nonsingular_mmatrix(a)
 
 
 class TestLeadingMinors:

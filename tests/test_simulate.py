@@ -377,8 +377,9 @@ class TestCallbackContract:
 
     @pytest.mark.parametrize("sig", [
         np.array([1.0, 2.0, 3.0]),      # (k,) aligns with the axis dimension
-        np.ones((3, 3)),                # a (d, d) noise matrix is not a scale
-    ], ids=["diag-sig0", "diag-sig1"])
+        np.ones((3, 3)),
+        np.ones((2, 2)),                # a (d, d) noise matrix is not a scale
+    ], ids=["diag-sig0", "diag-sig1", "d-by-d"])
     def test_bad_sigma_shapes_are_rejected(self, sig):
         model = SdeModel(dim=2, drift=lambda x, lam: -x, sigma=lambda x, lam: sig, rates=Q2)
         with pytest.raises(ValueError, match=r"sigma\(x, lam\)"):

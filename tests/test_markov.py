@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -292,3 +294,144 @@ class TestPartitionAndCoarsen:
             for (lo, hi), bf in zip(p.classes, beta_f):
                 members = range(lo, (hi or len(head)) + 1)
                 assert all(beta.value(j) <= bf + 1e-15 for j in members)
+
+
+def reference_from_cutpoints(beta, cutpoints):
+    """``Partition.from_cutpoints`` as it was before the one-pass rewrite: a
+    member list per bin, contiguity checked bin by bin, and ``Partition``
+    catching classes out of order.  The differential test holds the current
+    code to its classes and exception types."""
+    cuts = np.asarray(cutpoints, dtype=float)
+    if cuts.ndim != 1 or cuts.size < 1:
+        raise ValueError("cutpoints must be a nonempty 1-d sequence")
+    if not np.isfinite(cuts).all() or (np.diff(cuts) <= 0).any():
+        raise ValueError("cutpoints must be finite and strictly increasing")
+    cuts_up = cuts + 1e-12 * np.maximum(1.0, np.abs(cuts))
+    if beta.sup() > cuts_up[-1]:
+        raise ValueError("last cutpoint must dominate the whole beta sequence")
+
+    def bin_of(v):
+        return int(np.searchsorted(cuts_up, v, side="left"))
+
+    head_bins = [bin_of(v) for v in beta.head]
+    tail_bin = bin_of(beta.tail_limit)
+    h_last = beta.head[-1]
+    lo_gap, hi_gap = min(h_last, beta.tail_limit), max(h_last, beta.tail_limit)
+    if ((cuts_up > lo_gap) & (cuts_up < hi_gap)).any():
+        raise ValueError("a cutpoint falls between the last head value and the tail "
+                         "limit; extend the beta head")
+    bins = head_bins + [tail_bin]
+    m = cuts.size
+    members = {b: [] for b in range(m)}
+    for j, b in enumerate(bins[:-1], start=1):
+        members[b].append(j)
+    empty = [b for b in range(m) if not members[b] and b != tail_bin]
+    if empty:
+        raise EmptyClass(f"partition bins {empty} contain no state; delete those cutpoints")
+    classes = []
+    for b in range(m):
+        js = members[b]
+        if b == tail_bin:
+            lo = min(js) if js else len(beta.head) + 1
+            if js and js != list(range(lo, len(beta.head) + 1)):
+                raise ValueError("cutpoint classes are not contiguous state intervals; "
+                                 "supply explicit classes instead")
+            classes.append((lo, None))
+        else:
+            lo, hi = min(js), max(js)
+            if js != list(range(lo, hi + 1)):
+                raise ValueError("cutpoint classes are not contiguous state intervals; "
+                                 "supply explicit classes instead")
+            classes.append((lo, hi))
+    return Partition(classes=tuple(classes))
+
+
+def _outcome(fn, beta, cuts):
+    try:
+        return fn(beta, cuts).classes
+    except (ValueError, EmptyClass) as exc:
+        return type(exc)
+
+
+class TestPartitionErrors:
+    @pytest.mark.parametrize("classes, message", [
+        ((), "partition needs at least one class"),
+        (((2, None),), "classes must tile {1,2,...} contiguously in order"),
+        (((1, 2), (4, None)), "classes must tile {1,2,...} contiguously in order"),
+        (((1, 3),), "the final class must be the infinite tail (hi=None)"),
+        (((1, None), (2, None)), "non-final classes must be nonempty finite intervals"),
+        (((1, 0), (1, None)), "non-final classes must be nonempty finite intervals"),
+    ])
+    def test_bad_classes_are_rejected(self, classes, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Partition(classes=classes)
+
+
+class TestFromCutpointsErrors:
+    @pytest.mark.parametrize("head, tail, cuts, error, message", [
+        ((-0.5, 0.0), 0.5, [], ValueError, "cutpoints must be a nonempty 1-d sequence"),
+        ((-0.5, 0.0), 0.5, [[0.0, 1.0]], ValueError,
+         "cutpoints must be a nonempty 1-d sequence"),
+        ((-0.5, 0.0), 0.5, [1.0, 0.0], ValueError,
+         "cutpoints must be finite and strictly increasing"),
+        ((-0.5, 0.0), 0.5, [0.0, 0.0, 1.0], ValueError,
+         "cutpoints must be finite and strictly increasing"),
+        ((-0.5, 0.0), 0.5, [0.0, np.inf], ValueError,
+         "cutpoints must be finite and strictly increasing"),
+        ((-0.5, 0.0), 0.5, [0.0, 0.25], ValueError,
+         "last cutpoint must dominate the whole beta sequence"),
+        ((-0.5, 0.0), 0.5, [0.25, 0.5], ValueError,
+         "a cutpoint falls between the last head value and the tail limit; "
+         "extend the beta head"),
+        ((-0.5, 0.5), 0.5, [-1.0, 0.0, 0.5], EmptyClass,
+         "partition bins [0] contain no state; delete those cutpoints"),
+        ((-0.5, 0.0, 0.5), 0.5, [-0.5, -0.25, 0.0, 0.5], EmptyClass,
+         "partition bins [1] contain no state; delete those cutpoints"),
+    ])
+    def test_bad_cutpoints_are_rejected(self, head, tail, cuts, error, message):
+        beta = BetaSequence(head=head, tail_limit=tail)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            Partition.from_cutpoints(beta, cuts)
+
+    @pytest.mark.parametrize("head, tail, message", [
+        # bin 0 holds states 1 and 3, split by state 2 in bin 1
+        ((-1.0, 0.5, -1.0, 0.5), 0.5, "cutpoint classes are not contiguous state "
+                                       "intervals; supply explicit classes instead"),
+        # the tail's bin holds state 1 and state 3 but not state 2
+        ((0.5, -1.0, 0.5), 0.5, "cutpoint classes are not contiguous state "
+                                "intervals; supply explicit classes instead"),
+        # each bin is contiguous, but the tail's bin comes first
+        ((0.5, 0.5, -1.0, -1.0), -1.0, "classes must tile {1,2,...} contiguously in order"),
+    ], ids=["split-bin", "split-tail", "tail-first"])
+    def test_misordered_bins_are_rejected(self, head, tail, message):
+        beta = BetaSequence(head=head, tail_limit=tail)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Partition.from_cutpoints(beta, [0.0, 1.0])
+
+    def test_matches_the_reference_on_random_cases(self):
+        # heads drawn on a quarter grid, so values tie with each other and
+        # with the cutpoints; increasing, decreasing and unordered heads
+        rng = np.random.default_rng(20241019)
+        grid = np.arange(-4, 6) / 4.0
+        outcomes = {}
+        for case in range(3000):
+            vals = rng.choice(grid[:-1], size=int(rng.integers(2, 10)))
+            if case % 3 == 0:
+                vals = np.sort(vals)
+            elif case % 3 == 1:
+                vals = np.sort(vals)[::-1]
+            if case % 2:  # the tail limit continues the head
+                vals[-1] = vals[-2]
+            beta = BetaSequence(head=tuple(vals[:-1]), tail_limit=float(vals[-1]))
+            cuts = rng.choice(grid[:-1], size=int(rng.integers(1, 5)), replace=False)
+            if case % 4:  # a last cutpoint above every value
+                cuts = np.append(cuts, grid[-1])
+            cuts = np.sort(cuts)
+            if case % 7 == 0:
+                cuts = cuts + rng.choice([-1e-13, 1e-13, 1e-9], size=cuts.size)
+            want = _outcome(reference_from_cutpoints, beta, cuts)
+            assert _outcome(Partition.from_cutpoints, beta, cuts) == want, (beta, cuts)
+            key = want if isinstance(want, type) else "accepted"
+            outcomes[key] = outcomes.get(key, 0) + 1
+        assert set(outcomes) == {"accepted", ValueError, EmptyClass}
+        assert min(outcomes.values()) >= 100, outcomes

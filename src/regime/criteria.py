@@ -51,21 +51,18 @@ class Limit(str, enum.Enum):
 @dataclass(frozen=True, eq=False)
 class LyapunovBehavior:
     """What the caller's measuring function V does: its limit tag and the
-    per-regime bounds beta_i with L_i V <= beta_i V outside radius r0.
+    per-regime bounds beta_i with L_i V <= beta_i V outside some ball.
 
     V itself stays on the caller's side; only (beta, tag) enter computation.
     """
 
     tag: Limit
     beta: np.ndarray
-    r0: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float).ravel())
         if not np.isfinite(self.beta).all():
             raise ValueError("beta must be finite")
-        if self.r0 is not None and not self.r0 > 0:
-            raise ValueError("r0 must be positive when given")
 
 
 @dataclass(frozen=True, eq=False)

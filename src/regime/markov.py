@@ -140,10 +140,12 @@ class ScanGrid:
     points: int = 129
     spacing: str = "geometric"
 
-    def build(self, refine: int = 1) -> np.ndarray:
+    def build(self) -> np.ndarray:
+        """The grid refined once: ``2 * points - 1`` nodes, whose even nodes are
+        the ``points`` nodes of the grid itself, bit for bit."""
         if self.points < 2 or not self.hi > self.lo:
             raise EmptyGrid(f"scan grid [{self.lo}, {self.hi}] with {self.points} points is empty")
-        m = (self.points - 1) * refine + 1
+        m = 2 * self.points - 1
         if self.spacing == "geometric":
             if self.lo <= 0:
                 raise EmptyGrid("geometric spacing needs lo > 0")
@@ -161,8 +163,8 @@ class StateDependentRates:
     regime of each, an integer array ``lam`` of shape (k,), and returns the
     (n, k) rate table: entry (j, p) is q_{lam[p], j}(x[p]), and entry
     (lam[p], p) is 0.  Optional ``hints[(i, j)] = (inf, sup)`` give
-    closed-form bounds over the whole domain and take precedence over
-    scanning.
+    closed-form bounds over the whole domain; :func:`bound_rates` uses them in
+    place of scanned bounds once the scan agrees with them.
     """
 
     n: int
@@ -212,20 +214,20 @@ def _extremum(vals: np.ndarray, i: int, j: int, want_sup: bool) -> float:
 def bound_rates(rates: StateDependentRates, grid: Optional[ScanGrid] = None) -> QMatrix:
     """Bounding generator: sup of each rate below the diagonal, inf above.
 
-    Closed-form hints are used where available; otherwise each entry is
-    scanned on ``grid`` and once more on a doubled grid (one ``rate_fn`` call
-    per pass for each row that has an entry without a hint), and the two passes
-    must agree to 1e-6 relative; a scanned rate that is negative, NaN or above
-    RATE_CAP raises.  The diagonal is chosen conservative and the result is
-    validated like any generator (so a bounding matrix that comes out
-    reducible or with negative entries raises rather than being guessed
-    around).
+    With ``grid``, one ``rate_fn`` call reads each row on ``grid.build()``.  A
+    hint ``(inf, sup)`` must contain every scanned value (else ValueError) and
+    is the bound; any other entry takes its scanned extremum, which must agree
+    to 1e-6 relative with that of the even (unrefined) nodes and stay within
+    RATE_CAP.  Without ``grid`` hints are trusted and ``rate_fn`` is not called.
+    The diagonal is chosen conservative and the result is validated like any
+    generator, so a reducible or negative bounding matrix raises.
     """
     n = rates.n
     out = np.zeros((n, n))
     hints = rates.hints or {}
+    xs = None if grid is None else grid.build()
     for i in range(n):
-        scans = None  # row i on the grid and on the doubled grid
+        scan = None if xs is None else rates.evaluate(xs, np.full(xs.size, i))
         for j in range(n):
             if i == j:
                 continue
@@ -233,15 +235,18 @@ def bound_rates(rates: StateDependentRates, grid: Optional[ScanGrid] = None) -> 
             hint = hints.get((i, j))
             if hint is not None:
                 inf_v, sup_v = hint
+                if scan is not None:
+                    outside = (scan[j] < inf_v) | (scan[j] > sup_v)
+                    if outside.any():
+                        p = int(outside.argmax())
+                        raise ValueError(f"q[{i},{j}](x = {xs[p]:.6g}) = {scan[j, p]:.6g} lies "
+                                         f"outside its hint [inf, sup] = [{inf_v:g}, {sup_v:g}]")
                 val = float(sup_v if want_sup else inf_v)
             else:
-                if grid is None:
+                if scan is None:
                     raise EmptyGrid(f"no hint for q[{i},{j}] and no scan grid supplied")
-                if scans is None:
-                    scans = [rates.evaluate(xs, np.full(xs.size, i))
-                             for xs in (grid.build(1), grid.build(2))]
-                coarse = _extremum(scans[0][j], i, j, want_sup)
-                fine = _extremum(scans[1][j], i, j, want_sup)
+                coarse = _extremum(scan[j, ::2], i, j, want_sup)
+                fine = _extremum(scan[j], i, j, want_sup)
                 if abs(fine - coarse) > 1e-6 * max(1.0, abs(fine)):
                     raise ScanNotStabilized(
                         f"q[{i},{j}] bound moved from {coarse:g} to {fine:g} under refinement")
@@ -262,22 +267,25 @@ class TailHomogeneousChain:
 
     ``up_rates[i-1]`` is the rate i -> i+1 for i <= K0 (and the constant tail
     value beyond); ``down_rates[i-2]`` is the rate i -> i-1 for 2 <= i <= K0+1
-    (constant beyond).  Both tuples have length K0.
+    (constant beyond).  Both tuples have length K0 (a property, not a field).
     """
 
     up_rates: tuple
     down_rates: tuple
-    K0: int
 
     def __post_init__(self):
-        if self.K0 < 1 or len(self.up_rates) != self.K0 or len(self.down_rates) != self.K0:
+        if not 1 <= len(self.up_rates) == len(self.down_rates):
             raise ValueError("up_rates and down_rates must both have length K0 >= 1")
         if min(self.up_rates) <= 0 or min(self.down_rates) <= 0:
             raise ValueError("birth and death rates must be positive (irreducibility)")
 
     @classmethod
     def constant(cls, up: float, down: float) -> "TailHomogeneousChain":
-        return cls(up_rates=(float(up),), down_rates=(float(down),), K0=1)
+        return cls(up_rates=(float(up),), down_rates=(float(down),))
+
+    @property
+    def K0(self) -> int:
+        return len(self.up_rates)
 
     def up(self, i: int) -> float:
         return float(self.up_rates[min(i, self.K0) - 1])
@@ -376,9 +384,9 @@ class Partition:
 
         The last cutpoint must be an upper bound for the whole sequence, and
         states beyond the explicit head must all land in the class of the
-        tail limit; otherwise extend the head.  Classes must come out as
-        contiguous state intervals (monotone sequences guarantee this) and
-        must all be nonempty.
+        tail limit; otherwise extend the head.  Every class must be nonempty,
+        and the bins of beta_1, beta_2, ..., tail limit may never decrease, so
+        classes are state intervals in order (monotone sequences guarantee it).
         """
         cuts = np.asarray(cutpoints, dtype=float)
         if cuts.ndim != 1 or cuts.size < 1:
@@ -390,41 +398,24 @@ class Partition:
         cuts_up = cuts + 1e-12 * np.maximum(1.0, np.abs(cuts))
         if beta.sup() > cuts_up[-1]:
             raise ValueError("last cutpoint must dominate the whole beta sequence")
-
-        def bin_of(v: float) -> int:
-            return int(np.searchsorted(cuts_up, v, side="left"))
-
-        head_bins = [bin_of(v) for v in beta.head]
-        tail_bin = bin_of(beta.tail_limit)
+        # the tail behaves like one more state
+        bins = np.searchsorted(cuts_up, beta.head + (beta.tail_limit,), side="left")
         h_last = beta.head[-1]
         lo_gap, hi_gap = min(h_last, beta.tail_limit), max(h_last, beta.tail_limit)
         if ((cuts_up > lo_gap) & (cuts_up < hi_gap)).any():
             raise ValueError("a cutpoint falls between the last head value and the tail "
                              "limit; extend the beta head")
-        bins = head_bins + [tail_bin]  # the tail behaves like one more state
         m = cuts.size
-        members: dict = {b: [] for b in range(m)}
-        for j, b in enumerate(bins[:-1], start=1):
-            members[b].append(j)
-        empty = [b for b in range(m) if not members[b] and b != tail_bin]
+        empty = np.setdiff1d(np.arange(m), bins).tolist()
         if empty:
             raise EmptyClass(f"partition bins {empty} contain no state; delete those cutpoints")
-        classes = []
-        for b in range(m):
-            js = members[b]
-            if b == tail_bin:
-                lo = min(js) if js else len(beta.head) + 1
-                if js and js != list(range(lo, len(beta.head) + 1)):
-                    raise ValueError("cutpoint classes are not contiguous state intervals; "
-                                     "supply explicit classes instead")
-                classes.append((lo, None))
-            else:
-                lo, hi = min(js), max(js)
-                if js != list(range(lo, hi + 1)):
-                    raise ValueError("cutpoint classes are not contiguous state intervals; "
-                                     "supply explicit classes instead")
-                classes.append((lo, hi))
-        return cls(classes=tuple(classes))
+        if (np.diff(bins) < 0).any():
+            raise ValueError("cutpoint classes are not contiguous state intervals in order; "
+                             "supply explicit classes instead")
+        # the bins run 0..m-1 without decreasing: bin k starts at the first state in it
+        starts = (np.searchsorted(bins, np.arange(m)) + 1).tolist()
+        his = [lo - 1 for lo in starts[1:]] + [None]
+        return cls(classes=tuple(zip(starts, his)))
 
 
 def coarsen(chain: TailHomogeneousChain, beta: BetaSequence,

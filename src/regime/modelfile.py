@@ -9,17 +9,19 @@ Schema overview (all 1-based regime/state indices in files)::
                                           "inf": ..?, "sup": ..?}, ...],
             "scan": {"lo":..,"hi":..,"points": <int >= 2>?,
                      "spacing": "geometric"|"linear"?}?}   # hi > lo; geometric: lo > 0
-         | {"kind": "birth-death", "a": <down>, "b": <up>, "K0": 1,
-            "up"?: [...], "down"?: [...]},              # "regimes": "infinite" only
+         | {"kind": "birth-death", "a": <down>, "b": <up>, "K0"?: 1}
+         | {"kind": "birth-death", "up": [...], "down": [...],
+            "K0"?: 1}            # K0 = both list lengths; "regimes": "infinite" only
       "drift"?:  {"kind": "power", "b": [...], "delta": <float>}
                | {"kind": "ou", "b": [...]}               # power with delta 1
                | {"kind": "radial", "delta": <float>,
                   "radial_component": [[...per regime...], ...]},
       "sigma"?: <float> | [<float>, ...],
-      "lyapunov"?: {"beta": [...], "tag": "to-infinity"|"to-zero"}
-                 | {"preset": "abs"}                       # V = |x|
-                 | {"preset": "inverse-abs", "r0": <float>} # V = 1/|x|
-                   (presets need a linear drift: ou, or power with delta 1)
+      "lyapunov"?: {"beta": [...], "tag": "to-infinity"|"to-zero", "r0"?: ..}
+                 | {"preset": "abs", "r0"?: ..}            # V = |x|
+                 | {"preset": "inverse-abs", "r0"?: 10}   # V = 1/|x|
+                   (presets need a linear drift: ou, or power with delta 1;
+                    r0 must be positive, and only inverse-abs reads it)
                  | {"beta_values": [...], "beta_tail_limit": <float>,
                     "tag": ...}                             # infinite chains
       "two_function"?: {"beta": [...], "h_limit": "to-infinity"|"to-zero"},
@@ -31,7 +33,8 @@ Schema overview (all 1-based regime/state indices in files)::
 Unknown keys are rejected anywhere in the document and all numbers must be
 finite.  Rate expressions are arithmetic in the single variable ``x`` with
 exp/log/sqrt/sin/cos/tanh/abs and the constants pi and e; their parts free of
-``x`` must evaluate to finite real numbers.
+``x`` must evaluate to finite real numbers.  An ``inf``/``sup`` hint must
+contain every value its expression takes on the scan grid.
 """
 
 from __future__ import annotations
@@ -276,7 +279,7 @@ def _parse_q(doc, n_regimes):
         else:
             up = tuple([_finite_number(doc["b"], "q.b")] * k0)
             down = tuple([_finite_number(doc["a"], "q.a")] * k0)
-        return TailHomogeneousChain(up_rates=up, down_rates=down, K0=k0), None
+        return TailHomogeneousChain(up_rates=up, down_rates=down), None
     raise SchemaError(f"q.kind must be matrix | rates | birth-death, got {kind!r}")
 
 
@@ -315,6 +318,8 @@ def _parse_lyapunov(doc, n_regimes, drift_b, delta, sigma):
         return None, None
     _require_keys(doc, "lyapunov", (),
                   ("beta", "tag", "preset", "r0", "beta_values", "beta_tail_limit"))
+    if "r0" in doc and not _finite_number(doc["r0"], "lyapunov.r0") > 0:
+        raise SchemaError("lyapunov.r0 must be positive")
     if "preset" in doc:
         preset = doc["preset"]
         # the presets' bounds L_i V <= beta_i V hold for a linear drift only
@@ -325,13 +330,10 @@ def _parse_lyapunov(doc, n_regimes, drift_b, delta, sigma):
             # V = |x|: L_i V = b_i V for large |x|
             return LyapunovBehavior(tag=Limit.TO_INFINITY, beta=drift_b), None
         if preset == "inverse-abs":
-            r0 = _finite_number(doc.get("r0", 10.0), "lyapunov.r0")
-            if r0 <= 0:
-                raise SchemaError("lyapunov.r0 must be positive")
             sig = np.broadcast_to(sigma if sigma is not None else np.array([1.0]),
                                   drift_b.shape)
-            beta = -drift_b + (sig ** 2) / r0 ** 2
-            return LyapunovBehavior(tag=Limit.TO_ZERO, beta=beta, r0=r0), None
+            beta = -drift_b + (sig ** 2) / float(doc.get("r0", 10.0)) ** 2
+            return LyapunovBehavior(tag=Limit.TO_ZERO, beta=beta), None
         raise SchemaError(f"unknown lyapunov preset {preset!r}")
     if n_regimes is None:
         _require_keys(doc, "lyapunov(sequence)", ("beta_values", "beta_tail_limit", "tag"))
@@ -344,9 +346,7 @@ def _parse_lyapunov(doc, n_regimes, drift_b, delta, sigma):
     beta = _finite_vector(doc["beta"], "lyapunov.beta")
     if n_regimes is not None and beta.size != n_regimes:
         raise SchemaError("lyapunov.beta must have one entry per regime")
-    r0 = _finite_number(doc["r0"], "lyapunov.r0") if "r0" in doc else None
-    return LyapunovBehavior(tag=_limit_tag(doc["tag"], "lyapunov.tag"),
-                            beta=beta, r0=r0), None
+    return LyapunovBehavior(tag=_limit_tag(doc["tag"], "lyapunov.tag"), beta=beta), None
 
 
 def parse_model(doc: dict, source: str = "<dict>") -> RegimeModel:

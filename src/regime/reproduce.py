@@ -39,6 +39,10 @@ from .markov import (
     validate_qmatrix,
 )
 
+MC_SEED = 20240811  # seed of every Monte Carlo corroboration
+EX21_HEAD = 8  # explicit beta values before the tail limit
+EX21_REGIMES = 12  # regimes of the truncated chain that ex21 simulates
+
 # Reference values for the a=2, b=1 benchmark: the closed forms of the
 # two-class minors conditions and their three-class refinements.
 EX21_REFERENCES = {
@@ -57,9 +61,9 @@ def ex21_chain(a: float = 2.0, b: float = 1.0) -> TailHomogeneousChain:
     return TailHomogeneousChain.constant(up=b, down=a)
 
 
-def ex21_beta(kappa: float, head_len: int = 8) -> BetaSequence:
+def ex21_beta(kappa: float) -> BetaSequence:
     """Drift slopes beta_j = kappa - 1/j, increasing to kappa."""
-    return BetaSequence(head=tuple(kappa - 1.0 / j for j in range(1, head_len + 1)),
+    return BetaSequence(head=tuple(kappa - 1.0 / j for j in range(1, EX21_HEAD + 1)),
                         tail_limit=kappa)
 
 
@@ -89,56 +93,45 @@ def ex21_transience_verdict(kappa: float, m: int, a: float = 2.0, b: float = 1.0
     return out.verdict is Verdict.TRANSIENT
 
 
-def ex22_rates(a: float = 2.0, b: float = 1.0) -> StateDependentRates:
-    """Two-state rates q_12(x) = b (1+2x)/(1+x), q_21(x) = a (1+2x)/(2(1+x))."""
+def ex22_rates() -> StateDependentRates:
+    """Two-state rates q_12(x) = b (1+2x)/(1+x), q_21(x) = a (1+2x)/(2(1+x))
+    with the ex21 tail rates b = 1 and a = 2: both are (1+2x)/(1+x)."""
 
     def rate_fn(x, lam):
         bump = (1.0 + 2.0 * x) / (1.0 + x)
         down = lam == 1
-        return np.stack([np.where(down, (a * bump) / 2.0, 0.0), np.where(down, 0.0, b * bump)])
+        return np.stack([np.where(down, bump, 0.0), np.where(down, 0.0, bump)])
 
-    hints = {(0, 1): (b, 2.0 * b), (1, 0): (a / 2.0, a)}
-    return StateDependentRates(n=2, rate_fn=rate_fn, hints=hints)
-
-
-def ex22_qtilde(a: float = 2.0, b: float = 1.0) -> QMatrix:
-    return bound_rates(ex22_rates(a, b), ScanGrid(lo=1e-6, hi=1e6, points=129))
+    return StateDependentRates(n=2, rate_fn=rate_fn, hints={(0, 1): (1.0, 2.0),
+                                                            (1, 0): (1.0, 2.0)})
 
 
-def ex22_recurrence_verdict(kappa: float, a: float = 2.0, b: float = 1.0) -> bool:
-    lyap = LyapunovBehavior(tag=Limit.TO_INFINITY, beta=np.array([kappa - 1.0, kappa]))
-    return classify_state_dependent(ex22_qtilde(a, b), lyap).conclusive
+def ex22_qtilde() -> QMatrix:
+    return bound_rates(ex22_rates(), ScanGrid(lo=1e-6, hi=1e6, points=129))
 
 
-def ex22_transience_verdict(kappa: float, a: float = 2.0, b: float = 1.0) -> bool:
-    # V = 1/x bounds with r0 -> infinity: beta = (1 - kappa, -kappa)
-    lyap = LyapunovBehavior(tag=Limit.TO_ZERO, beta=np.array([1.0 - kappa, -kappa]))
-    return classify_state_dependent(ex22_qtilde(a, b), lyap).conclusive
-
-
-def ex22_sde_model(kappa: float, a: float = 2.0, b: float = 1.0) -> simulate.SdeModel:
+def ex22_sde_model(kappa: float) -> simulate.SdeModel:
     """dX = (kappa - 1/regime_index) X dt + sqrt(2) dB on the half-line."""
     return simulate.SdeModel(dim=1, drift=simulate.power_drift((kappa - 1.0, kappa)),
                              sigma=simulate.regime_sigma(math.sqrt(2.0)),
-                             rates=ex22_rates(a, b), boundary="reflect")
+                             rates=ex22_rates(), boundary="reflect")
 
 
 def ou_qmatrix() -> QMatrix:
     return validate_qmatrix([[-1.0, 1.0], [2.0, -2.0]])
 
 
-def ou_sde_model(b=(-2.0, 1.0), sigma: float = 1.0) -> simulate.SdeModel:
-    """Linear drift b_i x with additive noise on the half-line."""
+def ou_sde_model(b=(-2.0, 1.0)) -> simulate.SdeModel:
+    """Linear drift b_i x with unit additive noise on the half-line."""
     return simulate.SdeModel(dim=1, drift=simulate.power_drift(b),
-                             sigma=simulate.regime_sigma(sigma), rates=ou_qmatrix(),
+                             sigma=simulate.regime_sigma(1.0), rates=ou_qmatrix(),
                              boundary="reflect")
 
 
-def ex21_sde_model(kappa: float, K: int = 12, a: float = 2.0,
-                   b: float = 1.0) -> simulate.SdeModel:
+def ex21_sde_model(kappa: float) -> simulate.SdeModel:
     """Truncated-chain simulation stand-in for the infinite benchmark."""
-    q = simulate.truncate_chain(ex21_chain(a, b), K)
-    slopes = [kappa - 1.0 / (i + 1) for i in range(K)]
+    q = simulate.truncate_chain(ex21_chain(), EX21_REGIMES)
+    slopes = [kappa - 1.0 / (i + 1) for i in range(EX21_REGIMES)]
     return simulate.SdeModel(dim=1, drift=simulate.power_drift(slopes),
                              sigma=simulate.regime_sigma(math.sqrt(2.0)), rates=q,
                              boundary="reflect")
@@ -156,7 +149,7 @@ def _threshold_row(case: str, reference: float, closed_form: float,
             "agree_1e-6": bool(abs(closed_form - bis) <= 1e-6)}
 
 
-def reproduce_ex21(mc: bool = False, seed: int = 20240811) -> dict:
+def reproduce_ex21(mc: bool = False) -> dict:
     """Threshold table for the infinite birth-death benchmark (a=2, b=1)."""
     a, b = 2.0, 1.0
     k_rec, k_trans = kappa_thresholds(a, b)
@@ -179,34 +172,39 @@ def reproduce_ex21(mc: bool = False, seed: int = 20240811) -> dict:
                         "three-class transience does not (larger bound)"]}
     if mc:
         report["monte_carlo"] = [
-            _mc_summary(ex21_sde_model(0.3), "kappa=0.3 (recurrent side)", seed),
-            _mc_summary(ex21_sde_model(1.2), "kappa=1.2 (transient side)", seed),
+            _mc_summary(ex21_sde_model(0.3), "kappa=0.3 (recurrent side)"),
+            _mc_summary(ex21_sde_model(1.2), "kappa=1.2 (transient side)"),
         ]
     return report
 
 
-def reproduce_ex22(mc: bool = False, seed: int = 20240811) -> dict:
+def reproduce_ex22(mc: bool = False) -> dict:
     """Threshold table for the two-state state-dependent benchmark."""
     a, b = 2.0, 1.0
     k_rec, k_trans = kappa_thresholds(a, b)
-    qt = ex22_qtilde(a, b)
+    qt = ex22_qtilde()
+
+    def certified(tag: Limit, beta) -> bool:
+        lyap = LyapunovBehavior(tag=tag, beta=np.array(beta))
+        return classify_state_dependent(qt, lyap).conclusive
     rows = [
         _threshold_row("recurrence", EX21_REFERENCES["two-class recurrence"], k_rec,
-                       lambda k: ex22_recurrence_verdict(k), 0.01, 1.0),
+                       lambda k: certified(Limit.TO_INFINITY, [k - 1.0, k]), 0.01, 1.0),
+        # V = 1/x bounds with r0 -> infinity: beta = (1 - kappa, -kappa)
         _threshold_row("transience", EX21_REFERENCES["two-class transience"], k_trans,
-                       lambda k: ex22_transience_verdict(k), 0.01, 1.2),
+                       lambda k: certified(Limit.TO_ZERO, [1.0 - k, -k]), 0.01, 1.2),
     ]
     report = {"benchmark": "ex22", "a": a, "b": b,
               "bounding_generator": qt.entries, "thresholds": rows}
     if mc:
         report["monte_carlo"] = [
-            _mc_summary(ex22_sde_model(0.3), "kappa=0.3 (recurrent side)", seed),
-            _mc_summary(ex22_sde_model(1.2), "kappa=1.2 (transient side)", seed),
+            _mc_summary(ex22_sde_model(0.3), "kappa=0.3 (recurrent side)"),
+            _mc_summary(ex22_sde_model(1.2), "kappa=1.2 (transient side)"),
         ]
     return report
 
 
-def reproduce_ou(mc: bool = False, seed: int = 20240811) -> dict:
+def reproduce_ou(mc: bool = False) -> dict:
     """Sign table: averaged linear drift against the verdict."""
     q = ou_qmatrix()
     rows = []
@@ -217,13 +215,14 @@ def reproduce_ou(mc: bool = False, seed: int = 20240811) -> dict:
     report = {"benchmark": "ou", "q": q.entries, "sign_table": rows}
     if mc:
         report["monte_carlo"] = [
-            _mc_summary(ou_sde_model((-2.0, 1.0)), "b=(-2,1) (ergodic side)", seed)]
+            _mc_summary(ou_sde_model((-2.0, 1.0)), "b=(-2,1) (ergodic side)")]
     return report
 
 
-def reproduce_cor31(mc: bool = False, seed: int = 20240811) -> dict:
+def reproduce_cor31(mc: bool = False) -> dict:
     """Boundary sweep of the complete 1-d dichotomy: averaged drift in
-    {-0.1, 0, 0.1} gives recurrent, recurrent, transient."""
+    {-0.1, 0, 0.1} gives recurrent, recurrent, transient.  It has no Monte
+    Carlo rows and ignores ``mc``."""
     q = ou_qmatrix()
     rows = []
     for shift in (-0.1, 0.0, 0.1):
@@ -234,9 +233,9 @@ def reproduce_cor31(mc: bool = False, seed: int = 20240811) -> dict:
     return {"benchmark": "cor31", "q": q.entries, "delta": 0.5, "boundary_sweep": rows}
 
 
-def _mc_summary(model: simulate.SdeModel, label: str, seed: int) -> dict:
+def _mc_summary(model: simulate.SdeModel, label: str) -> dict:
     report = simulate.run_ensemble(model, x0=5.0, i0=0, r0=1.0, T=60.0, dt=1e-3,
-                                   trials=200, seed=seed, escape_radius=50.0)
+                                   trials=200, seed=MC_SEED, escape_radius=50.0)
     return {"label": label, "return_fraction": report.return_fraction,
             "escape_fraction": report.escape_fraction,
             "mean_hitting_time": report.mean_hitting_time,
@@ -254,11 +253,10 @@ REPRODUCERS = {"ex21": reproduce_ex21, "ex22": reproduce_ex22,
 def benchmark_documents() -> dict:
     """Model documents for the built-in benchmarks, keyed by file stem."""
     kappa = 0.5
-    head = 8
     ex21 = {
         "regimes": "infinite",
         "q": {"kind": "birth-death", "a": 2.0, "b": 1.0, "K0": 1},
-        "lyapunov": {"beta_values": [kappa - 1.0 / j for j in range(1, head + 1)],
+        "lyapunov": {"beta_values": list(ex21_beta(kappa).head),
                      "beta_tail_limit": kappa, "tag": "to-infinity"},
         "partition": {"cutpoints": [kappa - 1.0, kappa]},
     }

@@ -32,9 +32,10 @@ import numpy as np
 from .errors import SolverFailure
 
 _TOL = 1e-9
+MAX_ITER = 20000  # pivots before SolverFailure
 
 
-def feasible_point(a_ub, b_ub, max_iter: int = 20000) -> Optional[np.ndarray]:
+def feasible_point(a_ub, b_ub) -> Optional[np.ndarray]:
     """Return some x >= 0 with ``a_ub @ x <= b_ub``, or None if infeasible.
 
     Raises SolverFailure if the pivoting breaks down (iteration cap or a
@@ -84,7 +85,7 @@ def feasible_point(a_ub, b_ub, max_iter: int = 20000) -> Optional[np.ndarray]:
 
     prod = np.empty_like(t)  # rank-1 products, reused by every pivot
     blocked: set = set()
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         eligible = red < -_TOL
         if blocked:
             eligible[list(blocked)] = False

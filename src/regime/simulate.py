@@ -40,6 +40,7 @@ from .markov import (
 )
 
 BLOCK = 8192
+MAX_STEPS = 10**8  # per path; 200 times the 5e5 of the longest run in the tests
 # paths drawn into one contiguous scratch before a single copy into the
 # step-major buffers
 _FILL_GROUP = 32
@@ -408,6 +409,9 @@ def run_ensemble(model: SdeModel, x0, i0: int, r0: float, T: float, dt: float,
     n_steps = int(round(T / dt))
     if n_steps < 1:
         raise ValueError("horizon shorter than one step")
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"T / dt = {T / dt:g} steps exceeds the cap of {MAX_STEPS:g} "
+                         f"steps per path")
 
     hit_time, final_radius, survived = _simulate_paths(
         model, np.arange(trials), x0v, i0, r0, n_steps, dt, seed)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -164,7 +165,7 @@ class TestModelParsing:
         doc["q"] = {"kind": "birth-death", "K0": 2, "up": [0.5, 1.0], "down": [3.0, 2.0]}
         assert main(["classify", write_model(tmp_path, doc), "--criterion", "thm24"]) == 0
         report = json.loads(capsys.readouterr().out)
-        chain = TailHomogeneousChain(up_rates=(0.5, 1.0), down_rates=(3.0, 2.0), K0=2)
+        chain = TailHomogeneousChain(up_rates=(0.5, 1.0), down_rates=(3.0, 2.0))
         beta = BetaSequence(head=tuple(doc["lyapunov"]["beta_values"]), tail_limit=0.5)
         want = classify_infinite(chain, beta, Partition.from_cutpoints(beta, [-0.5, 0.5]),
                                  Limit.TO_INFINITY)
@@ -192,18 +193,32 @@ class TestModelParsing:
                "drift": {"kind": "ou", "b": [1.0, -0.5]}, "sigma": [1.0, 2.0],
                "lyapunov": {"preset": "inverse-abs", "r0": 4.0}}
         lyap = parse_model(doc).lyapunov
-        assert lyap.tag is Limit.TO_ZERO and lyap.r0 == 4.0
+        assert lyap.tag is Limit.TO_ZERO
         np.testing.assert_array_equal(lyap.beta, [-1.0 + 1.0 / 16, 0.5 + 4.0 / 16])
         # r0 defaults to 10, and a scalar sigma serves every regime
         del doc["lyapunov"]["r0"]
         doc["sigma"] = 2.0
         lyap = parse_model(doc).lyapunov
-        assert lyap.r0 == 10.0
         np.testing.assert_array_equal(lyap.beta, [-1.0 + 0.04, 0.5 + 0.04])
         for r0 in (0.0, -1.0):
             doc["lyapunov"]["r0"] = r0
             with pytest.raises(SchemaError, match="lyapunov.r0 must be positive"):
                 parse_model(doc)
+
+    @pytest.mark.parametrize("lyapunov", [{"preset": "abs"},
+                                          {"beta": [-0.5, -0.5], "tag": "to-infinity"}],
+                             ids=["abs", "explicit"])
+    def test_r0_is_checked_in_every_form_that_takes_it(self, lyapunov, tmp_path, capsys):
+        doc = {"regimes": 2, "q": {"kind": "matrix", "entries": [[-1.0, 1.0], [2.0, -2.0]]},
+               "drift": {"kind": "ou", "b": [-1.0, -1.0]}, "lyapunov": lyapunov}
+        for r0 in (None, 0.5):
+            if r0 is not None:
+                lyapunov["r0"] = r0
+            assert main(["classify", write_model(tmp_path, doc), "--criterion", "thm22"]) == 0
+        capsys.readouterr()
+        lyapunov["r0"] = 0.0
+        assert main(["classify", write_model(tmp_path, doc), "--criterion", "thm22"]) == 1
+        assert capsys.readouterr() == ("", "error: SchemaError: lyapunov.r0 must be positive\n")
 
     def test_birth_death_needs_infinite_regimes(self):
         doc = benchmark_documents()["ex21"]
@@ -501,6 +516,157 @@ def test_negative_rate_fails_with_one_error_line(tmp_path, capsys, args):
         # the first point of the scan grid
         assert err == ("error: NegativeOffDiagonal: switching rate q[1,0](x = 0.001) = "
                        "-2.999 is negative\n")
+
+
+def hinted_rate_doc(expr):
+    """NEGATIVE_RATE_DOC with q_21 replaced by ``expr`` and hinted [1, 2]."""
+    doc = json.loads(json.dumps(NEGATIVE_RATE_DOC))
+    doc["q"]["entries"][1].update(expr=expr, inf=1.0, sup=2.0)
+    return doc
+
+
+@pytest.mark.parametrize("mode", ["auto", "thm23", "thm32"])
+@pytest.mark.parametrize("expr, want", [
+    ("x - 3", r"error: NegativeOffDiagonal: switching rate q\[1,0\]\(x = 0\.001\) = -2\.999 "
+              r"is negative"),
+    ("1 + x", r"error: q\[1,0\]\(x = 1\.\d+\) = 2\.\d+ lies outside its hint "
+              r"\[inf, sup\] = \[1, 2\]"),
+], ids=["negative", "above-sup"])
+def test_hint_that_its_expression_breaks_fails_with_one_error_line(tmp_path, capsys, mode,
+                                                                   expr, want):
+    # the hint is checked against the scan, not trusted in its place
+    path = write_model(tmp_path, hinted_rate_doc(expr))
+    assert main(["classify", path, "--criterion", mode]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(want + "\n", err), err
+
+
+def test_step_cap_fails_at_once_with_one_error_line(tmp_path, capsys):
+    # 1e15 steps of work are refused before any path is seeded
+    path = write_model(tmp_path, benchmark_documents()["ex22"])
+    start = time.perf_counter()
+    code = main(["simulate", path, "--x0", "5", "--r0", "1", "--T", "1e12", "--dt", "1e-3",
+                 "--trials", "100"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "error: T / dt = 1e+15 steps exceeds the cap of 1e+08 steps per path\n"
+    assert elapsed < 1.0
+
+
+def _doc(stem, **changes):
+    """A benchmark document with top-level keys replaced (None deletes one)."""
+    doc = benchmark_documents()[stem]
+    for key, value in changes.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    return doc
+
+
+def _with(doc, path, value):
+    """``doc`` with the entry at ``path`` (a tuple of keys) set to ``value``."""
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+# one document per loader error branch: (id, document or raw text, error type,
+# text the single error line must contain)
+BAD_DOCUMENTS = [
+    ("not-json", "{", "ParseError", "is not valid JSON"),
+    ("nan-literal", '{"regimes": NaN}', "ParseError", "non-finite JSON literal 'NaN'"),
+    ("huge-number", '{"regimes": 2, "q": {"kind": "matrix", "entries": '
+                    '[[-1.0, 1.0], [2.0, -2.0]]}, "sigma": 1e999}',
+     "SchemaError", "sigma must be finite"),
+    ("model-not-object", [1, 2], "SchemaError", "must be an object"),
+    ("unknown-key", _doc("ou", colour="red"), "SchemaError", "unknown keys ['colour']"),
+    ("missing-key", {"regimes": 2}, "SchemaError", "missing keys ['q']"),
+    ("regimes", _doc("ou", regimes=0), "SchemaError",
+     "regimes must be a positive integer or 'infinite'"),
+    ("q-kind", _doc("ou", q={"kind": "table"}), "SchemaError",
+     "q.kind must be matrix | rates | birth-death, got 'table'"),
+    ("matrix-infinite", _doc("ou", regimes="infinite"), "SchemaError",
+     "q.kind 'matrix' needs a finite regime count"),
+    ("matrix-rows", _doc("ou", q={"kind": "matrix", "entries": 5}), "SchemaError",
+     "q.entries must be a nonempty array of rows"),
+    ("matrix-row", _doc("ou", q={"kind": "matrix", "entries": [5, 6]}), "SchemaError",
+     "q.entries[0] must be a nonempty array of numbers"),
+    ("matrix-uneven", _doc("ou", q={"kind": "matrix", "entries": [[-1.0, 1.0], [2.0]]}),
+     "SchemaError", "q.entries rows have uneven lengths"),
+    ("matrix-number", _doc("ou", q={"kind": "matrix", "entries": [[-1.0, "1"], [2.0, -2.0]]}),
+     "SchemaError", "q.entries[0][1] must be a number"),
+    ("rates-infinite", _doc("ex22", regimes="infinite"), "SchemaError",
+     "q.kind 'rates' needs a finite regime count"),
+    ("rates-empty", _with(_doc("ex22"), ("q", "entries"), []), "SchemaError",
+     "q.entries must be a nonempty array of rate entries"),
+    ("rate-not-object", _with(_doc("ex22"), ("q", "entries", 0), "x"), "SchemaError",
+     "q.entries[0] must be an object"),
+    ("rate-one-hint", _with(_doc("ex22"), ("q", "entries", 0), {"i": 1, "j": 2, "expr": "x",
+                                                                "inf": 0.0}),
+     "SchemaError", "q.entries[0]: give both inf and sup hints or neither"),
+    ("rate-syntax", _with(_doc("ex22"), ("q", "entries", 0, "expr"), "1 +"), "ParseError",
+     "bad rate expression '1 +'"),
+    ("rate-construct", _with(_doc("ex22"), ("q", "entries", 0, "expr"), "x.real"), "ParseError",
+     "disallowed construct in rate expression 'x.real'"),
+    ("birth-death-k0", _with(_doc("ex21"), ("q", "K0"), 0), "SchemaError",
+     "q.K0 must be a positive integer"),
+    ("birth-death-rate", _with(_doc("ex21"), ("q", "a"), "two"), "SchemaError",
+     "q.a must be a number"),
+    ("drift-kind", _doc("ou", drift={"kind": "cubic"}), "SchemaError",
+     "drift.kind must be power | ou | radial, got 'cubic'"),
+    ("drift-b-length", _doc("ou", drift={"kind": "ou", "b": [1.0]}), "SchemaError",
+     "drift.b must have one entry per regime"),
+    ("drift-delta", _doc("cor31", drift={"kind": "power", "b": [1.0, 1.0], "delta": 2.0}),
+     "SchemaError", "drift.delta must lie in [-1, 1]"),
+    ("radial-columns", _doc("ou", drift={"kind": "radial", "delta": 0.5,
+                                         "radial_component": [[1.0]]}),
+     "SchemaError", "drift.radial_component columns must match the regime count"),
+    ("radial-delta", _doc("ou", drift={"kind": "radial", "delta": 1.0,
+                                       "radial_component": [[1.0, 1.0]]}),
+     "SchemaError", "drift.delta must lie in [-1, 1) for radial profiles"),
+    ("sigma-length", _doc("ou", sigma=[1.0, 1.0, 1.0]), "SchemaError",
+     "sigma must be a scalar or one value per regime"),
+    ("sigma-zero", _doc("ou", sigma=[1.0, 0.0]), "SchemaError", "sigma entries must be nonzero"),
+    ("lyapunov-preset", _doc("ou", lyapunov={"preset": "square"}), "SchemaError",
+     "unknown lyapunov preset 'square'"),
+    ("lyapunov-beta-length", _doc("ou", lyapunov={"beta": [1.0], "tag": "to-zero"}),
+     "SchemaError", "lyapunov.beta must have one entry per regime"),
+    ("lyapunov-tag", _doc("ou", lyapunov={"beta": [1.0, 1.0], "tag": "up"}), "SchemaError",
+     "lyapunov.tag must be 'to-infinity' or 'to-zero'"),
+    ("lyapunov-r0", _doc("ou", lyapunov={"beta": [1.0, 1.0], "tag": "to-zero", "r0": -1.0}),
+     "SchemaError", "lyapunov.r0 must be positive"),
+    ("two-function-length", _doc("ou", two_function={"beta": [1.0], "h_limit": "to-zero"}),
+     "SchemaError", "two_function.beta must have one entry per regime"),
+    ("boundary", _doc("ou", boundary="wrap"), "SchemaError",
+     "boundary must be 'none' or 'reflect'"),
+    ("dimension", _doc("ou", boundary=None, dimension=0), "SchemaError",
+     "dimension must be a positive integer"),
+    ("reflect-dimension", _doc("ou", dimension=2), "SchemaError",
+     "boundary 'reflect' needs dimension 1"),
+]
+
+
+@pytest.mark.parametrize("doc, error, text", [row[1:] for row in BAD_DOCUMENTS],
+                         ids=[row[0] for row in BAD_DOCUMENTS])
+def test_bad_document_fails_with_one_error_line(tmp_path, capsys, doc, error, text):
+    path = tmp_path / "model.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    assert main(["classify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {error}: ") and text in err, err
+
+
+def test_unreadable_model_fails_with_one_error_line(tmp_path, capsys):
+    assert main(["classify", str(tmp_path / "absent.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: ParseError: cannot read ") and "absent.json" in err
 
 
 class TestReproduceCommand:

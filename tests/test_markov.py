@@ -134,23 +134,42 @@ def two_regime_rates(up, down):
 
 
 class TestBoundRates:
-    def test_hints_take_precedence(self):
-        # rates b(1+2x)/(1+x) up and a(1+2x)/(2(1+x)) down collapse to the
-        # constant chain with up-rate b and down-rate a; with every rate
-        # hinted, rate_fn is never called, scan grid or not
+    def test_hints_are_checked_against_the_scan(self):
+        # rates b(1+2x)/(1+x) up and a(1+2x)/(2(1+x)) down lie in their hints,
+        # which collapse them to the constant chain with up-rate b and
+        # down-rate a; without a grid the hints are trusted and rate_fn is
+        # never called
         a, b = 2.0, 1.0
+        hints = {(0, 1): (b, 2 * b), (1, 0): (a / 2, a)}
+        fn = two_regime_rates(up=lambda x: b * (1 + 2 * x) / (1 + x),
+                              down=lambda x: a * (1 + 2 * x) / (2 * (1 + x)))
+        qt = bound_rates(StateDependentRates(n=2, rate_fn=fn, hints=hints),
+                         ScanGrid(lo=0.01, hi=100.0))
+        np.testing.assert_array_equal(qt.entries, [[-b, b], [a, -a]])
 
-        def fn(x, lam):
-            raise AssertionError("rate_fn called although every rate has a hint")
+        def never(x, lam):
+            raise AssertionError("rate_fn called without a scan grid")
 
-        rates = StateDependentRates(n=2, rate_fn=fn,
-                                    hints={(0, 1): (b, 2 * b), (1, 0): (a / 2, a)})
-        for grid in (None, ScanGrid(lo=0.01, hi=100.0)):
-            qt = bound_rates(rates, grid)
-            np.testing.assert_array_equal(qt.entries, [[-b, b], [a, -a]])
+        qt = bound_rates(StateDependentRates(n=2, rate_fn=never, hints=hints))
+        np.testing.assert_array_equal(qt.entries, [[-b, b], [a, -a]])
 
-    def test_one_call_per_scanned_row_and_grid_pass(self):
-        # row 0 is fully hinted; rows 1 and 2 are read on the grid, then on the doubled grid
+    @pytest.mark.parametrize("down, error, message", [
+        (lambda x: x - 3.0, NegativeOffDiagonal,
+         r"^switching rate q\[1,0\]\(x = 0\.01\) = -2\.99 is negative$"),
+        (lambda x: 1.0 + x, ValueError,
+         r"^q\[1,0\]\(x = 1\.0\d*\) = 2\.0\d* lies outside its hint \[inf, sup\] = \[1, 2\]$"),
+        (lambda x: 0.5 + 0.0 * x, ValueError,
+         r"^q\[1,0\]\(x = 0\.01\) = 0\.5 lies outside its hint \[inf, sup\] = \[1, 2\]$"),
+    ], ids=["negative", "above-sup", "below-inf"])
+    def test_hint_contradicted_by_the_scan_is_rejected(self, down, error, message):
+        fn = two_regime_rates(up=lambda x: 1.0 + 0.0 * x, down=down)
+        rates = StateDependentRates(n=2, rate_fn=fn, hints={(0, 1): (1.0, 1.0), (1, 0): (1.0, 2.0)})
+        with pytest.raises(error, match=message):
+            bound_rates(rates, ScanGrid(lo=0.01, hi=100.0))
+
+    def test_one_call_per_row(self):
+        # row 0 is fully hinted and read too; every row is read once, on the
+        # grid refined once
         calls = []
 
         def fn(x, lam):
@@ -159,9 +178,24 @@ class TestBoundRates:
 
         rates = StateDependentRates(n=3, rate_fn=fn, hints={(0, 1): (1.0, 1.0), (0, 2): (1.0, 1.0)})
         qt = bound_rates(rates, ScanGrid(lo=1.0, hi=2.0, points=5))
-        assert calls == [(5, [1]), (9, [1]), (5, [2]), (9, [2])]
+        assert calls == [(9, [0]), (9, [1]), (9, [2])]
         np.testing.assert_array_equal(qt.entries, [[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0],
                                                    [1.0, 1.0, -2.0]])
+
+    def test_even_nodes_are_the_unrefined_grid(self):
+        # numpy's own grid of `points` nodes, bit for bit, on random grids
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            lo = float(10.0 ** rng.uniform(-8, 3))
+            hi = lo * float(10.0 ** rng.uniform(1e-3, 12))
+            points = int(rng.integers(2, 400))
+            geo = ScanGrid(lo=lo, hi=hi, points=points).build()
+            assert geo.size == 2 * points - 1
+            np.testing.assert_array_equal(geo[::2], np.geomspace(lo, hi, points))
+            lo = float(rng.uniform(-1e3, 1e3))
+            hi = lo + float(10.0 ** rng.uniform(-3, 4))
+            lin = ScanGrid(lo=lo, hi=hi, points=points, spacing="linear").build()
+            np.testing.assert_array_equal(lin[::2], np.linspace(lo, hi, points))
 
     def test_bad_rate_table_shape_is_rejected(self):
         # one rate per position is not the (n, k) table
@@ -235,7 +269,14 @@ class TestTailHomogeneousChain:
 
     def test_positive_rates_required(self):
         with pytest.raises(ValueError):
-            TailHomogeneousChain(up_rates=(0.0,), down_rates=(1.0,), K0=1)
+            TailHomogeneousChain(up_rates=(0.0,), down_rates=(1.0,))
+
+    def test_k0_is_the_common_length(self):
+        chain = TailHomogeneousChain(up_rates=(0.5, 1.0), down_rates=(3.0, 2.0))
+        assert chain.K0 == 2 and chain.up(9) == 1.0 and chain.down(2) == 3.0
+        for up, down in (((), ()), ((1.0, 1.0, 1.0), (1.0, 1.0))):
+            with pytest.raises(ValueError, match="must both have length K0 >= 1"):
+                TailHomogeneousChain(up_rates=up, down_rates=down)
 
 
 class TestPartitionAndCoarsen:
@@ -393,18 +434,15 @@ class TestFromCutpointsErrors:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             Partition.from_cutpoints(beta, cuts)
 
-    @pytest.mark.parametrize("head, tail, message", [
-        # bin 0 holds states 1 and 3, split by state 2 in bin 1
-        ((-1.0, 0.5, -1.0, 0.5), 0.5, "cutpoint classes are not contiguous state "
-                                       "intervals; supply explicit classes instead"),
-        # the tail's bin holds state 1 and state 3 but not state 2
-        ((0.5, -1.0, 0.5), 0.5, "cutpoint classes are not contiguous state "
-                                "intervals; supply explicit classes instead"),
-        # each bin is contiguous, but the tail's bin comes first
-        ((0.5, 0.5, -1.0, -1.0), -1.0, "classes must tile {1,2,...} contiguously in order"),
+    @pytest.mark.parametrize("head, tail", [
+        ((-1.0, 0.5, -1.0, 0.5), 0.5),  # bin 0 holds states 1 and 3, not 2
+        ((0.5, -1.0, 0.5), 0.5),  # the tail's bin holds states 1 and 3, not 2
+        ((0.5, 0.5, -1.0, -1.0), -1.0),  # each bin is contiguous, the tail's comes first
     ], ids=["split-bin", "split-tail", "tail-first"])
-    def test_misordered_bins_are_rejected(self, head, tail, message):
+    def test_misordered_bins_are_rejected(self, head, tail):
         beta = BetaSequence(head=head, tail_limit=tail)
+        message = ("cutpoint classes are not contiguous state intervals in order; "
+                   "supply explicit classes instead")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Partition.from_cutpoints(beta, [0.0, 1.0])
 

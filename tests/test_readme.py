@@ -1,6 +1,6 @@
 """Every ```python block of README.md runs as written, and its ``SdeModel``
-signature lists the dataclass's fields, so the documented examples cannot
-drift from the library's signatures."""
+and ``StateDependentRates`` signatures list the dataclasses' fields, so the
+documented examples cannot drift from the library's signatures."""
 
 import ast
 import dataclasses
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from regime import SdeModel
+from regime import SdeModel, StateDependentRates
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
@@ -26,11 +26,22 @@ def test_readme_python_block_runs(index, capsys):
     assert capsys.readouterr().out
 
 
-def test_readme_sdemodel_signature_lists_its_fields():
-    sigs = re.findall(r"`SdeModel\(([^)`]*)\)`", README.read_text(encoding="utf-8"))
+def documented_fields(cls):
+    """The (name, default) pairs of the one `cls(...)` signature in the README."""
+    sigs = re.findall(rf"`{cls.__name__}\(([^)`]*)\)`", README.read_text(encoding="utf-8"))
     assert len(sigs) == 1
     documented = []
     for param in sigs[0].split(", "):
         name, _, default = param.partition("=")
         documented.append((name, ast.literal_eval(default) if default else dataclasses.MISSING))
-    assert documented == [(f.name, f.default) for f in dataclasses.fields(SdeModel)]
+    return documented
+
+
+def test_readme_sdemodel_signature_lists_its_fields():
+    assert documented_fields(SdeModel) == [(f.name, f.default)
+                                           for f in dataclasses.fields(SdeModel)]
+
+
+def test_readme_state_dependent_rates_signature_lists_its_fields():
+    assert documented_fields(StateDependentRates) == [
+        (f.name, f.default) for f in dataclasses.fields(StateDependentRates)]

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from regime.errors import SolverFailure
+from regime import simplex
 from regime.simplex import _TOL, feasible_point
 
 
@@ -233,11 +234,12 @@ def test_feasible_vertex_satisfies_constraints():
             assert (a_ub @ x <= b_ub + 1e-7 * (1.0 + np.abs(b_ub))).all(), name
 
 
-def test_iteration_cap_raises_solver_failure():
+def test_iteration_cap_raises_solver_failure(monkeypatch):
     a_ub, b_ub = CORPUS["thm32_n20_constructed"]
     assert feasible_point(a_ub, b_ub) is not None
-    with pytest.raises(SolverFailure):
-        feasible_point(a_ub, b_ub, max_iter=2)
+    monkeypatch.setattr(simplex, "MAX_ITER", 2)
+    with pytest.raises(SolverFailure, match="iteration cap"):
+        feasible_point(a_ub, b_ub)
 
 
 @pytest.mark.parametrize("a_ub, b_ub", [

@@ -12,6 +12,7 @@ from regime import (
     truncate_chain,
     validate_qmatrix,
 )
+from regime import simulate
 from regime.errors import NegativeOffDiagonal, StepTooLarge, UnboundedRate
 from regime.reproduce import ex21_sde_model, ex22_sde_model
 from regime.simulate import _Kernel, _norm, _simulate_paths, power_drift, regime_sigma
@@ -305,6 +306,7 @@ class TestRunEnsemble:
         (dict(i0=0.7), "i0 must be a non-negative integer"),
         (dict(i0=np.float64(0.0)), "i0 must be a non-negative integer"),
         (dict(i0=-1), "i0 must be a non-negative integer"),
+        (dict(T=1e12, dt=1e-3), r"^T / dt = 1e\+15 steps exceeds the cap of 1e\+08 steps per path$"),
     ])
     def test_nonfinite_or_noninteger_inputs_raise(self, bad, message):
         seen = []
@@ -314,6 +316,14 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match=message):
             run_ensemble(model, **kwargs)
         assert seen == []
+
+    def test_step_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(simulate, "MAX_STEPS", 10)
+        model = SdeModel(dim=1, drift=lambda x, lam: -x, sigma=lambda x, lam: 1.0, rates=Q2)
+        kwargs = dict(x0=5.0, i0=0, r0=1.0, dt=1e-2, trials=100, seed=0)
+        assert run_ensemble(model, T=0.1, **kwargs).t_horizon == pytest.approx(0.1)
+        with pytest.raises(ValueError, match="exceeds the cap of 10 steps per path"):
+            run_ensemble(model, T=0.11, **kwargs)
 
     def test_validates_inputs(self):
         model = ex22_sde_model(0.3)

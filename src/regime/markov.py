@@ -406,7 +406,7 @@ class Partition:
             raise ValueError("a cutpoint falls between the last head value and the tail "
                              "limit; extend the beta head")
         m = cuts.size
-        empty = np.setdiff1d(np.arange(m), bins).tolist()
+        empty = np.flatnonzero(np.bincount(bins, minlength=m) == 0).tolist()
         if empty:
             raise EmptyClass(f"partition bins {empty} contain no state; delete those cutpoints")
         if (np.diff(bins) < 0).any():

@@ -7,6 +7,7 @@ inconclusive classification, 1 for any error including usage problems.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -28,7 +29,7 @@ from .criteria import (
     kappa_thresholds,
 )
 from .errors import CriterionNotApplicable, RegimeError, SingularSolve
-from .markov import Partition, QMatrix, StateDependentRates, TailHomogeneousChain, bound_rates
+from .markov import Partition, QMatrix, StateDependentRates, TailHomogeneousChain
 from .modelfile import RegimeModel, load_model
 from .simulate import SdeModel, power_drift, regime_sigma, run_ensemble
 
@@ -61,7 +62,7 @@ def _run_thm22(model: RegimeModel):
 def _run_thm23(model: RegimeModel):
     _need(isinstance(model.switching, StateDependentRates), "needs state-dependent rates")
     _need(model.lyapunov is not None, "needs a lyapunov section")
-    return classify_state_dependent(bound_rates(model.switching, model.scan), model.lyapunov)
+    return classify_state_dependent(model.q_tilde, model.lyapunov)
 
 
 def _run_thm24(model: RegimeModel):
@@ -89,8 +90,7 @@ def _run_thm32(model: RegimeModel):
     _need(isinstance(model.switching, StateDependentRates), "needs state-dependent rates")
     _need(model.two_function is not None, "needs a two_function section")
     two = model.two_function
-    return classify_two_function_state_dependent(bound_rates(model.switching, model.scan),
-                                                 two.beta, two.h_limit)
+    return classify_two_function_state_dependent(model.q_tilde, two.beta, two.h_limit)
 
 
 def _run_thm33(model: RegimeModel):
@@ -203,7 +203,10 @@ def cmd_thresholds(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing never changes it,
+    and every default is immutable, so each ``main`` call reuses it."""
     parser = _Parser(prog="regime",
                      description="classify and simulate regime-switching diffusions")
     sub = parser.add_subparsers(dest="command", required=True)

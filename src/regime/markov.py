@@ -162,14 +162,21 @@ class StateDependentRates:
     ``rate_fn(x, lam)`` is called with positions ``x`` of shape (k,) and the
     regime of each, an integer array ``lam`` of shape (k,), and returns the
     (n, k) rate table: entry (j, p) is q_{lam[p], j}(x[p]), and entry
-    (lam[p], p) is 0.  Optional ``hints[(i, j)] = (inf, sup)`` give
-    closed-form bounds over the whole domain; :func:`bound_rates` uses them in
-    place of scanned bounds once the scan agrees with them.
+    (lam[p], p) is 0.  Optional ``hints[(i, j)] = (inf, sup)``, with
+    ``inf <= sup``, give closed-form bounds over the whole domain;
+    :func:`bound_rates` uses them in place of scanned bounds once the scan
+    agrees with them.
     """
 
     n: int
     rate_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     hints: Optional[dict] = None
+
+    def __post_init__(self):
+        for (i, j), (inf_v, sup_v) in (self.hints or {}).items():
+            if not inf_v <= sup_v:
+                raise ValueError(f"hint for q[{i},{j}] needs inf <= sup, "
+                                 f"got [{inf_v:g}, {sup_v:g}]")
 
     def evaluate(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """``rate_fn(x, lam)`` as floats, checked to have the shape (n, k) and
@@ -322,6 +329,7 @@ class BetaSequence:
     tail_limit: float
 
     def __post_init__(self):
+        object.__setattr__(self, "head", tuple(self.head))  # a list head works too
         vals = np.asarray(self.head + (self.tail_limit,), dtype=float)
         if vals.size < 2:
             raise ValueError("head must contain at least one value")

@@ -72,7 +72,7 @@ def leading_minors(a, return_pivots: bool = False):
         if abs(piv) <= BOUNDARY_BAND:
             pivots = pivots[:k + 1]
             break
-        m[k + 1:, k + 1:] -= np.outer(m[k + 1:, k] / piv, m[k, k + 1:])
+        m[k + 1:, k + 1:] -= np.multiply.outer(m[k + 1:, k] / piv, m[k, k + 1:])
     with np.errstate(over="ignore", invalid="ignore"):
         minors = np.cumprod(scale * pivots)
     minors[np.isnan(minors)] = 0.0  # an exact zero pivot after an overflowed minor

@@ -33,8 +33,9 @@ Schema overview (all 1-based regime/state indices in files)::
 Unknown keys are rejected anywhere in the document and all numbers must be
 finite.  Rate expressions are arithmetic in the single variable ``x`` with
 exp/log/sqrt/sin/cos/tanh/abs and the constants pi and e; their parts free of
-``x`` must evaluate to finite real numbers.  An ``inf``/``sup`` hint must
-contain every value its expression takes on the scan grid.
+``x`` must evaluate to finite real numbers.  An ``inf``/``sup`` hint needs
+``inf <= sup`` and must contain every value its expression takes on the scan
+grid.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import ast
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -50,7 +52,7 @@ import numpy as np
 from .criteria import Limit, LyapunovBehavior, TwoFunctionData
 from .errors import EmptyGrid, ParseError, SchemaError
 from .markov import BetaSequence, QMatrix, ScanGrid, StateDependentRates, \
-    TailHomogeneousChain, validate_qmatrix
+    TailHomogeneousChain, bound_rates, validate_qmatrix
 
 _ALLOWED_FUNCS = {"exp": np.exp, "log": np.log, "sqrt": np.sqrt,
                   "sin": np.sin, "cos": np.cos, "tanh": np.tanh, "abs": np.abs}
@@ -195,6 +197,12 @@ class RegimeModel:
     cutpoints: Optional[tuple]
     two_function: Optional[TwoFunctionData]
 
+    @cached_property
+    def q_tilde(self) -> QMatrix:
+        """The bounding generator of state-dependent rates, from one
+        :func:`bound_rates` call however many criteria read it."""
+        return bound_rates(self.switching, self.scan)
+
 
 def _parse_q(doc, n_regimes):
     _require_keys(doc, "q", ("kind",),
@@ -225,8 +233,11 @@ def _parse_q(doc, n_regimes):
                 raise SchemaError(f"q.entries[{k}]: bad index pair ({i},{j})")
             fns.setdefault(i - 1, {})[j - 1] = compile_rate_expr(str(ent["expr"]))
             if "inf" in ent and "sup" in ent:
-                hints[(i - 1, j - 1)] = (_finite_number(ent["inf"], f"q.entries[{k}].inf"),
-                                         _finite_number(ent["sup"], f"q.entries[{k}].sup"))
+                lo = _finite_number(ent["inf"], f"q.entries[{k}].inf")
+                hi = _finite_number(ent["sup"], f"q.entries[{k}].sup")
+                if lo > hi:
+                    raise SchemaError(f"q.entries[{k}]: hint inf {lo:g} exceeds sup {hi:g}")
+                hints[(i - 1, j - 1)] = (lo, hi)
             elif "inf" in ent or "sup" in ent:
                 raise SchemaError(f"q.entries[{k}]: give both inf and sup hints or neither")
 

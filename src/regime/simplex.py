@@ -100,7 +100,7 @@ def feasible_point(a_ub, b_ub) -> Optional[np.ndarray]:
             # round-off at a degenerate vertex; retire it and move on
             blocked.add(entering)
             continue
-        tied = np.flatnonzero(ratio <= best + _TOL)
+        tied = (ratio <= best + _TOL).nonzero()[0]
         leave = tied[0] if tied.size == 1 else tied[basis[tied].argmin()]
         t[leave] /= t[leave, entering]
         f = t[:, entering]

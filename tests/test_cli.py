@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regime.cli import RUNNERS, main
+from regime.cli import RUNNERS, build_parser, main
 from regime.criteria import Limit, classify_infinite
 from regime.errors import ParseError, SchemaError
 from regime.markov import (
@@ -541,6 +542,28 @@ def test_hint_that_its_expression_breaks_fails_with_one_error_line(tmp_path, cap
     assert out == "" and re.fullmatch(want + "\n", err), err
 
 
+def inverted_hint_doc(scan):
+    """The emitted ex22 document with q_21 = "1" hinted [2, 1], with or
+    without its scan section; lyapunov beta = (-1, -1)."""
+    doc = benchmark_documents()["ex22"]
+    if not scan:
+        del doc["q"]["scan"]
+    doc["q"]["entries"][1].update(expr="1", inf=2.0, sup=1.0)
+    doc["lyapunov"]["beta"] = [-1.0, -1.0]
+    return doc
+
+
+@pytest.mark.parametrize("mode", ["auto", "thm23"])
+@pytest.mark.parametrize("scan", [False, True], ids=["no-scan", "scan"])
+def test_inverted_hint_fails_with_one_error_line(tmp_path, capsys, mode, scan):
+    # below the diagonal only sup is read, so without this check the document
+    # without a scan was certified exponentially ergodic
+    path = write_model(tmp_path, inverted_hint_doc(scan))
+    assert main(["classify", path, "--criterion", mode]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: SchemaError: q.entries[1]: hint inf 2 exceeds sup 1\n"
+
+
 def test_step_cap_fails_at_once_with_one_error_line(tmp_path, capsys):
     # 1e15 steps of work are refused before any path is seeded
     path = write_model(tmp_path, benchmark_documents()["ex22"])
@@ -667,6 +690,51 @@ def test_unreadable_model_fails_with_one_error_line(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
     assert err.startswith("error: ParseError: cannot read ") and "absent.json" in err
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_second_call_constructs_no_parser(self, tmp_path, capsys, monkeypatch):
+        path = write_model(tmp_path, benchmark_documents()["ou"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        build_parser.cache_clear()
+        assert main(["classify", path]) == 0
+        first = len(built)
+        assert main(["classify", path]) == 0
+        assert first > 0 and len(built) == first
+
+    @pytest.mark.parametrize("middle, code", [
+        (["classify", "MODEL", "--criterion", "bogus"], 1),
+        (["classify"], 1),
+        (["frobnicate"], 1),
+        (["classify", "MODEL", "--criterion", "prop22", "--text"], 0),
+    ], ids=["bad-criterion", "missing-model", "unknown-command", "other-options"])
+    def test_a_call_between_two_leaves_the_second_unchanged(self, tmp_path, capsys,
+                                                           middle, code):
+        path = write_model(tmp_path, benchmark_documents()["ou"])
+        assert main(["classify", path]) == 0
+        first = capsys.readouterr().out
+        assert main([path if arg == "MODEL" else arg for arg in middle]) == code
+        out, err = capsys.readouterr()
+        if code == 1:
+            assert out == "" and err.startswith("usage: regime")
+        assert main(["classify", path]) == 0
+        assert capsys.readouterr().out == first
+
+    def test_criterion_choices_are_the_runners(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        criterion = next(a for a in sub.choices["classify"]._actions if a.dest == "criterion")
+        assert tuple(criterion.choices) == ("auto",) + tuple(RUNNERS)
 
 
 class TestReproduceCommand:

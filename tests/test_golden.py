@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regime import cli, least_real_eigenvalue, reproduce, run_ensemble
+from regime import cli, least_real_eigenvalue, modelfile, reproduce, run_ensemble
 from regime.markov import bound_rates
 from regime.modelfile import load_model
 from test_mmatrix import exact_leading_minors, exactly_semipositive
@@ -412,6 +412,23 @@ def test_conclusive_thm32_certificates_check_out(model_dir, capsys):
                            for b, row in zip(beta, q)), where
                 seen.add((path.stem, len(set(eta)) > 1))
     assert seen == {("two-rates", False), ("three-rates", True)}
+
+
+def test_auto_mode_bounds_the_rates_once(model_dir, capsys, monkeypatch):
+    # thm23 is inconclusive on two-rates, so auto goes on to thm32, which
+    # reads the same Q~
+    calls = []
+
+    def counted(rates, grid=None):
+        calls.append(grid)
+        return bound_rates(rates, grid)
+
+    monkeypatch.setattr(modelfile, "bound_rates", counted)
+    assert cli.main(["classify", str(model_dir / "two-rates.json")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    outcomes = {a["criterion"]: a.get("verdict") for a in report["attempted"]}
+    assert outcomes["thm23"] == "inconclusive" and report["criterion"] == "thm32"
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("stem", ["ou", "preset-abs"])

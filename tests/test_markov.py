@@ -167,6 +167,15 @@ class TestBoundRates:
         with pytest.raises(error, match=message):
             bound_rates(rates, ScanGrid(lo=0.01, hi=100.0))
 
+    @pytest.mark.parametrize("hint", [(2.0, 1.0), (1.0, float("nan"))],
+                             ids=["inverted", "nan"])
+    def test_inverted_hint_is_rejected_when_the_rates_are_built(self, hint):
+        # an entry below the diagonal reads only sup, so an inverted hint
+        # would otherwise pass unnoticed without a scan grid
+        fn = two_regime_rates(up=lambda x: 1.0, down=lambda x: 1.0)
+        with pytest.raises(ValueError, match=r"^hint for q\[1,0\] needs inf <= sup, got "):
+            StateDependentRates(n=2, rate_fn=fn, hints={(0, 1): (1.0, 1.0), (1, 0): hint})
+
     def test_one_call_per_row(self):
         # row 0 is fully hinted and read too; every row is read once, on the
         # grid refined once
@@ -286,6 +295,17 @@ class TestPartitionAndCoarsen:
         self.beta = BetaSequence(
             head=tuple(self.kappa - 1.0 / j for j in range(1, 9)),
             tail_limit=self.kappa)
+
+    def test_list_head_is_the_tuple_head(self):
+        head = [self.kappa - 1.0 / j for j in range(1, 9)]
+        seq = BetaSequence(head=head, tail_limit=self.kappa)
+        assert seq.head == self.beta.head and isinstance(seq.head, tuple)
+        assert [seq.value(j) for j in range(1, 12)] == [self.beta.value(j) for j in range(1, 12)]
+        for lo, hi in [(1, 1), (2, 5), (1, None), (5, None), (9, None)]:
+            assert seq.sup_over(lo, hi) == self.beta.sup_over(lo, hi)
+        cuts = [self.kappa - 1.0, self.kappa - 0.5, self.kappa]
+        assert (Partition.from_cutpoints(seq, cuts).classes
+                == Partition.from_cutpoints(self.beta, cuts).classes)
 
     def test_two_class_cutpoints(self):
         p = Partition.from_cutpoints(self.beta, [self.kappa - 1.0, self.kappa])

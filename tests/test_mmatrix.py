@@ -102,6 +102,33 @@ def random_z_matrix(rng, n):
     return a
 
 
+def _outer_leading_minors(a):
+    """The elimination of ``leading_minors`` with ``np.outer`` in its rank-1
+    updates, kept as the bitwise reference: returns (minors, pivots)."""
+    m = np.asarray(a, dtype=float)
+    scale = max(1.0, float(np.abs(m).max()))
+    m = m / scale
+    n = m.shape[0]
+    pivots = np.empty(n)
+    for k in range(n):
+        pivots[k] = piv = m[k, k]
+        if abs(piv) <= BOUNDARY_BAND:
+            pivots = pivots[:k + 1]
+            break
+        m[k + 1:, k + 1:] -= np.outer(m[k + 1:, k] / piv, m[k, k + 1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        minors = np.cumprod(scale * pivots)
+    minors[np.isnan(minors)] = 0.0
+    return minors, pivots
+
+
+def _same_elimination(a):
+    minors, pivots = leading_minors(a, return_pivots=True)
+    ref_minors, ref_pivots = _outer_leading_minors(a)
+    return (pivots.tobytes() == ref_pivots.tobytes()
+            and minors.tobytes() == ref_minors.tobytes())
+
+
 class TestZPattern:
     def test_laplacian_like(self):
         assert z_pattern([[2, -1], [-1, 2]])
@@ -142,6 +169,28 @@ class TestLeadingMinors:
         k2 = 2 - math.sqrt(2) + 1e-6
         a2 = np.array([[2.0 - k2, 1.0 - k2], [-2.0, -k2]])
         assert leading_minors(a2)[1] < 0
+
+
+class TestEliminationReference:
+    @pytest.mark.parametrize("n", [5, 20, 50])
+    def test_seeded_z_matrices(self, n):
+        rng = np.random.default_rng(500 + n)
+        for _ in range(20):
+            assert _same_elimination(random_z_matrix(rng, n))
+            assert _same_elimination(dominant_z_matrix(rng, n, float(10.0 ** rng.uniform(-3, 4))))
+
+    def test_boundary_and_overflow_cases(self):
+        band = np.eye(200) - 0.1 * (np.eye(200, k=1) + np.eye(200, k=-1))
+        band[0, 0] = 1e3
+        cases = [
+            dominant_z_matrix(np.random.default_rng(60), 60, 1e4),
+            band,
+            birth_death_z_matrix(200, 1e4, 1e4, np.zeros(200)),
+            [[1.0, -1.0, 0.0], [-1.0, 1.0, -1.0], [0.0, -1.0, 2.0]],
+            *NEAR_SINGULAR,
+        ]
+        for a in cases:
+            assert _same_elimination(a)
 
 
 class TestMinorsOracle:

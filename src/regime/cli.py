@@ -206,7 +206,8 @@ def cmd_thresholds(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing never changes it,
-    and every default is immutable, so each ``main`` call reuses it."""
+    and every default is immutable, so each ``main`` call reuses it.  Every
+    caller shares this one object, so none may modify it."""
     parser = _Parser(prog="regime",
                      description="classify and simulate regime-switching diffusions")
     sub = parser.add_subparsers(dest="command", required=True)

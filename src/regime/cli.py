@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import reproduce as repro
 from ._util import jsonify, render_text
 from .criteria import (
@@ -31,7 +29,7 @@ from .criteria import (
 from .errors import CriterionNotApplicable, RegimeError, SingularSolve
 from .markov import Partition, QMatrix, StateDependentRates, TailHomogeneousChain
 from .modelfile import RegimeModel, load_model
-from .simulate import SdeModel, power_drift, regime_sigma, run_ensemble
+from .simulate import run_ensemble
 
 
 def _need(cond: bool, what: str):
@@ -157,25 +155,10 @@ def cmd_classify(args) -> int:
     return 0 if final is not None else 2
 
 
-def _build_sde(model: RegimeModel) -> SdeModel:
-    if model.drift_b is None:
-        raise CriterionNotApplicable("simulation needs a power or ou drift section")
-    if model.sigma is None:
-        raise CriterionNotApplicable("simulation needs a sigma section")
-    return SdeModel(dim=model.dim, drift=power_drift(model.drift_b, model.delta),
-                    sigma=regime_sigma(model.sigma), rates=model.switching,
-                    boundary=model.boundary)
-
-
 def cmd_simulate(args) -> int:
-    model = load_model(args.model)
-    sde = _build_sde(model)
-    # the engine checks every rate it evaluates and raises on a nan or a
-    # negative one; numpy's warning about the expression that made it is noise
-    with np.errstate(invalid="ignore", divide="ignore"):
-        report = run_ensemble(sde, x0=args.x0, i0=args.i0 - 1, r0=args.r0, T=args.T,
-                              dt=args.dt, trials=args.trials, seed=args.seed,
-                              escape_radius=args.escape_radius)
+    report = run_ensemble(load_model(args.model).sde(), x0=args.x0, i0=args.i0 - 1,
+                          r0=args.r0, T=args.T, dt=args.dt, trials=args.trials,
+                          seed=args.seed, escape_radius=args.escape_radius)
     _emit({"model": str(args.model), "simulation": report.to_dict()},
           args.out, args.text)
     return 0

@@ -50,9 +50,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .criteria import Limit, LyapunovBehavior, TwoFunctionData
-from .errors import EmptyGrid, ParseError, SchemaError
+from .errors import CriterionNotApplicable, EmptyGrid, ParseError, SchemaError
 from .markov import BetaSequence, QMatrix, ScanGrid, StateDependentRates, \
     TailHomogeneousChain, bound_rates, validate_qmatrix
+from .simulate import SdeModel, power_drift, regime_sigma
 
 _ALLOWED_FUNCS = {"exp": np.exp, "log": np.log, "sqrt": np.sqrt,
                   "sin": np.sin, "cos": np.cos, "tanh": np.tanh, "abs": np.abs}
@@ -116,10 +117,8 @@ def compile_rate_expr(expr: str) -> Callable[[np.ndarray], np.ndarray]:
     code = compile(tree, "<rate-expr>", "eval")
 
     def fn(x: np.ndarray) -> np.ndarray:
-        local = dict(namespace)
-        local["x"] = x
-        try:
-            return np.asarray(eval(code, local), dtype=float)  # noqa: S307 (whitelisted AST)
+        try:  # x is the one local name; the namespace is never written
+            return np.asarray(eval(code, namespace, {"x": x}), dtype=float)  # noqa: S307
         except ArithmeticError as exc:
             raise ParseError(f"rate expression {expr!r} failed to evaluate: {exc}") from None
 
@@ -203,6 +202,17 @@ class RegimeModel:
         :func:`bound_rates` call however many criteria read it."""
         return bound_rates(self.switching, self.scan)
 
+    def sde(self) -> SdeModel:
+        """The Monte Carlo model: the power drift, sigma, switching and
+        boundary of the document, which needs a drift and a sigma section."""
+        if self.drift_b is None:
+            raise CriterionNotApplicable("simulation needs a power or ou drift section")
+        if self.sigma is None:
+            raise CriterionNotApplicable("simulation needs a sigma section")
+        return SdeModel(dim=self.dim, drift=power_drift(self.drift_b, self.delta),
+                        sigma=regime_sigma(self.sigma), rates=self.switching,
+                        boundary=self.boundary)
+
 
 def _parse_q(doc, n_regimes):
     _require_keys(doc, "q", ("kind",),
@@ -223,15 +233,17 @@ def _parse_q(doc, n_regimes):
         table = doc["entries"]
         if not isinstance(table, list) or not table:
             raise SchemaError("q.entries must be a nonempty array of rate entries")
-        fns = {}
-        hints = {}
+        fns, into, hints = {}, {}, {}  # text -> callable; j -> {i: text}
         for k, ent in enumerate(table):
             _require_keys(ent, f"q.entries[{k}]", ("i", "j", "expr"), ("inf", "sup"))
             i, j = ent["i"], ent["j"]
             if not (_is_int(i) and _is_int(j)
                     and 1 <= i <= n_regimes and 1 <= j <= n_regimes and i != j):
                 raise SchemaError(f"q.entries[{k}]: bad index pair ({i},{j})")
-            fns.setdefault(i - 1, {})[j - 1] = compile_rate_expr(str(ent["expr"]))
+            text = str(ent["expr"])
+            if text not in fns:
+                fns[text] = compile_rate_expr(text)
+            into.setdefault(j - 1, {})[i - 1] = text
             if "inf" in ent and "sup" in ent:
                 lo = _finite_number(ent["inf"], f"q.entries[{k}].inf")
                 hi = _finite_number(ent["sup"], f"q.entries[{k}].sup")
@@ -241,16 +253,30 @@ def _parse_q(doc, n_regimes):
             elif "inf" in ent or "sup" in ent:
                 raise SchemaError(f"q.entries[{k}]: give both inf and sup hints or neither")
 
-        def rate_fn(x, lam, _fns=fns):
-            # each source regime's expressions run on its own paths' positions;
-            # pairs absent from the table stay 0
-            q = np.zeros((n_regimes, x.shape[0]))
-            for i, row in _fns.items():
-                at = lam == i
-                if at.any():
-                    xi = x[at]
-                    for j, f in row.items():
-                        q[j, at] = f(xi)
+        # Each distinct expression runs once on the whole batch, warnings off:
+        # ufuncs act element by element, so each path gets the bits it would
+        # alone, and a nan or overflow where no path of the expression's
+        # regime sits is never selected.  evaluate judges what is.
+        @np.errstate(all="ignore")
+        def evaluate_all(x):
+            return {text: f(x) for text, f in fns.items()}
+
+        def rate_fn(x, lam):
+            # np.where selects by regime with no branch per path, which a
+            # random regime pattern would make costlier than the select
+            vals = evaluate_all(x)
+            q = np.empty((n_regimes, x.shape[0]))
+            if n_regimes == len(into) == 2:  # both rows read one mask
+                at = lam == 0
+                q[1] = np.where(at, vals[into[1][0]], 0.0)
+                q[0] = np.where(at, 0.0, vals[into[0][1]])
+                return q
+            masks = [lam == i for i in range(n_regimes)]
+            for j in range(n_regimes):
+                row = 0.0  # pairs absent from the table stay 0
+                for i, text in into.get(j, {}).items():
+                    row = np.where(masks[i], vals[text], row)
+                q[j] = row
             return q
 
         scan = None

@@ -27,17 +27,8 @@ from .criteria import (
     classify_state_dependent,
     kappa_thresholds,
 )
-from .markov import (
-    BetaSequence,
-    Partition,
-    QMatrix,
-    ScanGrid,
-    StateDependentRates,
-    TailHomogeneousChain,
-    bound_rates,
-    coarsen,
-    validate_qmatrix,
-)
+from .markov import BetaSequence, Partition, QMatrix, TailHomogeneousChain, coarsen
+from .modelfile import RegimeModel, parse_model
 
 MC_SEED = 20240811  # seed of every Monte Carlo corroboration
 EX21_HEAD = 8  # explicit beta values before the tail limit
@@ -54,7 +45,8 @@ EX21_REFERENCES = {
 
 
 # ---------------------------------------------------------------------------
-# benchmark model builders (shared with the test suite)
+# benchmark model builders (shared with the test suite); ex22, ou and cor31
+# are parsed from their documents in ``benchmark_documents``
 # ---------------------------------------------------------------------------
 
 def ex21_chain(a: float = 2.0, b: float = 1.0) -> TailHomogeneousChain:
@@ -93,39 +85,27 @@ def ex21_transience_verdict(kappa: float, m: int, a: float = 2.0, b: float = 1.0
     return out.verdict is Verdict.TRANSIENT
 
 
-def ex22_rates() -> StateDependentRates:
-    """Two-state rates q_12(x) = b (1+2x)/(1+x), q_21(x) = a (1+2x)/(2(1+x))
-    with the ex21 tail rates b = 1 and a = 2: both are (1+2x)/(1+x)."""
-
-    def rate_fn(x, lam):
-        bump = (1.0 + 2.0 * x) / (1.0 + x)
-        down = lam == 1
-        return np.stack([np.where(down, bump, 0.0), np.where(down, 0.0, bump)])
-
-    return StateDependentRates(n=2, rate_fn=rate_fn, hints={(0, 1): (1.0, 2.0),
-                                                            (1, 0): (1.0, 2.0)})
+def _document_model(stem: str, b=None) -> RegimeModel:
+    """The parsed benchmark document ``stem``, its drift slopes set to ``b``
+    when given."""
+    doc = benchmark_documents()[stem]
+    if b is not None:
+        doc["drift"]["b"] = [float(v) for v in b]
+    return parse_model(doc, source=stem)
 
 
 def ex22_qtilde() -> QMatrix:
-    return bound_rates(ex22_rates(), ScanGrid(lo=1e-6, hi=1e6, points=129))
+    return _document_model("ex22").q_tilde
 
 
 def ex22_sde_model(kappa: float) -> simulate.SdeModel:
     """dX = (kappa - 1/regime_index) X dt + sqrt(2) dB on the half-line."""
-    return simulate.SdeModel(dim=1, drift=simulate.power_drift((kappa - 1.0, kappa)),
-                             sigma=simulate.regime_sigma(math.sqrt(2.0)),
-                             rates=ex22_rates(), boundary="reflect")
-
-
-def ou_qmatrix() -> QMatrix:
-    return validate_qmatrix([[-1.0, 1.0], [2.0, -2.0]])
+    return _document_model("ex22", (kappa - 1.0, kappa)).sde()
 
 
 def ou_sde_model(b=(-2.0, 1.0)) -> simulate.SdeModel:
     """Linear drift b_i x with unit additive noise on the half-line."""
-    return simulate.SdeModel(dim=1, drift=simulate.power_drift(b),
-                             sigma=simulate.regime_sigma(1.0), rates=ou_qmatrix(),
-                             boundary="reflect")
+    return _document_model("ou", b).sde()
 
 
 def ex21_sde_model(kappa: float) -> simulate.SdeModel:
@@ -206,7 +186,7 @@ def reproduce_ex22(mc: bool = False) -> dict:
 
 def reproduce_ou(mc: bool = False) -> dict:
     """Sign table: averaged linear drift against the verdict."""
-    q = ou_qmatrix()
+    q = _document_model("ou").switching
     rows = []
     for b in [(-2.0, 1.0), (-1.0, 2.0), (1.0, 1.0), (-0.5, -0.5), (2.0, -1.0)]:
         out = classify_ou(q, np.array(b))
@@ -223,14 +203,15 @@ def reproduce_cor31(mc: bool = False) -> dict:
     """Boundary sweep of the complete 1-d dichotomy: averaged drift in
     {-0.1, 0, 0.1} gives recurrent, recurrent, transient.  It has no Monte
     Carlo rows and ignores ``mc``."""
-    q = ou_qmatrix()
+    model = _document_model("cor31")
     rows = []
     for shift in (-0.1, 0.0, 0.1):
-        b = np.array([-1.0 + shift, 2.0 + shift])  # mu = (2/3, 1/3) zeroes the base
-        out = classify_power_1d(q, b, sigma=np.array([1.0]), delta=0.5)
+        b = model.drift_b + shift  # mu = (2/3, 1/3) zeroes the base
+        out = classify_power_1d(model.switching, b, sigma=model.sigma, delta=model.delta)
         rows.append({"b": b, "mu_b": out.certificate["mu_b"],
                      "verdict": out.verdict.value})
-    return {"benchmark": "cor31", "q": q.entries, "delta": 0.5, "boundary_sweep": rows}
+    return {"benchmark": "cor31", "q": model.switching.entries, "delta": model.delta,
+            "boundary_sweep": rows}
 
 
 def _mc_summary(model: simulate.SdeModel, label: str) -> dict:
@@ -260,12 +241,14 @@ def benchmark_documents() -> dict:
                      "beta_tail_limit": kappa, "tag": "to-infinity"},
         "partition": {"cutpoints": [kappa - 1.0, kappa]},
     }
+    # q_12 = b (1+2x)/(1+x) and q_21 = a (1+2x)/(2(1+x)) with the ex21 tail
+    # rates a = 2, b = 1: both are (1+2x)/(1+x)
     ex22 = {
         "regimes": 2,
         "q": {"kind": "rates",
               "entries": [
-                  {"i": 1, "j": 2, "expr": "1.0*(1+2*x)/(1+x)", "inf": 1.0, "sup": 2.0},
-                  {"i": 2, "j": 1, "expr": "2.0*(1+2*x)/(2*(1+x))", "inf": 1.0, "sup": 2.0},
+                  {"i": 1, "j": 2, "expr": "(1+2*x)/(1+x)", "inf": 1.0, "sup": 2.0},
+                  {"i": 2, "j": 1, "expr": "(1+2*x)/(1+x)", "inf": 1.0, "sup": 2.0},
               ],
               "scan": {"lo": 1e-6, "hi": 1e6, "points": 129}},
         "drift": {"kind": "power", "b": [kappa - 1.0, kappa], "delta": 1.0},

@@ -383,7 +383,9 @@ def run_ensemble(model: SdeModel, x0, i0: int, r0: float, T: float, dt: float,
                  trials: int, seed: int, escape_radius: float = 50.0) -> SimulationReport:
     """Simulate ``trials`` independent paths and aggregate hitting statistics.
 
-    Paths run until they enter the ball of radius r0 or the horizon T ends.
+    Paths run until they enter the ball of radius r0 > 0 or the horizon T
+    ends; a path still out at T has escaped if it lies beyond
+    ``escape_radius > r0``.
     """
     for name, v in (("seed", seed), ("trials", trials), ("i0", i0)):
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
@@ -399,6 +401,10 @@ def run_ensemble(model: SdeModel, x0, i0: int, r0: float, T: float, dt: float,
                     ("escape_radius", escape_radius), ("T / dt", T / dt)):
         if not np.isfinite(v).all():
             raise ValueError(f"{name} must be finite")
+    if r0 <= 0:
+        raise ValueError("r0 must be positive")
+    if escape_radius <= r0:
+        raise ValueError("escape_radius must exceed r0")
     if trials < 100:
         raise ValueError("trials must be at least 100 for the CI normal approximation")
     start_radius = float(np.sqrt((x0v * x0v).sum()))

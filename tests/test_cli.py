@@ -3,6 +3,7 @@ import json
 import math
 import re
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from regime.cli import RUNNERS, build_parser, main
 from regime.criteria import Limit, classify_infinite
-from regime.errors import ParseError, SchemaError
+from regime.errors import CriterionNotApplicable, ParseError, SchemaError
 from regime.markov import (
     BetaSequence,
     Partition,
@@ -78,6 +79,94 @@ class TestRateExpressions:
                  "pi": math.pi, "e": math.e, "x": xs}
         want = np.asarray(eval(expr, {"__builtins__": {}}, names), dtype=float)
         assert compile_rate_expr(expr)(xs).tobytes() == want.tobytes()
+
+
+# three regimes with two absent pairs (1 -> 3 and 3 -> 2) and one expression
+# shared by two entries
+SHARED_RATES_DOC = {"regimes": 3,
+                    "q": {"kind": "rates",
+                          "entries": [{"i": 1, "j": 2, "expr": "2 + exp(-x)"},
+                                      {"i": 2, "j": 1, "expr": "sqrt(1 + x)"},
+                                      {"i": 2, "j": 3, "expr": "3*x/(1 + x)"},
+                                      {"i": 3, "j": 1, "expr": "2 + exp(-x)"}]}}
+# q_12 is nan below x = 3, where only regime-2 paths may sit
+LOG_RATE_DOC = {"regimes": 2,
+                "q": {"kind": "rates", "entries": [{"i": 1, "j": 2, "expr": "log(x - 3)"},
+                                                   {"i": 2, "j": 1, "expr": "1"}]},
+                "drift": {"kind": "power", "b": [-1.0, -0.5], "delta": 1.0},
+                "sigma": 1.0, "boundary": "reflect"}
+
+
+def per_regime_table(doc, x, lam):
+    """The rate table one source regime at a time: each entry's expression
+    runs only on the positions of the paths in its source regime."""
+    q = np.zeros((doc["regimes"], x.size))
+    for ent in doc["q"]["entries"]:
+        at = lam == ent["i"] - 1
+        if at.any():
+            q[ent["j"] - 1, at] = compile_rate_expr(ent["expr"])(x[at])
+    return q
+
+
+# two regimes but one rate, so the table does not take the two-row shortcut
+ONE_RATE_DOC = {"regimes": 2, "q": {"kind": "rates",
+                                    "entries": [{"i": 2, "j": 1, "expr": "sqrt(1 + x)"}]}}
+
+
+class TestRateTable:
+    @pytest.mark.parametrize("k", [1, 5, 100, 2000])
+    @pytest.mark.parametrize("doc", [SHARED_RATES_DOC, ONE_RATE_DOC],
+                             ids=["shared-rates", "one-rate"])
+    def test_whole_batch_table_is_the_per_regime_table(self, doc, k):
+        rate_fn = parse_model(doc).switching.rate_fn
+        rng = np.random.default_rng(k)
+        for _ in range(10):
+            x = 10.0 * np.abs(rng.standard_normal(k))
+            lam = rng.integers(0, doc["regimes"], k)
+            assert rate_fn(x, lam).tobytes() == per_regime_table(doc, x, lam).tobytes()
+
+    def test_nan_of_an_empty_regime_never_reaches_the_table(self):
+        x = np.linspace(0.0, 2.9, 50)
+        lam = np.ones(50, dtype=np.intp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = parse_model(LOG_RATE_DOC).switching.rate_fn(x, lam)
+        assert got.tobytes() == per_regime_table(LOG_RATE_DOC, x, lam).tobytes()
+        assert (got == [[1.0], [0.0]]).all()
+
+    def test_nan_of_a_path_fails_simulate_with_one_error_line(self, tmp_path, capsys):
+        path = write_model(tmp_path, LOG_RATE_DOC)
+        assert main(["simulate", path, "--x0", "2", "--r0", "1", "--T", "1.0",
+                     "--dt", "0.01", "--trials", "100"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err == "error: UnboundedRate: switching rate q[0,1](x = 2) = nan is not finite\n"
+
+
+class TestSdeModel:
+    @pytest.mark.parametrize("drop, message", [
+        ("drift", "simulation needs a power or ou drift section"),
+        ("sigma", "simulation needs a sigma section"),
+    ])
+    def test_missing_section_is_not_applicable(self, drop, message):
+        doc = benchmark_documents()["ou"]
+        del doc[drop]
+        with pytest.raises(CriterionNotApplicable, match=f"^{message}$"):
+            parse_model(doc).sde()
+
+    def test_radial_drift_is_not_simulated(self):
+        doc = benchmark_documents()["ou"]
+        doc["drift"] = {"kind": "radial", "delta": 0.5, "radial_component": [[-1.0, 2.0]]}
+        with pytest.raises(CriterionNotApplicable,
+                           match="^simulation needs a power or ou drift section$"):
+            parse_model(doc).sde()
+
+    def test_fields_come_from_the_document(self):
+        sde = parse_model(benchmark_documents()["cor31"]).sde()
+        assert (sde.dim, sde.boundary, sde.n_regimes) == (1, "reflect", 2)
+        x, lam = np.array([[4.0], [9.0]]), np.array([0, 1])
+        np.testing.assert_array_equal(sde.drift(x, lam), [[-2.0], [6.0]])
+        assert sde.sigma(x, lam) == 1.0
 
 
 class TestModelParsing:
@@ -438,6 +527,7 @@ class TestSimulateCommand:
         ({"--r0": "nan"}, "r0 must be finite"),
         ({"--escape-radius": "nan"}, "escape_radius must be finite"),
         ({"--T": "1e300", "--dt": "1e-300"}, "T / dt must be finite"),
+        ({"--escape-radius": "0.5"}, "escape_radius must exceed r0"),
     ])
     def test_nonfinite_inputs_fail_with_one_error_line(self, tmp_path, capsys, override,
                                                        message):

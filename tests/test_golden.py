@@ -69,11 +69,11 @@ CASES = {
            dict(x0=3.0, i0=0, r0=1.0, T=2.0, dt=1e-3, trials=120, seed=5)),
     "ex21_0.3": (lambda d: reproduce.ex21_sde_model(0.3),
                  dict(x0=3.0, i0=4, r0=1.0, T=3.0, dt=1e-3, trials=150, seed=6)),
-    "cli_ex22": (lambda d: cli._build_sde(load_model(d / "ex22.json")),
+    "cli_ex22": (lambda d: load_model(d / "ex22.json").sde(),
                  dict(x0=2.0, i0=0, r0=1.0, T=2.0, dt=1e-3, trials=120, seed=7)),
-    "cli_ou": (lambda d: cli._build_sde(load_model(d / "ou.json")),
+    "cli_ou": (lambda d: load_model(d / "ou.json").sde(),
                dict(x0=3.0, i0=1, r0=1.0, T=2.0, dt=1e-3, trials=120, seed=8)),
-    "cli_cor31": (lambda d: cli._build_sde(load_model(d / "cor31.json")),
+    "cli_cor31": (lambda d: load_model(d / "cor31.json").sde(),
                   dict(x0=2.0, i0=0, r0=1.0, T=3.0, dt=1e-3, trials=120, seed=9)),
     "plane": (lambda d: plane_model(),
               dict(x0=[3.0, 4.0], i0=0, r0=2.0, T=3.0, dt=1e-2, trials=100, seed=12)),

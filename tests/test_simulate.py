@@ -307,6 +307,10 @@ class TestRunEnsemble:
         (dict(i0=np.float64(0.0)), "i0 must be a non-negative integer"),
         (dict(i0=-1), "i0 must be a non-negative integer"),
         (dict(T=1e12, dt=1e-3), r"^T / dt = 1e\+15 steps exceeds the cap of 1e\+08 steps per path$"),
+        (dict(r0=0.0), "^r0 must be positive$"),
+        (dict(r0=-1.0), "^r0 must be positive$"),
+        (dict(escape_radius=0.5), "^escape_radius must exceed r0$"),
+        (dict(escape_radius=-3.0), "^escape_radius must exceed r0$"),
     ])
     def test_nonfinite_or_noninteger_inputs_raise(self, bad, message):
         seen = []

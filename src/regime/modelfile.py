@@ -233,7 +233,7 @@ def _parse_q(doc, n_regimes):
         table = doc["entries"]
         if not isinstance(table, list) or not table:
             raise SchemaError("q.entries must be a nonempty array of rate entries")
-        fns, into, hints = {}, {}, {}  # text -> callable; j -> {i: text}
+        fns, rows, hints = {}, {}, {}  # text -> callable; i -> {j: text}
         for k, ent in enumerate(table):
             _require_keys(ent, f"q.entries[{k}]", ("i", "j", "expr"), ("inf", "sup"))
             i, j = ent["i"], ent["j"]
@@ -243,7 +243,7 @@ def _parse_q(doc, n_regimes):
             text = str(ent["expr"])
             if text not in fns:
                 fns[text] = compile_rate_expr(text)
-            into.setdefault(j - 1, {})[i - 1] = text
+            rows.setdefault(i - 1, {})[j - 1] = text
             if "inf" in ent and "sup" in ent:
                 lo = _finite_number(ent["inf"], f"q.entries[{k}].inf")
                 hi = _finite_number(ent["sup"], f"q.entries[{k}].sup")
@@ -253,31 +253,40 @@ def _parse_q(doc, n_regimes):
             elif "inf" in ent or "sup" in ent:
                 raise SchemaError(f"q.entries[{k}]: give both inf and sup hints or neither")
 
-        # Each distinct expression runs once on the whole batch, warnings off:
-        # ufuncs act element by element, so each path gets the bits it would
-        # alone, and a nan or overflow where no path of the expression's
-        # regime sits is never selected.  evaluate judges what is.
-        @np.errstate(all="ignore")
-        def evaluate_all(x):
-            return {text: f(x) for text, f in fns.items()}
+        # numpy's warnings are off while the table is built: evaluate judges
+        # every nan or overflow that reaches it, and one that does not is noise
+        if n_regimes == 2:
+            # Each distinct expression runs once on the whole batch and
+            # np.where places it by one mask, with no branch per path.  Ufuncs
+            # act element by element, so each path gets the bits it would
+            # alone, and a value where no path of the expression's regime sits
+            # is never selected.
+            q12, q21 = rows.get(0, {}).get(1), rows.get(1, {}).get(0)
 
-        def rate_fn(x, lam):
-            # np.where selects by regime with no branch per path, which a
-            # random regime pattern would make costlier than the select
-            vals = evaluate_all(x)
-            q = np.empty((n_regimes, x.shape[0]))
-            if n_regimes == len(into) == 2:  # both rows read one mask
+            @np.errstate(all="ignore")
+            def rate_fn(x, lam):
+                vals = {text: f(x) for text, f in fns.items()}
                 at = lam == 0
-                q[1] = np.where(at, vals[into[1][0]], 0.0)
-                q[0] = np.where(at, 0.0, vals[into[0][1]])
+                q = np.empty((2, x.shape[0]))
+                q[1] = 0.0 if q12 is None else np.where(at, vals[q12], 0.0)
+                q[0] = 0.0 if q21 is None else np.where(at, 0.0, vals[q21])
                 return q
-            masks = [lam == i for i in range(n_regimes)]
-            for j in range(n_regimes):
-                row = 0.0  # pairs absent from the table stay 0
-                for i, text in into.get(j, {}).items():
-                    row = np.where(masks[i], vals[text], row)
-                q[j] = row
-            return q
+        else:
+            gather = {i: {j: fns[text] for j, text in row.items()}
+                      for i, row in rows.items()}
+
+            @np.errstate(all="ignore")
+            def rate_fn(x, lam):
+                # each source regime's expressions run on its own paths'
+                # positions; pairs absent from the table stay 0
+                q = np.zeros((n_regimes, x.shape[0]))
+                for i, row in gather.items():
+                    at = lam == i
+                    if at.any():
+                        xi = x[at]
+                        for j, f in row.items():
+                            q[j, at] = f(xi)
+                return q
 
         scan = None
         if "scan" in doc:

@@ -108,16 +108,20 @@ def per_regime_table(doc, x, lam):
     return q
 
 
-# two regimes but one rate, so the table does not take the two-row shortcut
+# two regimes, one rate each way, read on the whole batch; with one rate the
+# other row stays 0
+TWO_RATES_DOC = {"regimes": 2, "q": {"kind": "rates",
+                                     "entries": [{"i": 1, "j": 2, "expr": "2 + exp(-x)"},
+                                                 {"i": 2, "j": 1, "expr": "sqrt(1 + x)"}]}}
 ONE_RATE_DOC = {"regimes": 2, "q": {"kind": "rates",
                                     "entries": [{"i": 2, "j": 1, "expr": "sqrt(1 + x)"}]}}
 
 
 class TestRateTable:
     @pytest.mark.parametrize("k", [1, 5, 100, 2000])
-    @pytest.mark.parametrize("doc", [SHARED_RATES_DOC, ONE_RATE_DOC],
-                             ids=["shared-rates", "one-rate"])
-    def test_whole_batch_table_is_the_per_regime_table(self, doc, k):
+    @pytest.mark.parametrize("doc", [SHARED_RATES_DOC, TWO_RATES_DOC, ONE_RATE_DOC],
+                             ids=["three-regimes", "two-rates", "one-rate"])
+    def test_compiled_table_is_the_per_regime_table(self, doc, k):
         rate_fn = parse_model(doc).switching.rate_fn
         rng = np.random.default_rng(k)
         for _ in range(10):

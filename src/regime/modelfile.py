@@ -241,8 +241,7 @@ def _parse_q(doc, n_regimes):
                     and 1 <= i <= n_regimes and 1 <= j <= n_regimes and i != j):
                 raise SchemaError(f"q.entries[{k}]: bad index pair ({i},{j})")
             text = str(ent["expr"])
-            if text not in fns:
-                fns[text] = compile_rate_expr(text)
+            fns[text] = compile_rate_expr(text)
             rows.setdefault(i - 1, {})[j - 1] = text
             if "inf" in ent and "sup" in ent:
                 lo = _finite_number(ent["inf"], f"q.entries[{k}].inf")
@@ -253,17 +252,12 @@ def _parse_q(doc, n_regimes):
             elif "inf" in ent or "sup" in ent:
                 raise SchemaError(f"q.entries[{k}]: give both inf and sup hints or neither")
 
-        # numpy's warnings are off while the table is built: evaluate judges
-        # every nan or overflow that reaches it, and one that does not is noise
         if n_regimes == 2:
-            # Each distinct expression runs once on the whole batch and
-            # np.where places it by one mask, with no branch per path.  Ufuncs
-            # act element by element, so each path gets the bits it would
-            # alone, and a value where no path of the expression's regime sits
-            # is never selected.
+            # each distinct expression runs once on the whole batch, placed
+            # by one mask: ufuncs act element by element, so each path gets its
+            # own bits, and a value where no path of its regime sits is dropped
             q12, q21 = rows.get(0, {}).get(1), rows.get(1, {}).get(0)
 
-            @np.errstate(all="ignore")
             def rate_fn(x, lam):
                 vals = {text: f(x) for text, f in fns.items()}
                 at = lam == 0
@@ -272,21 +266,19 @@ def _parse_q(doc, n_regimes):
                 q[0] = 0.0 if q21 is None else np.where(at, 0.0, vals[q21])
                 return q
         else:
-            gather = {i: {j: fns[text] for j, text in row.items()}
-                      for i, row in rows.items()}
-
-            @np.errstate(all="ignore")
             def rate_fn(x, lam):
                 # each source regime's expressions run on its own paths'
                 # positions; pairs absent from the table stay 0
                 q = np.zeros((n_regimes, x.shape[0]))
-                for i, row in gather.items():
+                for i, row in rows.items():
                     at = lam == i
                     if at.any():
                         xi = x[at]
-                        for j, f in row.items():
-                            q[j, at] = f(xi)
+                        for j, text in row.items():
+                            q[j, at] = fns[text](xi)
                 return q
+        # evaluate judges what reaches the table; numpy's warnings are noise
+        rate_fn = np.errstate(all="ignore")(rate_fn)
 
         scan = None
         if "scan" in doc:

@@ -384,8 +384,7 @@ def run_ensemble(model: SdeModel, x0, i0: int, r0: float, T: float, dt: float,
     """Simulate ``trials`` independent paths and aggregate hitting statistics.
 
     Paths run until they enter the ball of radius r0 > 0 or the horizon T
-    ends; a path still out at T has escaped if it lies beyond
-    ``escape_radius > r0``.
+    ends; one still out at T has escaped if beyond ``escape_radius > r0``.
     """
     for name, v in (("seed", seed), ("trials", trials), ("i0", i0)):
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:

@@ -137,7 +137,11 @@ def cmd_classify(args) -> int:
                 raise
             attempted.append({"criterion": name, "skipped": str(exc)})
             continue
-        attempted.append(result.to_dict())
+        attempt = {"verdict": result.verdict, "criterion": result.criterion,
+                   "certificate": result.certificate}
+        if result.reason is not None:
+            attempt["reason"] = result.reason
+        attempted.append(attempt)
         if result.conclusive and final is None:
             final = result
             if args.criterion == "auto":
@@ -159,8 +163,7 @@ def cmd_simulate(args) -> int:
     report = run_ensemble(load_model(args.model).sde(), x0=args.x0, i0=args.i0 - 1,
                           r0=args.r0, T=args.T, dt=args.dt, trials=args.trials,
                           seed=args.seed, escape_radius=args.escape_radius)
-    _emit({"model": str(args.model), "simulation": report.to_dict()},
-          args.out, args.text)
+    _emit({"model": str(args.model), "simulation": vars(report)}, args.out, args.text)
     return 0
 
 

@@ -98,15 +98,6 @@ class Classification:
     def conclusive(self) -> bool:
         return self.verdict is not Verdict.INCONCLUSIVE
 
-    def to_dict(self) -> dict:
-        from ._util import jsonify
-
-        out = {"verdict": self.verdict.value, "criterion": self.criterion,
-               "certificate": jsonify(self.certificate)}
-        if self.reason is not None:
-            out["reason"] = self.reason
-        return out
-
 
 def _averaged(q: QMatrix, v: np.ndarray) -> tuple:
     """The invariant measure mu, the average mu @ v and its sign tolerance."""

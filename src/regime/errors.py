@@ -28,7 +28,7 @@ class UnboundedRate(RegimeError):
 
 
 class EmptyGrid(RegimeError):
-    """A scan grid is empty, degenerate, or missing where one is required."""
+    """A scan grid is empty or degenerate."""
 
 
 class ScanNotStabilized(RegimeError):

@@ -218,23 +218,22 @@ def _extremum(vals: np.ndarray, i: int, j: int, want_sup: bool) -> float:
     return float(vals.max() if want_sup else vals.min())
 
 
-def bound_rates(rates: StateDependentRates, grid: Optional[ScanGrid] = None) -> QMatrix:
+def bound_rates(rates: StateDependentRates, grid: ScanGrid) -> QMatrix:
     """Bounding generator: sup of each rate below the diagonal, inf above.
 
-    With ``grid``, one ``rate_fn`` call reads each row on ``grid.build()``.  A
-    hint ``(inf, sup)`` must contain every scanned value (else ValueError) and
-    is the bound; any other entry takes its scanned extremum, which must agree
-    to 1e-6 relative with that of the even (unrefined) nodes and stay within
-    RATE_CAP.  Without ``grid`` hints are trusted and ``rate_fn`` is not called.
-    The diagonal is chosen conservative and the result is validated like any
-    generator, so a reducible or negative bounding matrix raises.
+    One ``rate_fn`` call reads each row on ``grid.build()``.  A hint
+    ``(inf, sup)`` must contain every scanned value (else ValueError) and is
+    the bound; any other entry takes its scanned extremum, which must agree to
+    1e-6 relative with that of the even (unrefined) nodes and stay within
+    RATE_CAP.  The diagonal is chosen conservative and the result is validated
+    like any generator, so a reducible or negative bounding matrix raises.
     """
     n = rates.n
     out = np.zeros((n, n))
     hints = rates.hints or {}
-    xs = None if grid is None else grid.build()
+    xs = grid.build()
     for i in range(n):
-        scan = None if xs is None else rates.evaluate(xs, np.full(xs.size, i))
+        scan = rates.evaluate(xs, np.full(xs.size, i))
         for j in range(n):
             if i == j:
                 continue
@@ -242,16 +241,13 @@ def bound_rates(rates: StateDependentRates, grid: Optional[ScanGrid] = None) -> 
             hint = hints.get((i, j))
             if hint is not None:
                 inf_v, sup_v = hint
-                if scan is not None:
-                    outside = (scan[j] < inf_v) | (scan[j] > sup_v)
-                    if outside.any():
-                        p = int(outside.argmax())
-                        raise ValueError(f"q[{i},{j}](x = {xs[p]:.6g}) = {scan[j, p]:.6g} lies "
-                                         f"outside its hint [inf, sup] = [{inf_v:g}, {sup_v:g}]")
+                outside = (scan[j] < inf_v) | (scan[j] > sup_v)
+                if outside.any():
+                    p = int(outside.argmax())
+                    raise ValueError(f"q[{i},{j}](x = {xs[p]:.6g}) = {scan[j, p]:.6g} lies "
+                                     f"outside its hint [inf, sup] = [{inf_v:g}, {sup_v:g}]")
                 val = float(sup_v if want_sup else inf_v)
             else:
-                if scan is None:
-                    raise EmptyGrid(f"no hint for q[{i},{j}] and no scan grid supplied")
                 coarse = _extremum(scan[j, ::2], i, j, want_sup)
                 fine = _extremum(scan[j], i, j, want_sup)
                 if abs(fine - coarse) > 1e-6 * max(1.0, abs(fine)):

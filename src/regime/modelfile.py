@@ -8,7 +8,7 @@ Schema overview (all 1-based regime/state indices in files)::
          | {"kind": "rates", "entries": [{"i":1,"j":2,"expr":"...",
                                           "inf": ..?, "sup": ..?}, ...],
             "scan": {"lo":..,"hi":..,"points": <int >= 2>?,
-                     "spacing": "geometric"|"linear"?}?}   # hi > lo; geometric: lo > 0
+                     "spacing": "geometric"|"linear"?}}    # hi > lo; geometric: lo > 0
          | {"kind": "birth-death", "a": <down>, "b": <up>, "K0"?: 1}
          | {"kind": "birth-death", "up": [...], "down": [...],
             "K0"?: 1}            # K0 = both list lengths; "regimes": "infinite" only
@@ -33,9 +33,10 @@ Schema overview (all 1-based regime/state indices in files)::
 Unknown keys are rejected anywhere in the document and all numbers must be
 finite.  Rate expressions are arithmetic in the single variable ``x`` with
 exp/log/sqrt/sin/cos/tanh/abs and the constants pi and e; their parts free of
-``x`` must evaluate to finite real numbers.  An ``inf``/``sup`` hint needs
-``inf <= sup`` and must contain every value its expression takes on the scan
-grid.
+``x`` must evaluate to finite real numbers.  Every rate is read on the scan
+grid that a ``rates`` document must give, and each (i, j) pair is listed once.
+An ``inf``/``sup`` hint needs ``inf <= sup`` and must contain every value its
+expression takes on that grid.
 """
 
 from __future__ import annotations
@@ -227,7 +228,7 @@ def _parse_q(doc, n_regimes):
             raise SchemaError("q.entries must be n x n for the declared regime count")
         return validate_qmatrix(m), None
     if kind == "rates":
-        _require_keys(doc, "q(rates)", ("kind", "entries"), ("scan",))
+        _require_keys(doc, "q(rates)", ("kind", "entries", "scan"))
         if n_regimes is None:
             raise SchemaError("q.kind 'rates' needs a finite regime count")
         table = doc["entries"]
@@ -240,6 +241,8 @@ def _parse_q(doc, n_regimes):
             if not (_is_int(i) and _is_int(j)
                     and 1 <= i <= n_regimes and 1 <= j <= n_regimes and i != j):
                 raise SchemaError(f"q.entries[{k}]: bad index pair ({i},{j})")
+            if j - 1 in rows.get(i - 1, ()):
+                raise SchemaError(f"q.entries[{k}]: pair ({i},{j}) is listed twice")
             text = str(ent["expr"])
             fns[text] = compile_rate_expr(text)
             rows.setdefault(i - 1, {})[j - 1] = text
@@ -280,22 +283,20 @@ def _parse_q(doc, n_regimes):
         # evaluate judges what reaches the table; numpy's warnings are noise
         rate_fn = np.errstate(all="ignore")(rate_fn)
 
-        scan = None
-        if "scan" in doc:
-            sc = doc["scan"]
-            _require_keys(sc, "q.scan", ("lo", "hi"), ("points", "spacing"))
-            points, spacing = sc.get("points", 129), sc.get("spacing", "geometric")
-            if not _is_int(points) or points < 2:
-                raise SchemaError("q.scan.points must be an integer >= 2")
-            if spacing not in ("geometric", "linear"):
-                raise SchemaError("q.scan.spacing must be 'geometric' or 'linear'")
-            scan = ScanGrid(lo=_finite_number(sc["lo"], "q.scan.lo"),
-                            hi=_finite_number(sc["hi"], "q.scan.hi"),
-                            points=points, spacing=spacing)
-            try:
-                scan.build()
-            except EmptyGrid as exc:
-                raise SchemaError(f"q.scan: {exc}") from None
+        sc = doc["scan"]
+        _require_keys(sc, "q.scan", ("lo", "hi"), ("points", "spacing"))
+        points, spacing = sc.get("points", 129), sc.get("spacing", "geometric")
+        if not _is_int(points) or points < 2:
+            raise SchemaError("q.scan.points must be an integer >= 2")
+        if spacing not in ("geometric", "linear"):
+            raise SchemaError("q.scan.spacing must be 'geometric' or 'linear'")
+        scan = ScanGrid(lo=_finite_number(sc["lo"], "q.scan.lo"),
+                        hi=_finite_number(sc["hi"], "q.scan.hi"),
+                        points=points, spacing=spacing)
+        try:
+            scan.build()
+        except EmptyGrid as exc:
+            raise SchemaError(f"q.scan: {exc}") from None
         return StateDependentRates(n=n_regimes, rate_fn=rate_fn, hints=hints or None), scan
     if kind == "birth-death":
         # one form: constant rates a (down) and b (up), or per-state lists

@@ -151,11 +151,6 @@ class SimulationReport:
     censored: int
     growth_exponent: Optional[float]
 
-    def to_dict(self) -> dict:
-        from ._util import jsonify
-
-        return jsonify(self.__dict__)
-
 
 class _Kernel:
     """One Euler-Maruyama step plus thinned switching for a batch of paths.

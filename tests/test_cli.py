@@ -88,11 +88,13 @@ SHARED_RATES_DOC = {"regimes": 3,
                           "entries": [{"i": 1, "j": 2, "expr": "2 + exp(-x)"},
                                       {"i": 2, "j": 1, "expr": "sqrt(1 + x)"},
                                       {"i": 2, "j": 3, "expr": "3*x/(1 + x)"},
-                                      {"i": 3, "j": 1, "expr": "2 + exp(-x)"}]}}
+                                      {"i": 3, "j": 1, "expr": "2 + exp(-x)"}],
+                          "scan": {"lo": 1e-3, "hi": 1e3}}}
 # q_12 is nan below x = 3, where only regime-2 paths may sit
 LOG_RATE_DOC = {"regimes": 2,
                 "q": {"kind": "rates", "entries": [{"i": 1, "j": 2, "expr": "log(x - 3)"},
-                                                   {"i": 2, "j": 1, "expr": "1"}]},
+                                                   {"i": 2, "j": 1, "expr": "1"}],
+                      "scan": {"lo": 1e-3, "hi": 1e3}},
                 "drift": {"kind": "power", "b": [-1.0, -0.5], "delta": 1.0},
                 "sigma": 1.0, "boundary": "reflect"}
 
@@ -112,9 +114,11 @@ def per_regime_table(doc, x, lam):
 # other row stays 0
 TWO_RATES_DOC = {"regimes": 2, "q": {"kind": "rates",
                                      "entries": [{"i": 1, "j": 2, "expr": "2 + exp(-x)"},
-                                                 {"i": 2, "j": 1, "expr": "sqrt(1 + x)"}]}}
+                                                 {"i": 2, "j": 1, "expr": "sqrt(1 + x)"}],
+                                     "scan": {"lo": 1e-3, "hi": 1e3}}}
 ONE_RATE_DOC = {"regimes": 2, "q": {"kind": "rates",
-                                    "entries": [{"i": 2, "j": 1, "expr": "sqrt(1 + x)"}]}}
+                                    "entries": [{"i": 2, "j": 1, "expr": "sqrt(1 + x)"}],
+                                    "scan": {"lo": 1e-3, "hi": 1e3}}}
 
 
 class TestRateTable:
@@ -591,26 +595,83 @@ NEGATIVE_RATE_DOC = {
     "lyapunov": {"beta": [-1.0, -0.5], "tag": "to-infinity"},
     "two_function": {"beta": [-1.0, -0.5], "h_limit": "to-infinity"},
 }
+# both rates hinted, q_12 = 1 by [1, 1] and q_21 = x - 3 by [1, 2]: the hints
+# alone give a Q~ that thm23 certifies, so the rates must be read to see that
+# q_21 is negative below 3
+HINTED_NEGATIVE_DOC = {
+    "regimes": 2,
+    "q": {"kind": "rates",
+          "entries": [{"i": 1, "j": 2, "expr": "1", "inf": 1.0, "sup": 1.0},
+                      {"i": 2, "j": 1, "expr": "x - 3", "inf": 1.0, "sup": 2.0}],
+          "scan": {"lo": 1e-3, "hi": 1e3}},
+    "drift": {"kind": "power", "b": [-1.0, -0.5], "delta": 1.0},
+    "sigma": 1.0,
+    "lyapunov": {"beta": [-0.5, -0.5], "tag": "to-infinity"},
+    "two_function": {"beta": [-0.5, -0.5], "h_limit": "to-infinity"},
+}
+
+# every command that reads a rate table: the classifiers that bound it and the
+# simulator
+RATE_TABLE_COMMANDS = pytest.mark.parametrize(
+    "args", [["classify", "--criterion", "auto"],
+             ["classify", "--criterion", "thm23"],
+             ["classify", "--criterion", "thm32"],
+             ["simulate", "--x0", "5", "--r0", "1", "--T", "1.0", "--dt", "0.001",
+              "--trials", "100"]],
+    ids=["auto", "thm23", "thm32", "simulate"])
 
 
-@pytest.mark.parametrize("args", [["classify", "--criterion", "auto"],
-                                  ["classify", "--criterion", "thm23"],
-                                  ["classify", "--criterion", "thm32"],
-                                  ["simulate", "--x0", "5", "--r0", "1", "--T", "1.0",
-                                   "--dt", "0.001", "--trials", "100"]],
-                         ids=["auto", "thm23", "thm32", "simulate"])
+@RATE_TABLE_COMMANDS
 def test_negative_rate_fails_with_one_error_line(tmp_path, capsys, args):
     # the rate table is judged in one place, so the classifiers' scan of
-    # q_21 fails where the simulator's paths would
-    path = write_model(tmp_path, NEGATIVE_RATE_DOC)
+    # q_21 fails where the simulator's paths would, hinted or not
+    for doc in (NEGATIVE_RATE_DOC, HINTED_NEGATIVE_DOC):
+        path = write_model(tmp_path, doc)
+        assert main([args[0], path, *args[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: NegativeOffDiagonal: switching rate q[1,0](x = ")
+        if args[0] == "classify":
+            # the first point of the scan grid
+            assert err == ("error: NegativeOffDiagonal: switching rate q[1,0](x = 0.001) = "
+                           "-2.999 is negative\n")
+
+
+def pair_twice_doc():
+    """HINTED_NEGATIVE_DOC with q_21 = 1, hinted [1, 1], and q_12 listed
+    once more as 5, which its first entry's hint [1, 1] does not contain."""
+    doc = json.loads(json.dumps(HINTED_NEGATIVE_DOC))
+    doc["q"]["entries"][1].update(expr="1", sup=1.0)
+    doc["q"]["entries"].insert(1, {"i": 1, "j": 2, "expr": "5"})
+    return doc
+
+
+def without_scan(doc):
+    """A copy of ``doc`` with its rate table's scan section deleted."""
+    doc = json.loads(json.dumps(doc))
+    del doc["q"]["scan"]
+    return doc
+
+
+@RATE_TABLE_COMMANDS
+def test_rate_pair_listed_twice_fails_with_one_error_line(tmp_path, capsys, args):
+    # the later expression would replace the earlier one under its hint
+    path = write_model(tmp_path, pair_twice_doc())
     assert main([args[0], path, *args[1:]]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and len(err.splitlines()) == 1
-    assert err.startswith("error: NegativeOffDiagonal: switching rate q[1,0](x = ")
-    if args[0] == "classify":
-        # the first point of the scan grid
-        assert err == ("error: NegativeOffDiagonal: switching rate q[1,0](x = 0.001) = "
-                       "-2.999 is negative\n")
+    assert out == "" and err == "error: SchemaError: q.entries[1]: pair (1,2) is listed twice\n"
+
+
+@RATE_TABLE_COMMANDS
+@pytest.mark.parametrize("doc", [benchmark_documents()["ex22"], HINTED_NEGATIVE_DOC,
+                                 pair_twice_doc()],
+                         ids=["ex22", "hinted-negative", "pair-twice"])
+def test_rates_without_scan_fail_with_one_error_line(tmp_path, capsys, args, doc):
+    # every rate is read on its scan, so a rates file must give one
+    path = write_model(tmp_path, without_scan(doc))
+    assert main([args[0], path, *args[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: SchemaError: q(rates): missing keys ['scan']\n"
 
 
 def hinted_rate_doc(expr):
@@ -640,22 +701,23 @@ def inverted_hint_doc(scan):
     """The emitted ex22 document with q_21 = "1" hinted [2, 1], with or
     without its scan section; lyapunov beta = (-1, -1)."""
     doc = benchmark_documents()["ex22"]
-    if not scan:
-        del doc["q"]["scan"]
     doc["q"]["entries"][1].update(expr="1", inf=2.0, sup=1.0)
     doc["lyapunov"]["beta"] = [-1.0, -1.0]
-    return doc
+    return doc if scan else without_scan(doc)
 
 
 @pytest.mark.parametrize("mode", ["auto", "thm23"])
-@pytest.mark.parametrize("scan", [False, True], ids=["no-scan", "scan"])
-def test_inverted_hint_fails_with_one_error_line(tmp_path, capsys, mode, scan):
-    # below the diagonal only sup is read, so without this check the document
-    # without a scan was certified exponentially ergodic
+@pytest.mark.parametrize("scan, want", [
+    (False, "error: SchemaError: q(rates): missing keys ['scan']\n"),
+    (True, "error: SchemaError: q.entries[1]: hint inf 2 exceeds sup 1\n"),
+], ids=["no-scan", "scan"])
+def test_inverted_hint_fails_with_one_error_line(tmp_path, capsys, mode, scan, want):
+    # below the diagonal only sup is read, so the inverted hint alone would
+    # give a Q~ that thm23 certifies
     path = write_model(tmp_path, inverted_hint_doc(scan))
     assert main(["classify", path, "--criterion", mode]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: SchemaError: q.entries[1]: hint inf 2 exceeds sup 1\n"
+    assert out == "" and err == want
 
 
 def test_step_cap_fails_at_once_with_one_error_line(tmp_path, capsys):

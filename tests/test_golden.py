@@ -188,7 +188,8 @@ RATES3_DOC = {"regimes": 3,
                     "entries": [{"i": 1, "j": 2, "expr": "2 + exp(-x)"},
                                 {"i": 2, "j": 1, "expr": "sqrt(1 + x)"},
                                 {"i": 2, "j": 3, "expr": "3*x/(1 + x)"},
-                                {"i": 3, "j": 1, "expr": "1 + tanh(x)"}]},
+                                {"i": 3, "j": 1, "expr": "1 + tanh(x)"}],
+                    "scan": {"lo": 1e-3, "hi": 1e3}},
               "drift": {"kind": "power", "b": [-1.0, 0.5, -0.5], "delta": 0.5},
               "sigma": [1.0, 0.8, 1.2], "boundary": "reflect"}
 RATES3_SIMULATE_DIGEST = "d65cee30ec3a5e89371e41cf3405693db69bd7fc34d667bd70cb0c4f3fc600bf"
@@ -198,7 +199,8 @@ CLI_MODES = ("auto", "cor31", "prop22", "thm22", "thm23", "thm24",
 _Q2 = {"kind": "matrix", "entries": [[-1.0, 1.0], [2.0, -2.0]]}
 _RATES2 = {"kind": "rates",
            "entries": [{"i": 1, "j": 2, "expr": "1.0*(1+2*x)/(1+x)", "inf": 1.0, "sup": 2.0},
-                       {"i": 2, "j": 1, "expr": "(1+2*x)/(1+x)", "inf": 1.0, "sup": 2.0}]}
+                       {"i": 2, "j": 1, "expr": "(1+2*x)/(1+x)", "inf": 1.0, "sup": 2.0}],
+           "scan": {"lo": 1e-3, "hi": 1e3}}
 # three hinted regimes; Q~ is [[-1.5, 1, 0.5], [2, -3, 1], [1, 1, -2]], and
 # beta_1 = 0.5 > -1 makes every thm32 certificate raise eta_1 above eta_3
 _RATES3 = {"kind": "rates",
@@ -207,7 +209,8 @@ _RATES3 = {"kind": "rates",
                        {"i": 2, "j": 1, "expr": "2 - exp(-x)", "inf": 1.0, "sup": 2.0},
                        {"i": 2, "j": 3, "expr": "1 + exp(-x)", "inf": 1.0, "sup": 2.0},
                        {"i": 3, "j": 1, "expr": "1 - 0.5*exp(-x)", "inf": 0.5, "sup": 1.0},
-                       {"i": 3, "j": 2, "expr": "0.5 + 0.5*tanh(x)", "inf": 0.5, "sup": 1.0}]}
+                       {"i": 3, "j": 2, "expr": "0.5 + 0.5*tanh(x)", "inf": 0.5, "sup": 1.0}],
+           "scan": {"lo": 1e-3, "hi": 1e3}}
 
 
 def _birth_death(kappa, cutpoints, tag, a=2.0, b=1.0):
@@ -419,7 +422,7 @@ def test_auto_mode_bounds_the_rates_once(model_dir, capsys, monkeypatch):
     # reads the same Q~
     calls = []
 
-    def counted(rates, grid=None):
+    def counted(rates, grid):
         calls.append(grid)
         return bound_rates(rates, grid)
 

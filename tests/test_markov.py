@@ -137,20 +137,13 @@ class TestBoundRates:
     def test_hints_are_checked_against_the_scan(self):
         # rates b(1+2x)/(1+x) up and a(1+2x)/(2(1+x)) down lie in their hints,
         # which collapse them to the constant chain with up-rate b and
-        # down-rate a; without a grid the hints are trusted and rate_fn is
-        # never called
+        # down-rate a
         a, b = 2.0, 1.0
         hints = {(0, 1): (b, 2 * b), (1, 0): (a / 2, a)}
         fn = two_regime_rates(up=lambda x: b * (1 + 2 * x) / (1 + x),
                               down=lambda x: a * (1 + 2 * x) / (2 * (1 + x)))
         qt = bound_rates(StateDependentRates(n=2, rate_fn=fn, hints=hints),
                          ScanGrid(lo=0.01, hi=100.0))
-        np.testing.assert_array_equal(qt.entries, [[-b, b], [a, -a]])
-
-        def never(x, lam):
-            raise AssertionError("rate_fn called without a scan grid")
-
-        qt = bound_rates(StateDependentRates(n=2, rate_fn=never, hints=hints))
         np.testing.assert_array_equal(qt.entries, [[-b, b], [a, -a]])
 
     @pytest.mark.parametrize("down, error, message", [
@@ -170,8 +163,8 @@ class TestBoundRates:
     @pytest.mark.parametrize("hint", [(2.0, 1.0), (1.0, float("nan"))],
                              ids=["inverted", "nan"])
     def test_inverted_hint_is_rejected_when_the_rates_are_built(self, hint):
-        # an entry below the diagonal reads only sup, so an inverted hint
-        # would otherwise pass unnoticed without a scan grid
+        # an entry below the diagonal reads only sup; an inverted hint is
+        # refused before any scan reads the rates
         fn = two_regime_rates(up=lambda x: 1.0, down=lambda x: 1.0)
         with pytest.raises(ValueError, match=r"^hint for q\[1,0\] needs inf <= sup, got "):
             StateDependentRates(n=2, rate_fn=fn, hints={(0, 1): (1.0, 1.0), (1, 0): hint})
@@ -246,12 +239,6 @@ class TestBoundRates:
         rates = StateDependentRates(n=2, rate_fn=two_regime_rates(up=up, down=down))
         with pytest.raises(error, match=message):
             bound_rates(rates, ScanGrid(lo=1e-3, hi=1e3))
-
-    def test_grid_required_without_hints(self):
-        rates = StateDependentRates(n=2, rate_fn=two_regime_rates(up=lambda x: 1.0,
-                                                                   down=lambda x: 1.0))
-        with pytest.raises(EmptyGrid):
-            bound_rates(rates)
 
     def test_geometric_grid_rejects_nonpositive_lo(self):
         with pytest.raises(EmptyGrid):

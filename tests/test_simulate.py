@@ -219,7 +219,6 @@ class TestRunEnsemble:
         r1 = run_ensemble(model, **kwargs)
         r2 = run_ensemble(model, **kwargs)
         assert r1 == r2
-        assert r1.to_dict() == r2.to_dict()
 
     @pytest.mark.parametrize("build", [lambda: ex22_sde_model(0.3),
                                        lambda: ex21_sde_model(0.3)], ids=["ex22", "ex21"])

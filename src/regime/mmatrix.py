@@ -72,6 +72,10 @@ def leading_minors(a, return_pivots: bool = False):
         if abs(piv) <= BOUNDARY_BAND:
             pivots = pivots[:k + 1]
             break
+        # stays multiply.outer: a BLAS product (np.dot) or einsum writes +0
+        # where outer writes -0, and a pivot's zero sign reaches the reported
+        # minors; the simplex can take the BLAS product because no zero sign
+        # inside its tableau reaches its vertex
         m[k + 1:, k + 1:] -= np.multiply.outer(m[k + 1:, k] / piv, m[k, k + 1:])
     with np.errstate(over="ignore", invalid="ignore"):
         minors = np.cumprod(scale * pivots)

@@ -10,16 +10,28 @@ The tableau is one numpy array whose last row holds the phase-1 reduced
 costs, and each pivot is a few whole-array operations: one masked comparison
 on the cost row picks Bland's entering column (the smallest eligible index),
 the ratio test and its smallest-basis-index tie-break run on the entering
-column as arrays, and one rank-1 update eliminates that column from every row
-that has a nonzero entry in it, the cost row included; rows with a zero
-entry are not written.
+column as arrays, and one rank-1 update eliminates that column from every
+row, the cost row included: one BLAS product of the entering column (zeroed
+in the pivot row) with the pivot row, then one plain subtract.
 
-Bland's rule makes the pivot sequence a function of the data alone, and each
-tableau entry still sees the same floating-point operations as in a
-row-by-row elimination: one multiply and one subtract per pivot, with the
-cost row formed by subtracting the artificial rows one after another in row
-order.  So the vertex returned is the same to the last bit as that of the
-row-by-row loop, which ``tests/test_simplex.py`` keeps as the reference.
+The vertex returned is the same to the last bit as that of the row-by-row
+loop, which ``tests/test_simplex.py`` keeps as the reference; only the signs
+of zeros inside the tableau may differ from it.  The argument:
+
+- Bland's rule makes the pivot sequence a function of the data alone, and
+  the cost row is formed, as in the loop, by subtracting the artificial rows
+  one after another in row order.
+- With k = 1 every nonzero product is f_r * t_lc rounded once, exactly as
+  the loop's multiply.  A zero product comes out as +0, where the loop can
+  form -0.  Since x - (+0) is x to the bit, -0 included, the rows with
+  f_r = 0 and the pivot row keep their bits without a mask.
+- The sign of a zero changes no comparison (the eligibility and ratio tests,
+  ``f == 0``, the ratio ties) and no nonzero result: +-0 - y = -y,
+  +-0 * y = +-0 and +-0 / p = +-0.  So the basis sequence and every nonzero
+  entry are the loop's.
+- The vertex reads only the right-hand-side column and the basis.  That
+  column takes the loop's exact products (zero where the loop skips the
+  row), so x is the loop's to the bit, a -0.0 coordinate included.
 """
 
 from __future__ import annotations
@@ -92,7 +104,8 @@ def feasible_point(a_ub, b_ub) -> Optional[np.ndarray]:
         entering = int(eligible.argmax())  # Bland: smallest eligible index
         if not eligible[entering]:
             break
-        col = t[:m, entering]
+        f = t[:, entering].copy()  # the entering column, cost row included
+        col = f[:m]
         ratio = rhs / np.where(col > _TOL, col, np.nan)  # NaN: not a candidate
         best = float(np.fmin.reduce(ratio))  # skips the NaNs
         if math.isnan(best):
@@ -103,13 +116,16 @@ def feasible_point(a_ub, b_ub) -> Optional[np.ndarray]:
         tied = (ratio <= best + _TOL).nonzero()[0]
         leave = tied[0] if tied.size == 1 else tied[basis[tied].argmin()]
         t[leave] /= t[leave, entering]
-        f = t[:, entering]
-        touched = f != 0.0
-        touched[leave] = False
-        # rank-1 elimination on the rows (cost row included) that have the
-        # entering column; the others keep their exact bits
-        np.multiply.outer(f, t[leave], out=prod)
-        np.subtract(t, prod, out=t, where=touched[:, None])
+        f[leave] = 0.0  # the pivot row keeps its values
+        # rank-1 elimination from every row, cost row included, as one gemm
+        # with k = 1 (see the module docstring): zero signs inside the tableau
+        # may differ from the row loop's, but the vertex is the loop's to the
+        # bit, because the right-hand side, which it reads, takes the loop's
+        # exact products and zero signs
+        np.dot(f[:, None], t[None, leave], out=prod)
+        np.multiply(f, t[leave, -1], out=prod[:, -1])
+        prod[f == 0.0, -1] = 0.0
+        t -= prod
         basis[leave] = entering
         blocked.clear()
     else:

@@ -9,8 +9,15 @@ the LPs the classifiers pose (semipositivity of -(Q + diag beta) for thm22,
 of -(Q + diag beta) H for thm23, and the nonincreasing-eta system of thm32,
 at n = 5, 20, 50), an infeasible system, the b >= 0 shortcut, a ratio-test
 tie, a vertex with a -0.0 coordinate and a degenerate system that retires a
-column through the ``blocked`` branch.  ``_loop_feasible_point`` keeps that loop as the reference the
-seeded random systems are compared against.
+column through the ``blocked`` branch.  ``_loop_feasible_point`` keeps that
+loop as the reference the seeded random systems are compared against.
+
+The invariant is the vertex: it is bit-identical to the row loop's, the
+signs of its zero coordinates included.  The tableau itself is not: its
+rank-1 update is one BLAS product, whose zero products are +0 where the loop
+can form -0, so zero signs inside the tableau may differ.  The systems with
+signed zeros pin the one place where that would reach the vertex, the
+right-hand-side column, which must keep the loop's exact products.
 """
 
 import hashlib
@@ -223,6 +230,29 @@ def test_matches_loop_reference_on_random_systems(seed):
     else:
         a = rng.standard_normal((m, n))
         b = rng.standard_normal(m)
+    assert _digest(feasible_point(a, b)) == _digest(_loop_feasible_point(a, b))
+
+
+def _signed_zero_system(seed):
+    """A small integer system whose zero entries are -0.0: every zero of b,
+    and every zero of a for even seeds."""
+    rng = np.random.default_rng(seed)
+    m, n = rng.integers(2, 7, size=2)
+    a = rng.integers(-2, 3, size=(m, n)).astype(float)
+    b = rng.integers(-2, 2, size=m).astype(float)
+    b[b == 0.0] = -0.0
+    if seed % 2 == 0:
+        a[a == 0.0] = -0.0
+    return a, b
+
+
+# seeds whose vertex takes the sign of a zero from the right-hand-side
+# column: an update that let that column take the BLAS product's +0 where
+# the loop forms -0 returns a -0.0 coordinate for one of the loop's +0.0
+# (seed 716: (0, 0, 1, 0, -0, 0) for the loop's (0, 0, 1, 0, 0, 0))
+@pytest.mark.parametrize("seed", [80, 716, 1442, 1803, 2240])
+def test_signed_zeros_match_loop_reference(seed):
+    a, b = _signed_zero_system(seed)
     assert _digest(feasible_point(a, b)) == _digest(_loop_feasible_point(a, b))
 
 

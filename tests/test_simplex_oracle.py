@@ -5,8 +5,10 @@ question with other algorithms, so on small integer systems a disagreement
 points to a defect in one of the two.  The systems are feasible by
 construction (some with tight, degenerate rows), infeasible by construction
 (a contradictory pair of rows), or drawn freely, with many zero and unit
-entries.  The same systems also check that the vectorised tableau returns
-the row-by-row loop's vertex bit for bit.  The thm32 verdict, which poses its
+entries, and in one strategy zeros of either sign.  The same systems also
+check that the vectorised tableau returns the row-by-row loop's vertex bit
+for bit, a -0.0 coordinate included, although zero signs inside the tableau
+may differ from the loop's.  The thm32 verdict, which poses its
 LP over the increments of eta, is checked against HiGHS on the row system
 over eta itself.
 """
@@ -98,6 +100,24 @@ def test_feasible_systems_agree_with_highs(system):
 @given(infeasible_systems())
 def test_infeasible_systems_agree_with_highs(system):
     _check(*system, want=False)
+
+
+@st.composite
+def signed_zero_systems(draw):
+    """Small integer systems in which each zero entry is drawn as +0.0 or -0.0."""
+    m, n = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    a = _matrix(draw, m, n, -2, 2)
+    b = np.array(draw(st.lists(st.integers(-2, 1), min_size=m, max_size=m)), dtype=float)
+    for arr in (a, b):
+        negative = draw(st.lists(st.booleans(), min_size=arr.size, max_size=arr.size))
+        arr[(arr == 0.0) & np.reshape(negative, arr.shape)] = -0.0
+    return a, b
+
+
+@SETTINGS
+@given(signed_zero_systems())
+def test_signed_zero_systems_agree_with_highs(system):
+    _check(*system)
 
 
 @st.composite

@@ -7,7 +7,6 @@ from .criteria import (
     FredholmPair,
     Limit,
     LyapunovBehavior,
-    TwoFunctionData,
     Verdict,
     bisect_verdict,
     classify_avg,
@@ -59,13 +58,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "Classification", "FredholmPair", "Limit", "LyapunovBehavior",
-    "TwoFunctionData", "Verdict", "bisect_verdict", "classify_avg",
-    "classify_coarse", "classify_infinite", "classify_mmatrix", "classify_ou",
-    "classify_power_1d", "classify_radial_sampled",
-    "classify_state_dependent", "classify_two_function",
-    "classify_two_function_state_dependent", "fredholm_solve",
-    "kappa_thresholds",
+    "Classification", "FredholmPair", "Limit", "LyapunovBehavior", "Verdict",
+    "bisect_verdict", "classify_avg", "classify_coarse", "classify_infinite",
+    "classify_mmatrix", "classify_ou", "classify_power_1d",
+    "classify_radial_sampled", "classify_state_dependent",
+    "classify_two_function", "classify_two_function_state_dependent",
+    "fredholm_solve", "kappa_thresholds",
     "BetaSequence", "Partition", "QMatrix", "ScanGrid", "StateDependentRates",
     "TailHomogeneousChain", "bound_rates", "coarsen", "invariant_measure",
     "validate_qmatrix",

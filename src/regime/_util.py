@@ -17,12 +17,8 @@ def jsonify(obj):
         return jsonify(obj.tolist())
     if isinstance(obj, enum.Enum):
         return obj.value
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     return obj
 
 

@@ -88,7 +88,7 @@ def _run_thm32(model: RegimeModel):
     _need(isinstance(model.switching, StateDependentRates), "needs state-dependent rates")
     _need(model.two_function is not None, "needs a two_function section")
     two = model.two_function
-    return classify_two_function_state_dependent(model.q_tilde, two.beta, two.h_limit)
+    return classify_two_function_state_dependent(model.q_tilde, two.beta, two.tag)
 
 
 def _run_thm33(model: RegimeModel):
@@ -137,11 +137,7 @@ def cmd_classify(args) -> int:
                 raise
             attempted.append({"criterion": name, "skipped": str(exc)})
             continue
-        attempt = {"verdict": result.verdict, "criterion": result.criterion,
-                   "certificate": result.certificate}
-        if result.reason is not None:
-            attempt["reason"] = result.reason
-        attempted.append(attempt)
+        attempted.append({k: v for k, v in vars(result).items() if v is not None})
         if result.conclusive and final is None:
             final = result
             if args.criterion == "auto":

@@ -50,27 +50,17 @@ class Limit(str, enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class LyapunovBehavior:
-    """What the caller's measuring function V does: its limit tag and the
-    per-regime bounds beta_i with L_i V <= beta_i V outside some ball.
+    """Per-regime drift bounds beta_i, outside some ball, and the limit tag
+    of the function they bound.
 
-    V itself stays on the caller's side; only (beta, tag) enter computation.
+    The V-criteria (thm21-thm23) read L_i V <= beta_i V and the limit of V;
+    the two-function criteria (thm31, thm32) read L_i h <= beta_i g and the
+    limit of h.  The functions stay on the caller's side; only (beta, tag)
+    enter computation.
     """
 
     tag: Limit
     beta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float).ravel())
-        if not np.isfinite(self.beta).all():
-            raise ValueError("beta must be finite")
-
-
-@dataclass(frozen=True, eq=False)
-class TwoFunctionData:
-    """Two-function data: beta_i with L_i h <= beta_i g and the limit of h."""
-
-    beta: np.ndarray
-    h_limit: Limit
 
     def __post_init__(self):
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float).ravel())
@@ -99,10 +89,12 @@ class Classification:
         return self.verdict is not Verdict.INCONCLUSIVE
 
 
-def _averaged(q: QMatrix, v: np.ndarray) -> tuple:
-    """The invariant measure mu, the average mu @ v and its sign tolerance."""
+def _averaged(q: QMatrix, v) -> tuple:
+    """``v`` checked to have one entry per regime, the invariant measure mu,
+    the average mu @ v and its sign tolerance."""
+    v = q.per_regime(v)
     mu = invariant_measure(q)
-    return mu, float(mu @ v), SIGN_TOL * max(1.0, float(np.abs(v).max()))
+    return v, mu, float(mu @ v), SIGN_TOL * max(1.0, float(np.abs(v).max()))
 
 
 def _verdict(tag: Limit, at_infinity: Verdict) -> Verdict:
@@ -140,7 +132,7 @@ def classify_avg(q: QMatrix, lyap: LyapunovBehavior) -> Classification:
     V -> infinity gives exponential ergodicity, V -> 0 gives transience; a
     nonnegative average is inconclusive for this test.
     """
-    mu, s, tol = _averaged(q, lyap.beta)
+    _, mu, s, tol = _averaged(q, lyap.beta)
     cert = {"mu": mu, "mu_beta": s, "tol": tol}
     if s < -tol:
         return Classification(_verdict(lyap.tag, Verdict.EXPONENTIALLY_ERGODIC), "thm21", cert)
@@ -150,7 +142,7 @@ def classify_avg(q: QMatrix, lyap: LyapunovBehavior) -> Classification:
 
 def classify_mmatrix(q: QMatrix, lyap: LyapunovBehavior) -> Classification:
     """M-matrix test on -(Q + diag beta); conclusion follows the V-limit tag."""
-    return _certify("thm22", -(q.entries + np.diag(lyap.beta)), {},
+    return _certify("thm22", -(q.entries + np.diag(q.per_regime(lyap.beta))), {},
                     _verdict(lyap.tag, Verdict.EXPONENTIALLY_ERGODIC),
                     "matrix is not a nonsingular M-matrix (the test is sufficient only)")
 
@@ -160,7 +152,7 @@ def classify_state_dependent(q_tilde: QMatrix, lyap: LyapunovBehavior) -> Classi
     A = -(Q~ + diag beta) and H_N the upper-triangular all-ones matrix.  H_N
     is unit upper triangular, so A H_N has the minors of A, and the Z-matrix
     A is certified."""
-    out = _certify("thm23", -(q_tilde.entries + np.diag(lyap.beta)),
+    out = _certify("thm23", -(q_tilde.entries + np.diag(q_tilde.per_regime(lyap.beta))),
                    {}, _verdict(lyap.tag, Verdict.EXPONENTIALLY_ERGODIC),
                    "transformed matrix fails the positive-minors test")
     out.certificate["conclusion_strength"] = ("exponentially-ergodic (implies recurrent); some "
@@ -211,7 +203,7 @@ def classify_ou(q: QMatrix, b) -> Classification:
     Negative average: exponentially ergodic.  Positive: transient.  The zero
     boundary is left open here.
     """
-    mu, s, tol = _averaged(q, np.asarray(b, dtype=float).ravel())
+    _, mu, s, tol = _averaged(q, b)
     cert = {"mu": mu, "mu_b": s, "tol": tol}
     if s < -tol:
         return Classification(Verdict.EXPONENTIALLY_ERGODIC, "prop22", cert)
@@ -250,10 +242,7 @@ def fredholm_solve(q: QMatrix, beta) -> FredholmPair:
     solution is pinned by sum(mu xi) = 0 and the residual is checked against
     1e-9 of the data scale.
     """
-    b = np.asarray(beta, dtype=float).ravel()
-    if b.shape != (q.n,):
-        raise ValueError("beta length must match the number of regimes")
-    return _fredholm_pair(q, b, *_averaged(q, b))
+    return _fredholm_pair(q, *_averaged(q, beta))
 
 
 def _fredholm_pair(q: QMatrix, b: np.ndarray, mu: np.ndarray, s: float,
@@ -271,29 +260,30 @@ def _fredholm_pair(q: QMatrix, b: np.ndarray, mu: np.ndarray, s: float,
     return FredholmPair(kappa=kappa, xi=xi, residual=residual)
 
 
-def classify_two_function(q: QMatrix, data: TwoFunctionData) -> Classification:
+def classify_two_function(q: QMatrix, lyap: LyapunovBehavior) -> Classification:
     """Two-function test: negative averaged beta certifies the h-limit verdict.
 
+    ``lyap`` holds beta_i with L_i h <= beta_i g and the limit of h:
     h -> infinity gives recurrence, h -> 0 transience; the certificate is the
     resolvent pair (kappa, xi).
     """
-    mu, s, tol = _averaged(q, data.beta)
+    b, mu, s, tol = _averaged(q, lyap.beta)
     if s < -tol:
-        pair = _fredholm_pair(q, data.beta, mu, s, tol)
+        pair = _fredholm_pair(q, b, mu, s, tol)
         cert = {"mu": mu, "mu_beta": s,
                 "fredholm": {"kappa": pair.kappa, "xi": pair.xi, "residual": pair.residual}}
-        return Classification(_verdict(data.h_limit, Verdict.RECURRENT), "thm31", cert)
+        return Classification(_verdict(lyap.tag, Verdict.RECURRENT), "thm31", cert)
     return Classification(Verdict.INCONCLUSIVE, "thm31", {"mu": mu, "mu_beta": s},
                           reason="averaged beta is not negative; for 1-d power drift the "
                                  "boundary is settled by the cor31 classifier")
 
 
-def classify_two_function_state_dependent(q_tilde: QMatrix, beta, h_limit: Limit) -> Classification:
+def classify_two_function_state_dependent(q_tilde: QMatrix, beta, tag: Limit) -> Classification:
     """State-dependent two-function test via a nonincreasing weight eta.
 
     Searches for eta_1 >= ... >= eta_n >= 1 with beta_i + (Q~ eta)_i <= -1
     componentwise: the strict inequalities, posed with a unit margin.  Feasible
-    eta certifies the h-limit verdict.
+    eta certifies the verdict of ``tag``, the limit of h.
 
     Every row of Q~ sums to 0, so adding a constant to eta leaves Q~ eta
     unchanged, and eta_n = 1 loses nothing.  The LP is posed over the n - 1
@@ -302,17 +292,14 @@ def classify_two_function_state_dependent(q_tilde: QMatrix, beta, h_limit: Limit
     so its n rows are the first n - 1 columns of the row-wise cumulative sums
     of Q~, with right-hand side -1 - beta.
     """
-    b = np.asarray(beta, dtype=float).ravel()
-    n = q_tilde.n
-    if b.shape != (n,):
-        raise ValueError("beta length must match the number of regimes")
+    b = q_tilde.per_regime(beta)
     d = feasible_point(np.cumsum(q_tilde.entries, axis=1)[:, :-1], -1.0 - b)
     if d is None:
         return Classification(Verdict.INCONCLUSIVE, "thm32", {"beta": b},
                               reason="no nonincreasing positive eta satisfies "
                                      "beta + Q~ eta << 0")
     eta = 1.0 + np.cumsum(np.append(d, 0.0)[::-1])[::-1]
-    return Classification(_verdict(h_limit, Verdict.RECURRENT), "thm32", {"beta": b, "eta": eta})
+    return Classification(_verdict(tag, Verdict.RECURRENT), "thm32", {"beta": b, "eta": eta})
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +337,7 @@ def classify_power_1d(q: QMatrix, b, sigma, delta: float) -> Classification:
     sum(mu_i b_i (Q^-1 b)_i).  delta = 1 is the linear case and is delegated
     to :func:`classify_ou`.
     """
-    bv = np.asarray(b, dtype=float).ravel()
     sv = np.asarray(sigma, dtype=float).ravel()
-    if bv.shape != (q.n,):
-        raise ValueError("b length must match the number of regimes")
     if sv.size not in (1, q.n):
         raise ValueError("sigma must be scalar or per-regime")
     if np.abs(sv).min() == 0:
@@ -361,11 +345,11 @@ def classify_power_1d(q: QMatrix, b, sigma, delta: float) -> Classification:
     if not -1.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [-1, 1]")
     if delta == 1.0:
-        out = classify_ou(q, bv)
+        out = classify_ou(q, b)
         out.certificate["delegated_from"] = "cor31"
         return out
 
-    mu, s, tol = _averaged(q, bv)
+    bv, mu, s, tol = _averaged(q, b)
     cert = {"mu": mu, "mu_b": s, "delta": delta, "tol": tol}
     if s <= tol:
         if abs(s) <= tol and float(np.abs(bv).max()) > tol:

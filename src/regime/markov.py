@@ -54,6 +54,14 @@ class QMatrix:
     def scale(self) -> float:
         return float(np.abs(self.entries).max())
 
+    def per_regime(self, values) -> np.ndarray:
+        """``values`` as a float vector with one entry per regime; the one
+        length check of every per-regime beta or b a criterion reads."""
+        v = np.asarray(values, dtype=float).ravel()
+        if v.shape != (self.n,):
+            raise ValueError(f"expected one value per regime ({self.n}), got {v.size}")
+        return v
+
 
 def _strongly_connected(adj: np.ndarray) -> bool:
     """True iff every node reaches every other.  Each squaring of the

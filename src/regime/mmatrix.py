@@ -185,11 +185,9 @@ def perron(q: QMatrix, beta, p: float) -> PerronData:
     strictly positive diagonal, hence primitive for irreducible Q; the Perron
     pair is then the unique attractor and eta_p = c - rho(M).
     """
-    b = np.asarray(beta, dtype=float).ravel()
     if p < 0:
         raise ValueError("p must be nonnegative")
-    if b.shape != (q.n,):
-        raise ValueError("beta length must match the number of regimes")
+    b = q.per_regime(beta)
     qp = q.entries + p * np.diag(b)
     c = float((q.exit_rates + p * np.abs(b)).max()) + 1.0
     m = qp + c * np.eye(q.n)

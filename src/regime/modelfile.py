@@ -9,9 +9,9 @@ Schema overview (all 1-based regime/state indices in files)::
                                           "inf": ..?, "sup": ..?}, ...],
             "scan": {"lo":..,"hi":..,"points": <int >= 2>?,
                      "spacing": "geometric"|"linear"?}}    # hi > lo; geometric: lo > 0
-         | {"kind": "birth-death", "a": <down>, "b": <up>, "K0"?: 1}
-         | {"kind": "birth-death", "up": [...], "down": [...],
-            "K0"?: 1}            # K0 = both list lengths; "regimes": "infinite" only
+         | {"kind": "birth-death", "a": <down>, "b": <up>}
+         | {"kind": "birth-death", "up": [...], "down": [...]}
+                   # lists of one length, constant beyond it; "regimes": "infinite" only
       "drift"?:  {"kind": "power", "b": [...], "delta": <float>}
                | {"kind": "ou", "b": [...]}               # power with delta 1
                | {"kind": "radial", "delta": <float>,
@@ -25,6 +25,7 @@ Schema overview (all 1-based regime/state indices in files)::
                  | {"beta_values": [...], "beta_tail_limit": <float>,
                     "tag": ...}                             # infinite chains
       "two_function"?: {"beta": [...], "h_limit": "to-infinity"|"to-zero"},
+                                  # beta_i with L_i h <= beta_i g, limit of h
       "partition"?: {"cutpoints": [...]},
       "boundary"?: "none" | "reflect",
       "dimension"?: <int>
@@ -50,7 +51,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .criteria import Limit, LyapunovBehavior, TwoFunctionData
+from .criteria import Limit, LyapunovBehavior
 from .errors import CriterionNotApplicable, EmptyGrid, ParseError, SchemaError
 from .markov import BetaSequence, QMatrix, ScanGrid, StateDependentRates, \
     TailHomogeneousChain, bound_rates, validate_qmatrix
@@ -195,7 +196,7 @@ class RegimeModel:
     lyapunov: Optional[LyapunovBehavior]
     beta_seq: Optional[BetaSequence]
     cutpoints: Optional[tuple]
-    two_function: Optional[TwoFunctionData]
+    two_function: Optional[LyapunovBehavior]  # tag: the limit of h
 
     @cached_property
     def q_tilde(self) -> QMatrix:
@@ -217,7 +218,7 @@ class RegimeModel:
 
 def _parse_q(doc, n_regimes):
     _require_keys(doc, "q", ("kind",),
-                  ("entries", "scan", "a", "b", "K0", "up", "down"))
+                  ("entries", "scan", "a", "b", "up", "down"))
     kind = doc.get("kind")
     if kind == "matrix":
         _require_keys(doc, "q(matrix)", ("kind", "entries"))
@@ -244,7 +245,8 @@ def _parse_q(doc, n_regimes):
             if j - 1 in rows.get(i - 1, ()):
                 raise SchemaError(f"q.entries[{k}]: pair ({i},{j}) is listed twice")
             text = str(ent["expr"])
-            fns[text] = compile_rate_expr(text)
+            if text not in fns:
+                fns[text] = compile_rate_expr(text)
             rows.setdefault(i - 1, {})[j - 1] = text
             if "inf" in ent and "sup" in ent:
                 lo = _finite_number(ent["inf"], f"q.entries[{k}].inf")
@@ -304,20 +306,17 @@ def _parse_q(doc, n_regimes):
         if lists and ("a" in doc or "b" in doc):
             raise SchemaError("q(birth-death) takes either a and b or up and down, not both")
         rates = ("up", "down") if lists else ("a", "b")
-        _require_keys(doc, "q(birth-death)", ("kind",) + rates, ("K0",))
+        _require_keys(doc, "q(birth-death)", ("kind",) + rates)
         if n_regimes is not None:
             raise SchemaError("q.kind 'birth-death' needs regimes 'infinite'")
-        k0 = doc.get("K0", 1)
-        if not _is_int(k0) or k0 < 1:
-            raise SchemaError("q.K0 must be a positive integer")
         if lists:
             up = tuple(_finite_vector(doc["up"], "q.up"))
             down = tuple(_finite_vector(doc["down"], "q.down"))
-            if len(up) != k0 or len(down) != k0:
-                raise SchemaError(f"q.up and q.down must both have K0 = {k0} entries")
+            if len(up) != len(down):
+                raise SchemaError(f"q.up and q.down must have one length, got "
+                                  f"{len(up)} and {len(down)}")
         else:
-            up = tuple([_finite_number(doc["b"], "q.b")] * k0)
-            down = tuple([_finite_number(doc["a"], "q.a")] * k0)
+            up, down = (_finite_number(doc["b"], "q.b"),), (_finite_number(doc["a"], "q.a"),)
         return TailHomogeneousChain(up_rates=up, down_rates=down), None
     raise SchemaError(f"q.kind must be matrix | rates | birth-death, got {kind!r}")
 
@@ -423,8 +422,8 @@ def parse_model(doc: dict, source: str = "<dict>") -> RegimeModel:
         beta = _finite_vector(td["beta"], "two_function.beta")
         if n_regimes is not None and beta.size != n_regimes:
             raise SchemaError("two_function.beta must have one entry per regime")
-        two = TwoFunctionData(beta=beta, h_limit=_limit_tag(td["h_limit"],
-                                                            "two_function.h_limit"))
+        two = LyapunovBehavior(tag=_limit_tag(td["h_limit"], "two_function.h_limit"),
+                               beta=beta)
 
     cutpoints = None
     if "partition" in doc:

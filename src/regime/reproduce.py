@@ -8,6 +8,7 @@ cousin), ``ou`` (linear drift), and ``cor31`` (the 1-d power-drift dichotomy).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -45,12 +46,15 @@ EX21_REFERENCES = {
 
 
 # ---------------------------------------------------------------------------
-# benchmark model builders (shared with the test suite); ex22, ou and cor31
-# are parsed from their documents in ``benchmark_documents``
+# benchmark model builders (shared with the test suite); the models are
+# parsed from their documents in ``benchmark_documents``
 # ---------------------------------------------------------------------------
 
-def ex21_chain(a: float = 2.0, b: float = 1.0) -> TailHomogeneousChain:
-    return TailHomogeneousChain.constant(up=b, down=a)
+@functools.cache
+def ex21_chain() -> TailHomogeneousChain:
+    """The switching chain of the ``ex21`` document, parsed once per
+    process; the chain is immutable, so every caller can share it."""
+    return _document_model("ex21").switching
 
 
 def ex21_beta(kappa: float) -> BetaSequence:
@@ -65,14 +69,14 @@ def ex21_partition(m: int) -> Partition:
     return Partition(classes=classes)
 
 
-def ex21_recurrence_verdict(kappa: float, m: int, a: float = 2.0, b: float = 1.0) -> bool:
+def ex21_recurrence_verdict(kappa: float, m: int) -> bool:
     """Partition certificate for the V = x branch at drift slope kappa."""
-    out = classify_infinite(ex21_chain(a, b), ex21_beta(kappa), ex21_partition(m),
+    out = classify_infinite(ex21_chain(), ex21_beta(kappa), ex21_partition(m),
                             Limit.TO_INFINITY)
     return out.verdict is Verdict.RECURRENT
 
 
-def ex21_transience_verdict(kappa: float, m: int, a: float = 2.0, b: float = 1.0) -> bool:
+def ex21_transience_verdict(kappa: float, m: int) -> bool:
     """Partition certificate for the V = 1/x branch, r0 -> infinity.
 
     The coarse drift bounds are the closed forms 1 - kappa, 1/2 - kappa, ...,
@@ -80,7 +84,7 @@ def ex21_transience_verdict(kappa: float, m: int, a: float = 2.0, b: float = 1.0
     its limiting value.
     """
     beta_f = np.array([1.0 / j - kappa for j in range(1, m)] + [-kappa])
-    _, q_f = coarsen(ex21_chain(a, b), ex21_beta(kappa), ex21_partition(m))
+    _, q_f = coarsen(ex21_chain(), ex21_beta(kappa), ex21_partition(m))
     out = classify_coarse(beta_f, q_f, Limit.TO_ZERO)
     return out.verdict is Verdict.TRANSIENT
 
@@ -131,7 +135,8 @@ def _threshold_row(case: str, reference: float, closed_form: float,
 
 def reproduce_ex21(mc: bool = False) -> dict:
     """Threshold table for the infinite birth-death benchmark (a=2, b=1)."""
-    a, b = 2.0, 1.0
+    chain = ex21_chain()
+    a, b = chain.tail_down, chain.tail_up
     k_rec, k_trans = kappa_thresholds(a, b)
     rows = [
         _threshold_row("two-class recurrence", EX21_REFERENCES["two-class recurrence"],
@@ -159,8 +164,10 @@ def reproduce_ex21(mc: bool = False) -> dict:
 
 
 def reproduce_ex22(mc: bool = False) -> dict:
-    """Threshold table for the two-state state-dependent benchmark."""
-    a, b = 2.0, 1.0
+    """Threshold table for the two-state state-dependent benchmark, whose
+    rates carry the ex21 tail rates a and b."""
+    chain = ex21_chain()
+    a, b = chain.tail_down, chain.tail_up
     k_rec, k_trans = kappa_thresholds(a, b)
     qt = ex22_qtilde()
 
@@ -236,7 +243,7 @@ def benchmark_documents() -> dict:
     kappa = 0.5
     ex21 = {
         "regimes": "infinite",
-        "q": {"kind": "birth-death", "a": 2.0, "b": 1.0, "K0": 1},
+        "q": {"kind": "birth-death", "a": 2.0, "b": 1.0},
         "lyapunov": {"beta_values": list(ex21_beta(kappa).head),
                      "beta_tail_limit": kappa, "tag": "to-infinity"},
         "partition": {"cutpoints": [kappa - 1.0, kappa]},

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from regime import modelfile
+from regime._util import jsonify
 from regime.cli import RUNNERS, build_parser, main
 from regime.criteria import Limit, classify_infinite
 from regime.errors import CriterionNotApplicable, ParseError, SchemaError
@@ -32,7 +34,7 @@ def write_model(tmp_path, doc, name="model.json"):
 def ex21_doc(kappa, cutpoints):
     return {
         "regimes": "infinite",
-        "q": {"kind": "birth-death", "a": 2.0, "b": 1.0, "K0": 1},
+        "q": {"kind": "birth-death", "a": 2.0, "b": 1.0},
         "lyapunov": {"beta_values": [kappa - 1.0 / j for j in range(1, 9)],
                      "beta_tail_limit": kappa, "tag": "to-infinity"},
         "partition": {"cutpoints": cutpoints},
@@ -190,6 +192,18 @@ class TestModelParsing:
         with pytest.raises(SchemaError):
             parse_model(doc)
 
+    def test_each_distinct_rate_expression_is_compiled_once(self, monkeypatch):
+        # both ex22 rates are "(1+2*x)/(1+x)"
+        compiled = []
+
+        def counted(text):
+            compiled.append(text)
+            return compile_rate_expr(text)
+
+        monkeypatch.setattr(modelfile, "compile_rate_expr", counted)
+        parse_model(benchmark_documents()["ex22"])
+        assert compiled == ["(1+2*x)/(1+x)"]
+
     def test_nonfinite_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"regimes": 2, "q": {"kind": "matrix", "entries": '
@@ -251,16 +265,10 @@ class TestModelParsing:
         with pytest.raises(SchemaError, match="lyapunov presets need a linear drift"):
             parse_model(doc)
 
-    def test_birth_death_k0_rejects_bools(self):
-        doc = benchmark_documents()["ex21"]
-        doc["q"]["K0"] = True
-        with pytest.raises(SchemaError, match="q.K0"):
-            parse_model(doc)
-
     def test_birth_death_lists_classify_as_the_library_chain(self, tmp_path, capsys):
         # a head that is not the tail: the coarse generator takes up(1) and down(2)
         doc = ex21_doc(0.5, [-0.5, 0.5])
-        doc["q"] = {"kind": "birth-death", "K0": 2, "up": [0.5, 1.0], "down": [3.0, 2.0]}
+        doc["q"] = {"kind": "birth-death", "up": [0.5, 1.0], "down": [3.0, 2.0]}
         assert main(["classify", write_model(tmp_path, doc), "--criterion", "thm24"]) == 0
         report = json.loads(capsys.readouterr().out)
         chain = TailHomogeneousChain(up_rates=(0.5, 1.0), down_rates=(3.0, 2.0))
@@ -272,18 +280,18 @@ class TestModelParsing:
 
     def test_birth_death_takes_one_form(self):
         doc = ex21_doc(0.5, [-0.5, 0.5])
-        doc["q"] = {"kind": "birth-death", "a": 5.0, "b": 0.1, "K0": 2,
+        doc["q"] = {"kind": "birth-death", "a": 5.0, "b": 0.1,
                     "up": [1.0, 1.0], "down": [2.0, 2.0]}
         with pytest.raises(SchemaError, match="either a and b or up and down, not both"):
             parse_model(doc)
 
     def test_birth_death_lists_must_have_k0_entries(self, tmp_path, capsys):
         doc = ex21_doc(0.5, [-0.5, 0.5])
-        doc["q"] = {"kind": "birth-death", "K0": 3, "up": [1.0, 1.0], "down": [2.0, 2.0]}
+        doc["q"] = {"kind": "birth-death", "up": [1.0, 1.0, 1.0], "down": [2.0, 2.0]}
         assert main(["classify", write_model(tmp_path, doc)]) == 1
         out, err = capsys.readouterr()
-        assert out == "" and err == ("error: SchemaError: q.up and q.down must both have "
-                                     "K0 = 3 entries\n")
+        assert out == "" and err == ("error: SchemaError: q.up and q.down must have one "
+                                     "length, got 3 and 2\n")
 
     def test_inverse_abs_preset_beta(self):
         # V = 1/|x| on a linear drift: beta_i = -b_i + sigma_i**2 / r0**2
@@ -792,8 +800,9 @@ BAD_DOCUMENTS = [
      "bad rate expression '1 +'"),
     ("rate-construct", _with(_doc("ex22"), ("q", "entries", 0, "expr"), "x.real"), "ParseError",
      "disallowed construct in rate expression 'x.real'"),
-    ("birth-death-k0", _with(_doc("ex21"), ("q", "K0"), 0), "SchemaError",
-     "q.K0 must be a positive integer"),
+    # the lists' length is the chain's K0; a K0 key would only restate it
+    ("birth-death-k0", _with(_doc("ex21"), ("q", "K0"), 1), "SchemaError",
+     "q: unknown keys ['K0']"),
     ("birth-death-rate", _with(_doc("ex21"), ("q", "a"), "two"), "SchemaError",
      "q.a must be a number"),
     ("drift-kind", _doc("ou", drift={"kind": "cubic"}), "SchemaError",
@@ -846,6 +855,15 @@ def test_unreadable_model_fails_with_one_error_line(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
     assert err.startswith("error: ParseError: cannot read ") and "absent.json" in err
+
+
+def test_jsonify_turns_numpy_scalars_into_python_values():
+    doc = jsonify({"f": np.float32(0.5), "i": np.int64(3), "b": np.bool_(True),
+                   "a": np.array([1.5, 2.5]), "t": (np.uint8(7), Limit.TO_ZERO)})
+    assert doc == {"f": 0.5, "i": 3, "b": True, "a": [1.5, 2.5], "t": [7, "to-zero"]}
+    assert [type(v) for v in (doc["f"], doc["i"], doc["b"], doc["t"][0])] == [
+        float, int, bool, int]
+    assert json.loads(json.dumps(doc)) == doc
 
 
 class TestParserReuse:
@@ -908,6 +926,15 @@ class TestReproduceCommand:
         for stem in docs:
             with open(tmp_path / "models" / f"{stem}.json", encoding="utf-8") as fh:
                 assert json.load(fh) == docs[stem]
+
+    def test_emit_models_without_out_writes_into_models(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["reproduce", "cor31", "--emit-models"]) == 0
+        docs = benchmark_documents()
+        assert sorted(p.name for p in (tmp_path / "models").iterdir()) == sorted(
+            f"{stem}.json" for stem in docs)
+        for stem, doc in docs.items():
+            assert json.loads((tmp_path / "models" / f"{stem}.json").read_text()) == doc
 
 
 class TestThresholdsCommand:

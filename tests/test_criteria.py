@@ -7,7 +7,6 @@ from regime import (
     Limit,
     LyapunovBehavior,
     TailHomogeneousChain,
-    TwoFunctionData,
     Verdict,
     bisect_verdict,
     classify_avg,
@@ -187,22 +186,22 @@ class TestFredholm:
 
 class TestClassifyTwoFunction:
     def test_uniformly_negative_beta(self):
-        out = classify_two_function(Q2, TwoFunctionData([-1.0, -1.0], TO_INF))
+        out = classify_two_function(Q2, LyapunovBehavior(TO_INF, [-1.0, -1.0]))
         assert out.verdict is Verdict.RECURRENT
         assert out.certificate["fredholm"]["kappa"] == pytest.approx(1.0)
 
     def test_power_pair_reduction(self):
         # h = |x|^g, g = |x|^{g+delta-1} with radial slopes (-1, 0.5):
         # the averaged bound is -0.5 < 0
-        out = classify_two_function(Q2, TwoFunctionData([-1.0, 0.5], TO_INF))
+        out = classify_two_function(Q2, LyapunovBehavior(TO_INF, [-1.0, 0.5]))
         assert out.verdict is Verdict.RECURRENT
 
     def test_shrinking_h_gives_transient(self):
-        out = classify_two_function(Q2, TwoFunctionData([-1.0, -1.0], TO_ZERO))
+        out = classify_two_function(Q2, LyapunovBehavior(TO_ZERO, [-1.0, -1.0]))
         assert out.verdict is Verdict.TRANSIENT
 
     def test_boundary_inconclusive(self):
-        out = classify_two_function(Q2, TwoFunctionData([-1.0, 2.0], TO_INF))
+        out = classify_two_function(Q2, LyapunovBehavior(TO_INF, [-1.0, 2.0]))
         assert out.verdict is Verdict.INCONCLUSIVE
         assert "cor31" in out.reason
 
@@ -214,7 +213,7 @@ class TestClassifyTwoFunction:
             return invariant_measure(q)
 
         monkeypatch.setattr(criteria, "invariant_measure", counted)
-        out = classify_two_function(Q2, TwoFunctionData([-1.0, -1.0], TO_INF))
+        out = classify_two_function(Q2, LyapunovBehavior(TO_INF, [-1.0, -1.0]))
         assert out.conclusive and len(calls) == 1
 
 
@@ -446,8 +445,12 @@ class TestThresholdConsistency:
         # boundary band widens the flip region; allow for it there
         for a, b, tol in ((1.0, 1.0, 1e-6), (1.0, 1e-6, 2e-5), (3.0, 0.5, 1e-6)):
             rec, _ = kappa_thresholds(a, b)
-            bis = bisect_verdict(lambda k: ex21_recurrence_verdict(k, 2, a, b),
-                                 1e-4, min(1.0 + b, 1.0) - 1e-9)
+            chain = TailHomogeneousChain.constant(up=b, down=a)
+
+            def recurrent(k):
+                out = classify_infinite(chain, ex21_beta(k), ex21_partition(2), TO_INF)
+                return out.verdict is Verdict.RECURRENT
+            bis = bisect_verdict(recurrent, 1e-4, min(1.0 + b, 1.0) - 1e-9)
             assert abs(bis - rec) <= tol
 
 
@@ -469,8 +472,8 @@ class TestRelabelingInvariance:
                 (classify_ou(q, beta), classify_ou(qp, bp)),
                 (classify_power_1d(q, beta, [1.0], 0.5),
                  classify_power_1d(qp, bp, [1.0], 0.5)),
-                (classify_two_function(q, TwoFunctionData(beta, TO_INF)),
-                 classify_two_function(qp, TwoFunctionData(bp, TO_INF))),
+                (classify_two_function(q, LyapunovBehavior(TO_INF, beta)),
+                 classify_two_function(qp, LyapunovBehavior(TO_INF, bp))),
             ]
             for original, permuted in pairs:
                 assert original.verdict is permuted.verdict

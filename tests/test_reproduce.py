@@ -7,6 +7,7 @@ from regime import (
     ScanGrid,
     SdeModel,
     StateDependentRates,
+    TailHomogeneousChain,
     bound_rates,
     power_drift,
     regime_sigma,
@@ -15,6 +16,7 @@ from regime import (
 )
 from regime.reproduce import (
     EX21_REFERENCES,
+    ex21_chain,
     ex22_qtilde,
     ex22_sde_model,
     ou_sde_model,
@@ -62,6 +64,10 @@ class TestDocumentModels:
             x = scale * np.abs(rng.standard_normal(k))
             lam = rng.integers(0, 2, k)
             assert compiled(x, lam).tobytes() == reference(x, lam).tobytes()
+
+    def test_ex21_chain_is_the_documents_parsed_once(self):
+        assert ex21_chain() is ex21_chain()
+        assert ex21_chain() == TailHomogeneousChain.constant(up=1.0, down=2.0)
 
     def test_bounding_generator_is_the_reference(self):
         want = bound_rates(reference_ex22_rates(), ScanGrid(lo=1e-6, hi=1e6, points=129))

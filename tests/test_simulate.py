@@ -310,6 +310,11 @@ class TestRunEnsemble:
         (dict(r0=-1.0), "^r0 must be positive$"),
         (dict(escape_radius=0.5), "^escape_radius must exceed r0$"),
         (dict(escape_radius=-3.0), "^escape_radius must exceed r0$"),
+        (dict(x0=[5.0, 5.0]), "^x0 must match the model dimension$"),
+        (dict(T=0.0), "^T and dt must be positive$"),
+        (dict(dt=-1e-2), "^T and dt must be positive$"),
+        (dict(i0=2), "^i0 out of range$"),
+        (dict(T=1e-3), "^horizon shorter than one step$"),
     ])
     def test_nonfinite_or_noninteger_inputs_raise(self, bad, message):
         seen = []

@@ -265,6 +265,13 @@ class TestModelParsing:
         with pytest.raises(SchemaError, match="lyapunov presets need a linear drift"):
             parse_model(doc)
 
+    def test_birth_death_k0_rejects_bools(self):
+        # the rate lists give the chain's length, so any K0 key is refused
+        doc = benchmark_documents()["ex21"]
+        doc["q"]["K0"] = True
+        with pytest.raises(SchemaError, match=r"q: unknown keys \['K0'\]"):
+            parse_model(doc)
+
     def test_birth_death_lists_classify_as_the_library_chain(self, tmp_path, capsys):
         # a head that is not the tail: the coarse generator takes up(1) and down(2)
         doc = ex21_doc(0.5, [-0.5, 0.5])

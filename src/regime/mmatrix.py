@@ -72,6 +72,8 @@ def leading_minors(a, return_pivots: bool = False):
         if abs(piv) <= BOUNDARY_BAND:
             pivots = pivots[:k + 1]
             break
+        if k + 1 == n:
+            break
         # stays multiply.outer: a BLAS product (np.dot) or einsum writes +0
         # where outer writes -0, and a pivot's zero sign reaches the reported
         # minors; the simplex can take the BLAS product because no zero sign
@@ -145,11 +147,11 @@ def is_nonsingular_mmatrix(a) -> MMatrixCertificate:
     boundary band raises InconsistentChecks (that signals ill-conditioning;
     perturb the input or fall back to exact arithmetic at small sizes).
     """
-    m = _z_matrix(a)
+    m = np.asarray(a, dtype=float)
+    x = semipositive_certificate(m)  # validates m as a finite square Z-matrix
     minors, pivots = leading_minors(m, return_pivots=True)
     minors_ok = bool((pivots > BOUNDARY_BAND).all())
     boundary = bool((np.abs(pivots) <= BOUNDARY_BAND).any())
-    x = semipositive_certificate(m)
     if not boundary and x is not None and not minors_ok:
         raise InconsistentChecks("a proved positive vector contradicts the minors off the band")
 

@@ -96,6 +96,7 @@ def feasible_point(a_ub, b_ub) -> Optional[np.ndarray]:
     rhs = t[:m, -1]
 
     prod = np.empty_like(t)  # rank-1 products, reused by every pivot
+    ratio = np.empty(m)  # ratio test, reused; NaN marks a non-candidate row
     blocked: set = set()
     for _ in range(MAX_ITER):
         eligible = red < -_TOL
@@ -106,7 +107,8 @@ def feasible_point(a_ub, b_ub) -> Optional[np.ndarray]:
             break
         f = t[:, entering].copy()  # the entering column, cost row included
         col = f[:m]
-        ratio = rhs / np.where(col > _TOL, col, np.nan)  # NaN: not a candidate
+        ratio.fill(np.nan)
+        np.divide(rhs, col, out=ratio, where=col > _TOL)
         best = float(np.fmin.reduce(ratio))  # skips the NaNs
         if math.isnan(best):
             # phase-1 is bounded below by 0, so a seemingly unbounded column is
@@ -123,8 +125,8 @@ def feasible_point(a_ub, b_ub) -> Optional[np.ndarray]:
         # bit, because the right-hand side, which it reads, takes the loop's
         # exact products and zero signs
         np.dot(f[:, None], t[None, leave], out=prod)
-        np.multiply(f, t[leave, -1], out=prod[:, -1])
-        prod[f == 0.0, -1] = 0.0
+        prod[:, -1] = 0.0
+        np.multiply(f, t[leave, -1], out=prod[:, -1], where=f != 0.0)
         t -= prod
         basis[leave] = entering
         blocked.clear()

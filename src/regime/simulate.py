@@ -20,6 +20,12 @@ are derived in one vectorised pass (``_path_states``, checked against numpy
 in the tests) and one generator is switched between them.  Results are
 therefore bitwise identical for a given (seed, config) no matter how paths
 are chunked; aggregation is ordered by path index.
+
+Every uniform is drawn, but only those below the kernel's switching bound
+(``_Kernel.bound``: the largest q_i dt of a constant generator, else the
+0.1 guard that every step enforces) are kept.  A uniform at or above the
+bound is at or above every switching probability a step lets through, so
+it cannot switch a regime: dropping it changes no result.
 """
 
 from __future__ import annotations
@@ -39,10 +45,10 @@ from .markov import (
     validate_qmatrix,
 )
 
-BLOCK = 8192
+BLOCK = 8192  # below 2**15: the store of kept uniforms sorts steps as int16
 MAX_STEPS = 10**8  # per path; 200 times the 5e5 of the longest run in the tests
 # paths drawn into one contiguous scratch before a single copy into the
-# step-major buffers
+# step-major normals and the store of kept uniforms
 _FILL_GROUP = 32
 # largest admissible switching probability q_i(x) dt of one step
 _MAX_SWITCH_PROB = 0.1 + 1e-12
@@ -162,9 +168,11 @@ class _Kernel:
     one ``rate_fn(x, lam)`` call down its columns instead, and checks the
     bound at each step, since it depends on x.  A path switches when
     its uniform falls below its total and moves to the first regime whose
-    cumulative entry exceeds it.  The model's callables are read from
-    ``model`` at every step, so a copy of the model with other callables is
-    honoured.
+    cumulative entry exceeds it.  ``bound`` is at least every total a step
+    lets through, so only paths whose uniform lies below it need one: a
+    step takes the positions of those candidates, ascending, and their
+    uniforms.  The model's callables are read from ``model`` at every step,
+    so a copy of the model with other callables is honoured.
     """
 
     def __init__(self, model: SdeModel, dt: float):
@@ -181,11 +189,16 @@ class _Kernel:
                 reg = int(too_fast[0])
                 raise StepTooLarge(f"dt * q = {self.switch_prob[reg]:.3g} > 0.1 in regime {reg}; "
                                    f"shrink dt")
+            self.bound = float(self.switch_prob.max())
         else:
             self.table = None
+            self.bound = _MAX_SWITCH_PROB  # what _rate_cumsum enforces
 
     def advance(self, x: np.ndarray, lam: np.ndarray, z: np.ndarray,
-                u: np.ndarray) -> tuple:
+                cand: np.ndarray, u: np.ndarray) -> tuple:
+        """One step of the batch ``x``, ``lam`` with normals ``z``.  ``cand``
+        holds the ascending positions of the paths that may switch, ``u``
+        their uniforms; every other path's uniform is at least ``bound``."""
         model = self.model
         k, d = x.shape
         drift = np.asarray(model.drift(x, lam), dtype=float)
@@ -202,17 +215,19 @@ class _Kernel:
             np.abs(x_new, out=x_new)
         if self.table is None:
             cum = self._rate_cumsum(x, lam)
-            last = cum[-1]
+            last = cum[-1].take(cand)
         else:
-            last = self.switch_prob[lam]
-        moved = (u < last).nonzero()[0]
-        if moved.size == 0:
+            last = self.switch_prob.take(lam.take(cand))
+        hit = (u < last).nonzero()[0]
+        if hit.size == 0:
             return x_new, lam
+        moved = cand.take(hit)
+        u_moved = u.take(hit)
         if self.table is None:
-            target = (u.take(moved) < cum.take(moved, axis=1)).argmax(axis=0)
+            target = (u_moved < cum.take(moved, axis=1)).argmax(axis=0)
         else:
             rows = self.table.take(lam.take(moved), axis=0)
-            target = (u.take(moved)[:, None] < rows).argmax(axis=1)
+            target = (u_moved[:, None] < rows).argmax(axis=1)
         lam_new = lam.copy()
         lam_new[moved] = target
         return x_new, lam_new
@@ -298,14 +313,17 @@ def _simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: i
     """Run a block of paths to min(hitting time, horizon).
 
     The active paths' positions, regimes and indices stay compacted, in path
-    order; a step where some path hits removes it.  Random numbers sit in
-    step-major buffers, one column per active path at the start of each
+    order; a step where some path hits removes it.  Each block's normals sit
+    in a step-major buffer, one column per active path at the start of the
     block, so a step reads a contiguous row until the first path of the
-    block retires.  One generator serves every path: it is set to a path's
-    state, draws that path's block into a contiguous group scratch, and
-    the group is copied into the buffers at once.  Returns each path's
-    hitting time (nan if none), final radius (at the hit for returned paths)
-    and whether it is still out.
+    block retires.  Its uniforms are kept only below ``kernel.bound``
+    (``_live_uniforms``); from the first retirement a column-to-position
+    array, -1 once retired, turns a step's columns into batch positions.
+    One generator serves every path: it is set to a path's state, draws
+    that path's block into a contiguous group scratch, and the group is
+    copied into the buffers at once.  Returns each path's hitting time (nan
+    if none), final radius (at the hit for returned paths) and whether it
+    is still out.
     """
     k = path_ids.size
     d = model.dim
@@ -321,33 +339,42 @@ def _simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: i
 
     rows = min(BLOCK, n_steps)
     z_buf = np.empty((rows, k, d))
-    u_buf = np.empty((rows, k))
     group = min(_FILL_GROUP, k)
     z_grp = np.empty((group, rows, d))
-    u_grp = np.empty((group, rows))
+    u_grp = np.empty(group * rows)
     done_steps = 0
     while done_steps < n_steps and ids.size:
         span = min(BLOCK, n_steps - done_steps)
         more = done_steps + span < n_steps
         active = ids.tolist()
+        cand_cols = cand_u = None  # the last block's store goes before this one is built
+        live, live_u = [], []
         for c0 in range(0, len(active), group):
             members = active[c0:c0 + group]
+            # the members' uniforms, contiguous, one row per path
+            u_mem = u_grp[:len(members) * span].reshape(len(members), span)
             for g, j in enumerate(members):
                 bitgen.state = states[j]
                 gen.standard_normal(out=z_grp[g, :span])
-                gen.random(out=u_grp[g, :span])
+                gen.random(out=u_mem[g])
                 if more:
                     states[j] = bitgen.state
             c1 = c0 + len(members)
             z_buf[:span, c0:c1] = z_grp[:len(members), :span].swapaxes(0, 1)
-            u_buf[:span, c0:c1] = u_grp[:len(members), :span].T
+            at = np.flatnonzero(u_mem < kernel.bound)
+            live_u.append(u_mem.ravel().take(at))
+            at += c0 * span
+            live.append(at)
+        cand_cols, cand_u = _live_uniforms(live, live_u, span)
         width = ids.size
         cols = None  # buffer columns of the active paths once one has retired
         for s in range(span):
             if cols is None:
-                x, lam = kernel.advance(x, lam, z_buf[s, :width], u_buf[s, :width])
+                x, lam = kernel.advance(x, lam, z_buf[s, :width], cand_cols[s], cand_u[s])
             else:
-                x, lam = kernel.advance(x, lam, z_buf[s, cols], u_buf[s, cols])
+                pos = col_pos.take(cand_cols[s])
+                alive = pos >= 0
+                x, lam = kernel.advance(x, lam, z_buf[s, cols], pos[alive], cand_u[s][alive])
             hit = _norm(x) <= r0
             hits = hit.nonzero()[0]
             if hits.size:
@@ -356,9 +383,14 @@ def _simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: i
                 x_end[gone] = x[hits]
                 keep = ~hit
                 ids, x, lam = ids[keep], x[keep], lam[keep]
-                cols = np.flatnonzero(keep) if cols is None else cols[keep]
                 if ids.size == 0:
                     break
+                if cols is None:
+                    cols = np.arange(width)
+                    col_pos = np.empty(width, dtype=np.intp)
+                col_pos[cols[hits]] = -1
+                cols = cols[keep]
+                col_pos[cols] = np.arange(cols.size)
         done_steps += span
     x_end[ids] = x
     active = np.zeros(k, dtype=bool)
@@ -366,12 +398,43 @@ def _simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: i
     return hit_time, _norm(x_end), active
 
 
+def _live_uniforms(live: list, live_u: list, span: int) -> tuple:
+    """Per-step store of one block's kept uniforms; empties both lists.
+
+    ``live`` holds, group by group, the flat indices ``column * span + step``
+    of the kept uniforms in path-major order, and ``live_u`` their values.
+    Returns, for each step, the buffer columns of its kept uniforms,
+    ascending, and their values: views into one index array and one float64
+    array, 16 bytes per kept uniform.
+    """
+    at = np.concatenate(live)
+    live.clear()
+    vals = np.concatenate(live_u)
+    live_u.clear()
+    steps = (at % span).astype(np.int16)  # span <= BLOCK < 2**15
+    ends = np.cumsum(np.bincount(steps, minlength=span)).tolist()
+    # numpy's stable sort of 16-bit keys is a radix sort; it keeps the
+    # path-major order within a step, so the columns of a step ascend
+    order = np.argsort(steps, kind="stable")
+    vals = vals.take(order)
+    cols = np.floor_divide(at, span, out=at).take(order)
+    starts = [0] + ends[:-1]
+    return ([cols[a:b] for a, b in zip(starts, ends)],
+            [vals[a:b] for a, b in zip(starts, ends)])
+
+
 def _norm(x: np.ndarray) -> np.ndarray:
-    # plain |x| on the half-line models; the squared form would overflow on
-    # exponentially escaping paths
+    # plain |x| on the half-line models; the squared form overflows past
+    # about 1.3e154, so only the rows where it does take the hypot form,
+    # and every radius in range keeps the squared form's bits
     if x.shape[1] == 1:
         return np.abs(x[:, 0])
-    return np.sqrt((x * x).sum(axis=1))
+    with np.errstate(over="ignore"):
+        r = np.sqrt((x * x).sum(axis=1))
+    big = np.isinf(r).nonzero()[0]
+    if big.size:
+        r[big] = np.hypot.reduce(x[big], axis=1)
+    return r
 
 
 def run_ensemble(model: SdeModel, x0, i0: int, r0: float, T: float, dt: float,
@@ -401,7 +464,7 @@ def run_ensemble(model: SdeModel, x0, i0: int, r0: float, T: float, dt: float,
         raise ValueError("escape_radius must exceed r0")
     if trials < 100:
         raise ValueError("trials must be at least 100 for the CI normal approximation")
-    start_radius = float(np.sqrt((x0v * x0v).sum()))
+    start_radius = float(_norm(x0v[None, :])[0])
     if start_radius <= r0:
         raise ValueError("|x0| must exceed the return radius r0")
     if not 0 <= i0 < model.n_regimes:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from regime.simulate import _Kernel, _norm, _simulate_paths, power_drift, regime
 
 Q2 = validate_qmatrix([[-1.0, 1.0], [2.0, -2.0]])
 PLANE_SIGMA = np.array([1.0, 0.8])
+# at dt = 1e-3 regime 0 switches with probability q dt = 0.1, the thinning bound
+Q_AT_BOUND = validate_qmatrix([[-100.0, 100.0], [50.0, -50.0]])
 
 
 def plane_model() -> SdeModel:
@@ -27,13 +31,19 @@ def plane_model() -> SdeModel:
                     sigma=lambda x, lam: PLANE_SIGMA, rates=Q2)
 
 
+def bound_model() -> SdeModel:
+    """ex22's slopes at kappa = 0.3 with the constant generator Q_AT_BOUND."""
+    return SdeModel(dim=1, drift=power_drift([-0.7, 0.3]), sigma=regime_sigma(np.sqrt(2.0)),
+                    rates=Q_AT_BOUND, boundary="reflect")
+
+
 def step(model: SdeModel, x, regime: int, dt: float, rng: np.random.Generator) -> tuple:
     """Single-path step through the batch kernel: returns (x', regime').  Draws
     one normal vector and one uniform from ``rng`` in that order."""
     xv = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, model.dim)
     z = rng.standard_normal((1, model.dim))
     u = rng.random(1)
-    x_new, lam_new = _Kernel(model, dt).advance(xv, np.array([regime]), z, u)
+    x_new, lam_new = _Kernel(model, dt).advance(xv, np.array([regime]), z, np.array([0]), u)
     out_x = x_new[0, 0] if model.dim == 1 and np.isscalar(x) else x_new[0]
     return out_x, int(lam_new[0])
 
@@ -65,9 +75,11 @@ def exact_regime_path(q: QMatrix, i0: int, T: float, rng: np.random.Generator) -
 def reference_simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: int,
                              r0: float, n_steps: int, dt: float, seed: int) -> tuple:
     """``_simulate_paths`` with one numpy generator per path, seeded by
-    ``default_rng(SeedSequence(seed, spawn_key=(k,)))``, and each block filled
-    one buffer column at a time: the reference for the one-pass seeding, the
-    shared generator and the grouped fill."""
+    ``default_rng(SeedSequence(seed, spawn_key=(k,)))``, each block filled
+    one buffer column at a time into dense buffers, and every path a
+    candidate to switch at every step: the reference for the one-pass
+    seeding, the shared generator, the grouped fill and the store that keeps
+    only the uniforms below the kernel's bound."""
     k = path_ids.size
     d = model.dim
     kernel = _Kernel(model, dt)
@@ -88,7 +100,8 @@ def reference_simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarr
             u_buf[:, col] = rngs[j].random(span)
         cols = np.arange(ids.size)
         for s in range(span):
-            x, lam = kernel.advance(x, lam, z_buf[s, cols], u_buf[s, cols])
+            x, lam = kernel.advance(x, lam, z_buf[s, cols], np.arange(ids.size),
+                                    u_buf[s, cols])
             hit = _norm(x) <= r0
             if hit.any():
                 gone = ids[hit]
@@ -135,7 +148,7 @@ class TestStep:
         lam = np.zeros(k, dtype=int)
         z = rng.standard_normal((k, 1))
         u = rng.random(k)
-        _, lam_new = _Kernel(model, dt).advance(x, lam, z, u)
+        _, lam_new = _Kernel(model, dt).advance(x, lam, z, np.arange(k), u)
         frac = (lam_new != 0).mean()
         assert frac == pytest.approx(Q2.entries[0, 1] * dt, abs=0.003)
 
@@ -166,6 +179,30 @@ class TestStep:
             assert x >= 0.0
 
 
+class TestCandidates:
+    @pytest.mark.parametrize("model", [bound_model(), ex22_sde_model(0.3)],
+                             ids=["at-bound", "state-dependent"])
+    def test_uniforms_below_the_bound_decide_every_switch(self, model):
+        # one step with every path a candidate against one with only those
+        # whose uniform lies below the kernel's bound: the same to the bit,
+        # uniforms exactly at the bound included
+        dt, k = 1e-3, 5000
+        kernel = _Kernel(model, dt)
+        assert kernel.bound == (0.1 if model.rates is Q_AT_BOUND else simulate._MAX_SWITCH_PROB)
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0.5, 5.0, (k, 1))
+        lam = rng.integers(0, 2, k)
+        z = rng.standard_normal((k, 1))
+        u = rng.random(k) * 2 * kernel.bound
+        u[::9] = kernel.bound
+        dense = kernel.advance(x, lam, z, np.arange(k), u)
+        cand = np.flatnonzero(u < kernel.bound)
+        kept = kernel.advance(x, lam, z, cand, u[cand])
+        for a, b in zip(dense, kept):
+            np.testing.assert_array_equal(a, b)
+        assert (dense[1] != lam).sum() > 20
+
+
 class TestRegimeOccupation:
     def test_occupation_matches_invariant_measure(self):
         model = _const_model(sigma=0.5)
@@ -178,7 +215,7 @@ class TestRegimeOccupation:
         for _ in range(n_steps):
             z = rng.standard_normal((k, 1))
             u = rng.random(k)
-            x, lam = kernel.advance(x, lam, z, u)
+            x, lam = kernel.advance(x, lam, z, np.arange(k), u)
             counts += np.bincount(lam, minlength=2)
         occ = counts / counts.sum()
         mu = invariant_measure(Q2)
@@ -208,7 +245,8 @@ class TestSingleRegimeOU:
         lam = np.zeros(k, dtype=int)
         kernel = _Kernel(model, dt)
         for _ in range(n_steps):
-            x, lam = kernel.advance(x, lam, rng.standard_normal((k, 1)), rng.random(k))
+            x, lam = kernel.advance(x, lam, rng.standard_normal((k, 1)), np.arange(k),
+                                    rng.random(k))
         assert float(np.var(x)) == pytest.approx(1.0, rel=0.05)
 
 
@@ -237,11 +275,14 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("build, x0", [(lambda: ex22_sde_model(0.3), [3.0]),
                                            (lambda: ex21_sde_model(0.3), [3.0]),
+                                           (bound_model, [3.0]),
                                            (plane_model, [6.0, 8.0])],
-                             ids=["ex22", "ex21", "plane"])
+                             ids=["ex22", "ex21", "at-bound", "plane"])
     def test_shared_generator_matches_per_path_generators(self, monkeypatch, build, x0):
         # 3000 steps cross 30 blocks of 100, and groups of 3 do not divide the
-        # 40 paths or the active counts as paths retire mid-block
+        # 40 paths or the active counts as paths retire mid-block; each block
+        # rebuilds the store of kept uniforms from the carried states.  ex22's
+        # rates depend on x, and at-bound keeps uniforms up to q dt = 0.1
         monkeypatch.setattr(simulate, "BLOCK", 100)
         monkeypatch.setattr(simulate, "_FILL_GROUP", 3)
         model = build()
@@ -258,6 +299,19 @@ class TestRunEnsemble:
             for w, p, r in zip(whole, part, reference_simulate_paths(model, block, *args)):
                 np.testing.assert_array_equal(p, r)
                 np.testing.assert_array_equal(w[block], p)
+
+    def test_rng_memory_holds_normals_and_kept_uniforms(self):
+        # 2000 paths by 1000 steps: 16 MB of normals and about 200000 kept
+        # uniforms (q dt <= 0.1); a dense buffer of every uniform would add
+        # another 16 MB
+        model = ex22_sde_model(1.2)
+        tracemalloc.start()
+        try:
+            run_ensemble(model, x0=5.0, i0=0, r0=1.0, T=1.0, dt=1e-3, trials=2000, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
 
     def test_seeding_cost_does_not_grow_with_trials(self, monkeypatch):
         # one SeedSequence or Generator per path cost about 13 us each; the
@@ -372,7 +426,8 @@ class TestCallbackContract:
 
         model = SdeModel(dim=1, drift=drift, sigma=lambda x, lam: 0.0, rates=Q2)
         x = np.ones((3, 1))
-        _Kernel(model, 0.01).advance(x, np.array([0, 1, 1]), np.zeros((3, 1)), np.ones(3))
+        _Kernel(model, 0.01).advance(x, np.array([0, 1, 1]), np.zeros((3, 1)), np.arange(3),
+                                     np.ones(3))
         assert len(seen) == 1
         assert seen[0][0] == (3, 1) and seen[0][1].tolist() == [0, 1, 1]
 
@@ -391,7 +446,7 @@ class TestCallbackContract:
                          sigma=lambda x, i: 1.0, rates=Q2)
         with pytest.raises(ValueError, match=r"drift\(x, lam\)"):
             _Kernel(model, 0.01).advance(np.ones((3, 1)), np.array([0, 1, 0]),
-                                         np.zeros((3, 1)), np.ones(3))
+                                         np.zeros((3, 1)), np.arange(3), np.ones(3))
 
     @pytest.mark.parametrize("sig", [
         np.array([1.0, 2.0, 3.0]),      # (k,) aligns with the axis dimension
@@ -402,7 +457,7 @@ class TestCallbackContract:
         model = SdeModel(dim=2, drift=lambda x, lam: -x, sigma=lambda x, lam: sig, rates=Q2)
         with pytest.raises(ValueError, match=r"sigma\(x, lam\)"):
             _Kernel(model, 0.01).advance(np.ones((3, 2)), np.zeros(3, dtype=int),
-                                         np.zeros((3, 2)), np.ones(3))
+                                         np.zeros((3, 2)), np.arange(3), np.ones(3))
 
     @pytest.mark.parametrize("table", [
         np.ones(3),             # one rate per path, as a per-pair callable returns
@@ -415,7 +470,7 @@ class TestCallbackContract:
         model = SdeModel(dim=1, drift=lambda x, lam: -x, sigma=lambda x, lam: 1.0, rates=rates)
         with pytest.raises(ValueError, match=r"rate_fn\(x, lam\)"):
             _Kernel(model, 0.01).advance(np.ones((3, 1)), np.zeros(3, dtype=int),
-                                         np.zeros((3, 1)), np.ones(3))
+                                         np.zeros((3, 1)), np.arange(3), np.ones(3))
 
     def test_rate_fn_sees_the_batch_once_per_step(self):
         seen = []
@@ -427,7 +482,7 @@ class TestCallbackContract:
         model = SdeModel(dim=1, drift=lambda x, lam: np.zeros_like(x), sigma=lambda x, lam: 0.0,
                          rates=StateDependentRates(n=2, rate_fn=rate_fn))
         _Kernel(model, 0.01).advance(np.ones((3, 1)), np.array([0, 1, 1]),
-                                     np.zeros((3, 1)), np.ones(3))
+                                     np.zeros((3, 1)), np.arange(3), np.ones(3))
         assert len(seen) == 1
         assert seen[0][0] == (3,) and seen[0][1].tolist() == [0, 1, 1]
 
@@ -481,6 +536,21 @@ class TestStateDependentRateValues:
 
 
 class TestMultiDimensional:
+    def test_radius_past_the_square_range(self):
+        # |x| ~ 1e150 * 1.2**100 squares past the float range; the radius,
+        # and with it the growth exponent, must not
+        slopes = power_drift([20.0, 20.0])
+        for x0 in ([1e150], [1e150, 0.0]):
+            model = SdeModel(dim=len(x0), drift=slopes, sigma=lambda x, lam: 1.0, rates=Q2)
+            rep = run_ensemble(model, x0=x0, i0=0, r0=1.0, T=1.0, dt=1e-2, trials=100, seed=1)
+            assert rep.growth_exponent == pytest.approx(100 * np.log(1.2), rel=1e-12)
+
+    def test_norm_keeps_the_squared_form_in_range(self):
+        x = np.array([[3.0, 4.0], [1e200, 1e200], [-1e300, 0.0], [np.inf, 1.0], [0.1, 0.2]])
+        r = _norm(x)
+        np.testing.assert_array_equal(r[[0, 4]], np.sqrt((x[[0, 4]] ** 2).sum(axis=1)))
+        np.testing.assert_array_equal(r[1:4], [np.hypot(1e200, 1e200), 1e300, np.inf])
+
     def test_per_axis_sigma_plane_model(self):
         rep = run_ensemble(plane_model(), x0=[3.0, 4.0], i0=0, r0=1.0, T=20.0, dt=0.01,
                            trials=100, seed=12)

@@ -98,6 +98,7 @@ def semipositive_certificate(a) -> Optional[np.ndarray]:
     m = _z_matrix(a)
     n = m.shape[0]
     gamma = (n + 2) * _UNIT_ROUNDOFF / (1 - (n + 2) * _UNIT_ROUNDOFF)
+    abs_m = np.abs(m)
     x = np.ones(n)
     for _ in range(SOLVE_STEPS):
         try:
@@ -110,7 +111,7 @@ def semipositive_certificate(a) -> Optional[np.ndarray]:
         with np.errstate(over="ignore", invalid="ignore"):
             x = x / x.min()
             if np.isfinite(x).all() and (
-                    m @ x - gamma * (np.abs(m) @ x) > (n + 2) * _SUBNORMAL).all():
+                    m @ x - gamma * (abs_m @ x) > (n + 2) * _SUBNORMAL).all():
                 return x
     return None
 

@@ -5,12 +5,13 @@ question with other algorithms, so on small integer systems a disagreement
 points to a defect in one of the two.  The systems are feasible by
 construction (some with tight, degenerate rows), infeasible by construction
 (a contradictory pair of rows), or drawn freely, with many zero and unit
-entries, and in one strategy zeros of either sign.  The same systems also
-check that the vectorised tableau returns the row-by-row loop's vertex bit
-for bit, a -0.0 coordinate included, although zero signs inside the tableau
-may differ from the loop's.  The thm32 verdict, which poses its
-LP over the increments of eta, is checked against HiGHS on the row system
-over eta itself.
+entries, in one strategy zeros of either sign, and in another mostly zero
+right-hand sides, where pivots stall and the next one falls back to Bland's
+rule.  The same systems also check that the vectorised tableau returns the
+row-by-row loop's vertex bit for bit, a -0.0 coordinate included, although
+zero signs inside the tableau may differ from the loop's.  The thm32
+verdict, which poses its LP over the increments of eta, is checked against
+HiGHS on the row system over eta itself.
 """
 
 import numpy as np
@@ -24,7 +25,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from regime import Limit, classify_two_function_state_dependent, validate_qmatrix  # noqa: E402
 from regime.simplex import feasible_point  # noqa: E402
 from test_criteria import thm32_row_system, thm32_systems  # noqa: E402
-from test_simplex import _digest, _loop_feasible_point  # noqa: E402
+from test_simplex import (  # noqa: E402
+    CORPUS, DEGENERATE_SEEDS, _degenerate_system, _digest, _loop_feasible_point)
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -100,6 +102,35 @@ def test_feasible_systems_agree_with_highs(system):
 @given(infeasible_systems())
 def test_infeasible_systems_agree_with_highs(system):
     _check(*system, want=False)
+
+
+@st.composite
+def degenerate_systems(draw):
+    """Integer systems whose right-hand sides are mostly 0 and otherwise -1,
+    at least one of them -1, so pivots stall at ratio 0 and the next one
+    takes Bland's column (in about one system in six)."""
+    m, n = draw(st.integers(3, 7)), draw(st.integers(2, 6))
+    a = _matrix(draw, m, n, -3, 3)
+    b = np.array(draw(st.lists(st.sampled_from([0, 0, -1]), min_size=m, max_size=m)),
+                 dtype=float)
+    b[draw(st.integers(0, m - 1))] = -1.0
+    return a, b
+
+
+@SETTINGS
+@given(degenerate_systems())
+def test_degenerate_systems_agree_with_highs(system):
+    _check(*system)
+
+
+@pytest.mark.parametrize("seed", DEGENERATE_SEEDS)
+def test_bland_fallback_systems_agree_with_highs(seed):
+    _check(*_degenerate_system(seed))
+
+
+@pytest.mark.parametrize("name", ["blocked_column", "dantzig_cycle"])
+def test_degenerate_corpus_systems_agree_with_highs(name):
+    _check(*CORPUS[name], want=True)
 
 
 @st.composite

@@ -114,14 +114,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(report: dict, out: str | None, as_text: bool) -> None:
     doc = jsonify(report)
+    if out or not as_text:
+        try:
+            text = json.dumps(doc, indent=2, allow_nan=False)
+        except ValueError:  # RFC 8259 has no inf or nan: write "inf", "nan" as --text does
+            doc_json = json.loads(json.dumps(doc), parse_constant=lambda c: str(float(c)))
+            text = json.dumps(doc_json, indent=2)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-    if as_text:
-        print(render_text(doc))
-    else:
-        print(json.dumps(doc, indent=2))
+        Path(out).write_text(text + "\n", encoding="utf-8")
+    print(render_text(doc) if as_text else text)
 
 
 def cmd_classify(args) -> int:
@@ -156,15 +157,16 @@ def cmd_classify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    report = run_ensemble(load_model(args.model).sde(), x0=args.x0, i0=args.i0 - 1,
-                          r0=args.r0, T=args.T, dt=args.dt, trials=args.trials,
-                          seed=args.seed, escape_radius=args.escape_radius)
+    model = load_model(args.model).sde()
+    if not 1 <= args.i0 <= model.n_regimes:
+        raise ValueError(f"--i0 must lie in 1..{model.n_regimes}, got {args.i0}")
+    report = run_ensemble(model, x0=args.x0, i0=args.i0 - 1, r0=args.r0, T=args.T, dt=args.dt,
+                          trials=args.trials, seed=args.seed, escape_radius=args.escape_radius)
     _emit({"model": str(args.model), "simulation": vars(report)}, args.out, args.text)
     return 0
 
 
 def cmd_reproduce(args) -> int:
-    report = repro.REPRODUCERS[args.benchmark](mc=args.mc)
     out = None
     if args.out:
         dest = Path(args.out)
@@ -174,6 +176,7 @@ def cmd_reproduce(args) -> int:
             repro.emit_models(dest / "models")
     elif args.emit_models:
         repro.emit_models(Path("models"))
+    report = repro.REPRODUCERS[args.benchmark](mc=args.mc)  # an unwritable --out fails first
     _emit(report, str(out) if out else None, as_text=not args.json)
     return 0
 
@@ -243,7 +246,7 @@ def main(argv=None) -> int:
     except RegimeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

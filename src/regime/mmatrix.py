@@ -53,14 +53,14 @@ def _z_matrix(a) -> np.ndarray:
     return m
 
 
-def leading_minors(a, return_pivots: bool = False):
-    """Determinants of the top-left k x k blocks, k = 1..n.
+def leading_minors(a) -> tuple:
+    """Determinants of the top-left k x k blocks, k = 1..n, and the pivots.
 
     One elimination of A / scale without row exchanges, scale = max(1, max
     |a_ij|); pivot k is minor_k / (scale * minor_{k-1}).  It stops at the
     first pivot within BOUNDARY_BAND of zero, so the result can be shorter
     than n.  Minors beyond the float range come back as +-inf or 0; the
-    pivots (``return_pivots=True``) stay in range.
+    pivots stay in range.  Returns ``(minors, pivots)``.
     """
     m = _square(a)
     scale = max(1.0, float(np.abs(m).max()))
@@ -82,7 +82,7 @@ def leading_minors(a, return_pivots: bool = False):
     with np.errstate(over="ignore", invalid="ignore"):
         minors = np.cumprod(scale * pivots)
     minors[np.isnan(minors)] = 0.0  # an exact zero pivot after an overflowed minor
-    return (minors, pivots) if return_pivots else minors
+    return minors, pivots
 
 
 def semipositive_certificate(a) -> Optional[np.ndarray]:
@@ -150,7 +150,7 @@ def is_nonsingular_mmatrix(a) -> MMatrixCertificate:
     """
     m = np.asarray(a, dtype=float)
     x = semipositive_certificate(m)  # validates m as a finite square Z-matrix
-    minors, pivots = leading_minors(m, return_pivots=True)
+    minors, pivots = leading_minors(m)
     minors_ok = bool((pivots > BOUNDARY_BAND).all())
     boundary = bool((np.abs(pivots) <= BOUNDARY_BAND).any())
     if not boundary and x is not None and not minors_ok:

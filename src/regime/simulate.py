@@ -11,7 +11,9 @@ One step of a whole batch is a fixed handful of numpy operations
 (``_Kernel``): the model's drift, sigma and, for state-dependent switching,
 ``rate_fn`` are each called once on every active path with its regime array;
 a constant generator instead gathers a per-ensemble table of cumulative
-rates, whose step bound is checked once, before any path is seeded.
+rates, whose step bound is checked once, before any path is seeded.  Either
+way a step switches regimes by one rule over the candidates' cumulative
+rows.
 
 Reproducibility contract: path k draws from exactly numpy's PCG64 stream
 seeded with ``SeedSequence(seed, spawn_key=(k,))``, consuming one block of
@@ -162,16 +164,17 @@ class _Kernel:
     """One Euler-Maruyama step plus thinned switching for a batch of paths.
 
     Built once per ensemble.  For a constant generator it holds the
-    cumulative off-diagonal rows ``cumsum(q_ij dt)``, gathered by regime at
-    each step, and raises StepTooLarge at once if any regime's total breaks
-    the thinning bound; for state-dependent rates it sums the (n, k) table of
-    one ``rate_fn(x, lam)`` call down its columns instead, and checks the
-    bound at each step, since it depends on x.  A path switches when
-    its uniform falls below its total and moves to the first regime whose
-    cumulative entry exceeds it.  ``bound`` is at least every total a step
-    lets through, so only paths whose uniform lies below it need one: a
-    step takes the positions of those candidates, ascending, and their
-    uniforms.  The model's callables are read from ``model`` at every step,
+    cumulative off-diagonal rows ``cumsum(q_ij dt)`` and raises StepTooLarge
+    at once if any regime's total (the last column) breaks the thinning
+    bound; for state-dependent rates it sums the (n, k) table of one
+    ``rate_fn(x, lam)`` call down its columns instead, and checks the bound
+    at each step, since it depends on x.  ``bound`` is at least every total
+    a step lets through, so only paths whose uniform lies below it need one:
+    a step takes the positions of those candidates and their uniforms.  Each
+    candidate gets one cumulative row, gathered by regime from the table or
+    taken from the step's column; it switches when its uniform falls below
+    the row's total and moves to the first regime whose cumulative entry
+    exceeds it.  The model's callables are read from ``model`` at every step,
     so a copy of the model with other callables is honoured.
     """
 
@@ -183,13 +186,13 @@ class _Kernel:
             off = np.array(model.rates.entries, dtype=float)
             np.fill_diagonal(off, 0.0)
             self.table = np.cumsum(off * dt, axis=1)
-            self.switch_prob = self.table[:, -1].copy()
-            too_fast = (self.switch_prob > _MAX_SWITCH_PROB).nonzero()[0]
+            total = self.table[:, -1]
+            too_fast = (total > _MAX_SWITCH_PROB).nonzero()[0]
             if too_fast.size:
                 reg = int(too_fast[0])
-                raise StepTooLarge(f"dt * q = {self.switch_prob[reg]:.3g} > 0.1 in regime {reg}; "
+                raise StepTooLarge(f"dt * q = {total[reg]:.3g} > 0.1 in regime {reg}; "
                                    f"shrink dt")
-            self.bound = float(self.switch_prob.max())
+            self.bound = float(total.max())
         else:
             self.table = None
             self.bound = _MAX_SWITCH_PROB  # what _rate_cumsum enforces
@@ -197,8 +200,9 @@ class _Kernel:
     def advance(self, x: np.ndarray, lam: np.ndarray, z: np.ndarray,
                 cand: np.ndarray, u: np.ndarray) -> tuple:
         """One step of the batch ``x``, ``lam`` with normals ``z``.  ``cand``
-        holds the ascending positions of the paths that may switch, ``u``
-        their uniforms; every other path's uniform is at least ``bound``."""
+        holds the distinct positions, in any order, of the paths that may
+        switch, ``u`` their uniforms; every other path's uniform is at least
+        ``bound``."""
         model = self.model
         k, d = x.shape
         drift = np.asarray(model.drift(x, lam), dtype=float)
@@ -214,22 +218,14 @@ class _Kernel:
         if model.boundary == "reflect":
             np.abs(x_new, out=x_new)
         if self.table is None:
-            cum = self._rate_cumsum(x, lam)
-            last = cum[-1].take(cand)
+            rows = self._rate_cumsum(x, lam).take(cand, axis=1).T
         else:
-            last = self.switch_prob.take(lam.take(cand))
-        hit = (u < last).nonzero()[0]
+            rows = self.table.take(lam.take(cand), axis=0)
+        hit = (u < rows[:, -1]).nonzero()[0]
         if hit.size == 0:
             return x_new, lam
-        moved = cand.take(hit)
-        u_moved = u.take(hit)
-        if self.table is None:
-            target = (u_moved < cum.take(moved, axis=1)).argmax(axis=0)
-        else:
-            rows = self.table.take(lam.take(moved), axis=0)
-            target = (u_moved[:, None] < rows).argmax(axis=1)
         lam_new = lam.copy()
-        lam_new[moved] = target
+        lam_new[cand.take(hit)] = (u.take(hit)[:, None] < rows.take(hit, axis=0)).argmax(axis=1)
         return x_new, lam_new
 
     def _rate_cumsum(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -321,9 +317,9 @@ def _simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: i
     array, -1 once retired, turns a step's columns into batch positions.
     One generator serves every path: it is set to a path's state, draws
     that path's block into a contiguous group scratch, and the group is
-    copied into the buffers at once.  Returns each path's hitting time (nan
-    if none), final radius (at the hit for returned paths) and whether it
-    is still out.
+    copied into the buffers at once.  Returns each path's hitting time and
+    its radius at the horizon: nan for the radius of a returned path, and
+    for the hitting time of one still out.
     """
     k = path_ids.size
     d = model.dim
@@ -331,10 +327,9 @@ def _simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: i
     states = _path_states(seed, path_ids)
     gen = np.random.Generator(np.random.PCG64())
     bitgen = gen.bit_generator
-    x_end = np.tile(x0, (k, 1))
     hit_time = np.full(k, np.nan)
     ids = np.arange(k)
-    x = x_end.copy()
+    x = np.tile(x0, (k, 1))
     lam = np.full(k, i0, dtype=np.intp)
 
     rows = min(BLOCK, n_steps)
@@ -378,9 +373,7 @@ def _simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: i
             hit = _norm(x) <= r0
             hits = hit.nonzero()[0]
             if hits.size:
-                gone = ids[hits]
-                hit_time[gone] = (done_steps + s + 1) * dt
-                x_end[gone] = x[hits]
+                hit_time[ids[hits]] = (done_steps + s + 1) * dt
                 keep = ~hit
                 ids, x, lam = ids[keep], x[keep], lam[keep]
                 if ids.size == 0:
@@ -392,10 +385,9 @@ def _simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: i
                 cols = cols[keep]
                 col_pos[cols] = np.arange(cols.size)
         done_steps += span
-    x_end[ids] = x
-    active = np.zeros(k, dtype=bool)
-    active[ids] = True
-    return hit_time, _norm(x_end), active
+    radius = np.full(k, np.nan)
+    radius[ids] = _norm(x)
+    return hit_time, radius
 
 
 def _live_uniforms(live: list, live_u: list, span: int) -> tuple:
@@ -476,18 +468,18 @@ def run_ensemble(model: SdeModel, x0, i0: int, r0: float, T: float, dt: float,
         raise ValueError(f"T / dt = {T / dt:g} steps exceeds the cap of {MAX_STEPS:g} "
                          f"steps per path")
 
-    hit_time, final_radius, survived = _simulate_paths(
+    hit_time, radius = _simulate_paths(
         model, np.arange(trials), x0v, i0, r0, n_steps, dt, seed)
+    survived = np.isnan(hit_time)
 
-    returned = int(np.isfinite(hit_time).sum())
+    returned = trials - int(survived.sum())
     p_ret = returned / trials
     ci = 1.96 * np.sqrt(p_ret * (1.0 - p_ret) / trials)
-    escaped = survived & (final_radius > escape_radius)
-    n_esc = int(escaped.sum())
+    n_esc = int((radius > escape_radius).sum())  # a returned path's NaN compares False
     p_esc = n_esc / trials
     mean_hit = float(np.nanmean(hit_time)) if returned else None
-    if survived.any():
-        growth = float(np.mean(np.log(final_radius[survived] / start_radius)) / (n_steps * dt))
+    if returned < trials:
+        growth = float(np.mean(np.log(radius[survived] / start_radius)) / (n_steps * dt))
     else:
         growth = None
     return SimulationReport(
@@ -495,7 +487,7 @@ def run_ensemble(model: SdeModel, x0, i0: int, r0: float, T: float, dt: float,
         x0=tuple(float(v) for v in x0v), i0=i0, r0=r0, escape_radius=escape_radius,
         returned=returned, return_fraction=p_ret, return_ci95=float(ci),
         mean_hitting_time=mean_hit, escape_count=n_esc, escape_fraction=p_esc,
-        censored=int((survived & ~escaped).sum()), growth_exponent=growth)
+        censored=trials - returned - n_esc, growth_exponent=growth)
 
 
 def truncate_chain(chain: TailHomogeneousChain, K: int) -> QMatrix:

@@ -68,7 +68,7 @@ def test_criterion_2_mmatrix_equivalence_suite():
         a = -rng.uniform(0.0, 5.0, size=(n, n))
         np.fill_diagonal(a, rng.uniform(-5.0, 5.0, size=n))
         scale = max(1.0, np.abs(a).max())
-        minors = leading_minors(a)
+        minors, _ = leading_minors(a)
         bands = BOUNDARY_BAND * scale ** np.arange(1, n + 1)
         tau = least_real_eigenvalue(a)
         if abs(tau) <= BOUNDARY_BAND * scale or (np.abs(minors) <= bands).any():
@@ -263,6 +263,7 @@ def test_criterion_7_property_suite():
     ids = np.arange(120)
     args = (np.array([5.0]), 0, 1.0, 4000, 1e-3, 55)
     whole = _simulate_paths(model, ids, *args)
+    np.testing.assert_array_equal(np.isnan(whole[1]), np.isfinite(whole[0]))
     for block in np.array_split(ids, 4):
         part = _simulate_paths(model, block, *args)
         for w, p in zip(whole, part):

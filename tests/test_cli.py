@@ -25,6 +25,10 @@ from regime.modelfile import compile_rate_expr, load_model, parse_model
 from regime.reproduce import benchmark_documents, emit_models
 
 
+def _refuse_constant(name: str):
+    raise AssertionError(f"report holds the non-JSON literal {name}")
+
+
 def write_model(tmp_path, doc, name="model.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -475,7 +479,24 @@ class TestClassifyCommand:
         assert main(["classify", path, "--criterion", "thm22"]) == 2
         out = capsys.readouterr().out
         assert "NaN" not in out
-        assert json.loads(out)["reasons"] == ["verdict sits on the singularity boundary"]
+        report = json.loads(out, parse_constant=_refuse_constant)
+        assert report["reasons"] == ["verdict sits on the singularity boundary"]
+
+    def test_overflowed_minors_are_strict_json_with_their_sign(self, tmp_path, capsys):
+        # the second minor overflows to +inf; JSON has no literal for it, so
+        # the report carries the string --text prints, and keeps the sign
+        doc = {"regimes": 2, "q": {"kind": "matrix",
+                                   "entries": [[-1e200, 1e200], [1e200, -1e200]]},
+               "lyapunov": {"beta": [-3e200, -3e200], "tag": "to-infinity"}}
+        path = write_model(tmp_path, doc)
+        out_file = tmp_path / "report.json"
+        assert main(["classify", path, "--criterion", "thm22", "--out", str(out_file)]) == 0
+        out = capsys.readouterr().out
+        assert out == out_file.read_text()
+        report = json.loads(out, parse_constant=_refuse_constant)
+        assert report["attempted"][0]["certificate"]["mmatrix"]["minors"] == [4e200, "inf"]
+        assert main(["classify", path, "--criterion", "thm22", "--text"]) == 0
+        assert "[4e+200, inf]" in capsys.readouterr().out
 
     def test_requested_criterion_must_apply(self, tmp_path, capsys):
         path = write_model(tmp_path, benchmark_documents()["ou"])
@@ -561,6 +582,14 @@ class TestSimulateCommand:
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("i0", ["0", "3", "-1"])
+    def test_i0_outside_the_regimes_names_their_range(self, tmp_path, capsys, i0):
+        path = write_model(tmp_path, benchmark_documents()["ou"])
+        assert main(["simulate", path, "--x0", "3", "--r0", "1", "--T", "1.0",
+                     "--dt", "0.01", "--trials", "100", "--i0", i0]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --i0 must lie in 1..2, got {i0}\n"
 
     def test_infinite_chain_fails_with_one_error_line(self, tmp_path, capsys):
         doc = benchmark_documents()["ex21"]
@@ -942,6 +971,24 @@ class TestReproduceCommand:
             f"{stem}.json" for stem in docs)
         for stem, doc in docs.items():
             assert json.loads((tmp_path / "models" / f"{stem}.json").read_text()) == doc
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("command", [
+        ["classify", "{model}", "--out", "{missing}/r.json"],
+        ["simulate", "{model}", "--x0", "3", "--r0", "1", "--T", "0.1", "--dt", "0.01",
+         "--trials", "100", "--out", "{missing}/r.json"],
+        ["thresholds", "2", "1", "--out", "{missing}/r.json"],
+        ["reproduce", "cor31", "--emit-models", "--out", "{model}/reports"],
+    ], ids=["classify", "simulate", "thresholds", "reproduce"])
+    def test_one_error_line(self, command, tmp_path, capsys):
+        model = write_model(tmp_path, benchmark_documents()["ou"])
+        missing = tmp_path / "missing"
+        argv = [a.format(model=model, missing=missing) for a in command]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not missing.exists()
 
 
 class TestThresholdsCommand:

@@ -85,10 +85,9 @@ def reference_simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarr
     kernel = _Kernel(model, dt)
     rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(int(pid),)))
             for pid in path_ids]
-    x_end = np.tile(x0, (k, 1))
     hit_time = np.full(k, np.nan)
     ids = np.arange(k)
-    x = x_end.copy()
+    x = np.tile(x0, (k, 1))
     lam = np.full(k, i0, dtype=np.intp)
     done_steps = 0
     while done_steps < n_steps and ids.size:
@@ -104,18 +103,22 @@ def reference_simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarr
                                     u_buf[s, cols])
             hit = _norm(x) <= r0
             if hit.any():
-                gone = ids[hit]
-                hit_time[gone] = (done_steps + s + 1) * dt
-                x_end[gone] = x[hit]
+                hit_time[ids[hit]] = (done_steps + s + 1) * dt
                 keep = ~hit
                 ids, x, lam, cols = ids[keep], x[keep], lam[keep], cols[keep]
                 if ids.size == 0:
                     break
         done_steps += span
-    x_end[ids] = x
-    active = np.zeros(k, dtype=bool)
-    active[ids] = True
-    return hit_time, _norm(x_end), active
+    radius = np.full(k, np.nan)
+    radius[ids] = _norm(x)
+    return hit_time, radius
+
+
+def assert_one_record(record: tuple) -> None:
+    """A ``_simulate_paths`` record: the radius is nan exactly where the
+    hitting time is finite."""
+    hit_time, radius = record
+    np.testing.assert_array_equal(np.isnan(radius), np.isfinite(hit_time))
 
 
 def _const_model(drift_slope=0.0, sigma=1.0, rates=Q2, boundary="none"):
@@ -202,6 +205,30 @@ class TestCandidates:
             np.testing.assert_array_equal(a, b)
         assert (dense[1] != lam).sum() > 20
 
+    def test_rate_table_of_a_constant_generator_switches_as_the_generator(self):
+        # one switching rule serves both representations: a rate_fn that
+        # returns the off-diagonal columns of Q gives, on the same step and
+        # candidates in any order, the outputs of Q itself, to the bit
+        q = validate_qmatrix([[-60.0, 40.0, 20.0], [30.0, -80.0, 50.0], [25.0, 25.0, -50.0]])
+        off = q.entries.copy()
+        np.fill_diagonal(off, 0.0)
+        table = StateDependentRates(n=3, rate_fn=lambda x, lam: off[lam].T)
+        dt, k = 1e-3, 5000
+        rng = np.random.default_rng(8)
+        x = rng.uniform(0.5, 5.0, (k, 1))
+        lam = rng.integers(0, 3, k)
+        z = rng.standard_normal((k, 1))
+        u = rng.random(k) * 0.2
+        cand = rng.permutation(np.flatnonzero(u < simulate._MAX_SWITCH_PROB))
+        const, rated = (
+            _Kernel(SdeModel(dim=1, drift=power_drift([-1.0, 0.5, 0.2]),
+                             sigma=regime_sigma([1.0, 2.0, 0.5]), rates=rates), dt)
+            .advance(x, lam, z, cand, u[cand]) for rates in (q, table))
+        for a, b in zip(const, rated):
+            np.testing.assert_array_equal(a, b)
+        moved = const[1] != lam
+        assert moved.sum() > 100 and np.unique(const[1][moved]).size == 3
+
 
 class TestRegimeOccupation:
     def test_occupation_matches_invariant_measure(self):
@@ -261,13 +288,14 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("build", [lambda: ex22_sde_model(0.3),
                                        lambda: ex21_sde_model(0.3)], ids=["ex22", "ex21"])
     def test_path_blocks_do_not_change_results(self, build):
-        # each path owns its stream, so a path's hitting time, final radius and
-        # survival are the same whether it runs in the whole batch or a block
+        # each path owns its stream, so a path's hitting time and radius at
+        # the horizon are the same whether it runs in the whole batch or a block
         model = build()
         args = (np.array([3.0]), 0, 1.0, 3000, 1e-3, 99)
         ids = np.arange(120)
         whole = _simulate_paths(model, ids, *args)
-        assert np.isfinite(whole[0]).sum() > 10 and whole[2].sum() > 10
+        assert_one_record(whole)
+        assert np.isfinite(whole[0]).sum() > 10 and np.isfinite(whole[1]).sum() > 10
         for block in (ids[:1], ids[1:50], ids[50:]):
             part = _simulate_paths(model, block, *args)
             for w, p in zip(whole, part):
@@ -289,7 +317,8 @@ class TestRunEnsemble:
         args = (np.array(x0), 0, 1.0 if model.dim == 1 else 2.0, 3000, 1e-3, 99)
         ids = np.arange(40)
         whole = _simulate_paths(model, ids, *args)
-        assert np.isfinite(whole[0]).sum() > 3 and whole[2].sum() > 3
+        assert_one_record(whole)
+        assert np.isfinite(whole[0]).sum() > 3 and np.isfinite(whole[1]).sum() > 3
         # the returns fall in several blocks of 0.1 time units
         assert np.unique(whole[0][np.isfinite(whole[0])] // 0.1).size > 3
         for w, r in zip(whole, reference_simulate_paths(model, ids, *args)):

@@ -10,7 +10,6 @@ from .criteria import (
     Verdict,
     bisect_verdict,
     classify_avg,
-    classify_coarse,
     classify_infinite,
     classify_mmatrix,
     classify_ou,
@@ -59,7 +58,7 @@ __version__ = "0.1.0"
 __all__ = [
     "errors",
     "Classification", "FredholmPair", "Limit", "LyapunovBehavior", "Verdict",
-    "bisect_verdict", "classify_avg", "classify_coarse", "classify_infinite",
+    "bisect_verdict", "classify_avg", "classify_infinite",
     "classify_mmatrix", "classify_ou", "classify_power_1d",
     "classify_radial_sampled", "classify_state_dependent",
     "classify_two_function", "classify_two_function_state_dependent",

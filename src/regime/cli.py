@@ -206,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo ensemble for a model file")
     p.add_argument("model")
-    p.add_argument("--x0", type=float, required=True)
+    p.add_argument("--x0", type=float, nargs="+", required=True,
+                   help="starting point, one value per axis")
     p.add_argument("--i0", type=int, default=1, help="starting regime (1-based)")
     p.add_argument("--r0", type=float, required=True)
     p.add_argument("--T", type=float, required=True)

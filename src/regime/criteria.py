@@ -160,38 +160,25 @@ def classify_state_dependent(q_tilde: QMatrix, lyap: LyapunovBehavior) -> Classi
     return out
 
 
-def classify_coarse(beta_f, q_f, tag: Limit) -> Classification:
-    """Finite-partition test on precomputed class data (beta^F, Q^F).
-
-    Certifies -(diag beta^F + Q^F), whose minors are those of the paper's
-    matrix times H_m (see :func:`classify_state_dependent`).  The conclusion is
-    deliberately weaker than the finite-space tests: V -> infinity certifies
-    recurrence only.
-    """
-    bf = np.asarray(beta_f, dtype=float).ravel()
-    qf = np.asarray(q_f, dtype=float)
-    m = bf.size
-    if qf.shape != (m, m):
-        raise ValueError("class generator shape must match beta^F")
-    return _certify("thm24", -(np.diag(bf) + qf), {"beta_f": bf, "q_f": qf},
-                    _verdict(tag, Verdict.RECURRENT),
-                    "coarsened matrix fails the positive-minors test")
-
-
 def classify_infinite(chain: TailHomogeneousChain, beta: BetaSequence,
                       partition: Partition, tag: Limit) -> Classification:
     """Finite-partition test for an infinite birth-death regime space.
 
     Requires the switching chain itself to be recurrent (tail down-rate at
-    least the up-rate); coarsens onto the partition classes and delegates to
-    :func:`classify_coarse`.
+    least the up-rate).  Coarsens onto the partition classes and certifies
+    -(diag beta^F + Q^F), whose minors are those of the paper's matrix times
+    H_m (see :func:`classify_state_dependent`).  The conclusion is
+    deliberately weaker than the finite-space tests: V -> infinity certifies
+    recurrence only.
     """
     if not chain.is_recurrent():
         raise ChainNotRecurrent(
             f"tail rates up={chain.tail_up:g} > down={chain.tail_down:g}: the switching "
             "chain is transient, the partition criterion does not apply")
     beta_f, q_f = coarsen(chain, beta, partition)
-    out = classify_coarse(beta_f, q_f, tag)
+    out = _certify("thm24", -(np.diag(beta_f) + q_f), {"beta_f": beta_f, "q_f": q_f},
+                   _verdict(tag, Verdict.RECURRENT),
+                   "coarsened matrix fails the positive-minors test")
     out.certificate["partition"] = partition.classes
     out.certificate["chain_recurrent"] = True
     return out

@@ -28,7 +28,7 @@ Schema overview (all 1-based regime/state indices in files)::
                                   # beta_i with L_i h <= beta_i g, limit of h
       "partition"?: {"cutpoints": [...]},
       "boundary"?: "none" | "reflect",
-      "dimension"?: <int>
+      "dimension"?: <int>                  # 1 for rates or boundary "reflect"
     }
 
 Unknown keys are rejected anywhere in the document and all numbers must be
@@ -72,11 +72,6 @@ def compile_rate_expr(expr: str) -> Callable[[np.ndarray], np.ndarray]:
     computation without end) when the rate is first used.  A float constant
     gives numpy the same operands as the integer it replaces.
     """
-    try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError as exc:
-        raise ParseError(f"bad rate expression {expr!r}: {exc}") from None
-
     namespace = {"__builtins__": {}}
     namespace.update(_ALLOWED_FUNCS)
     namespace.update(_ALLOWED_NAMES)
@@ -115,8 +110,15 @@ def compile_rate_expr(expr: str) -> Callable[[np.ndarray], np.ndarray]:
                              f"expression {expr!r} has no finite real value: {exc}") from None
         return ast.copy_location(ast.Constant(value), node)
 
-    tree.body = fold(tree.body)
-    code = compile(tree, "<rate-expr>", "eval")
+    try:
+        tree = ast.parse(expr, mode="eval")
+        tree.body = fold(tree.body)
+        code = compile(tree, "<rate-expr>", "eval")
+    except SyntaxError as exc:
+        raise ParseError(f"bad rate expression {expr!r}: {exc}") from None
+    except (RecursionError, MemoryError):  # the parser's and fold's depth limits
+        raise ParseError(f"rate expression of {len(expr)} characters nests too "
+                         "deeply to parse") from None
 
     def fn(x: np.ndarray) -> np.ndarray:
         try:  # x is the one local name; the namespace is never written
@@ -439,6 +441,8 @@ def parse_model(doc: dict, source: str = "<dict>") -> RegimeModel:
         raise SchemaError("dimension must be a positive integer")
     if boundary == "reflect" and dim != 1:
         raise SchemaError("boundary 'reflect' needs dimension 1")
+    if isinstance(switching, StateDependentRates) and dim != 1:
+        raise SchemaError("q.kind 'rates' needs dimension 1")
 
     return RegimeModel(switching=switching, scan=scan, drift_b=drift_b, delta=delta,
                        radial_component=radial, sigma=sigma, dim=dim,
@@ -455,6 +459,8 @@ def load_model(path) -> RegimeModel:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path} nests too deeply to parse") from None
     return parse_model(doc, source=str(path))
 
 

@@ -21,14 +21,13 @@ from .criteria import (
     LyapunovBehavior,
     Verdict,
     bisect_verdict,
-    classify_coarse,
     classify_infinite,
     classify_ou,
     classify_power_1d,
     classify_state_dependent,
     kappa_thresholds,
 )
-from .markov import BetaSequence, Partition, QMatrix, TailHomogeneousChain, coarsen
+from .markov import BetaSequence, Partition, QMatrix, TailHomogeneousChain
 from .modelfile import RegimeModel, parse_model
 
 MC_SEED = 20240811  # seed of every Monte Carlo corroboration
@@ -71,22 +70,22 @@ def ex21_partition(m: int) -> Partition:
 
 def ex21_recurrence_verdict(kappa: float, m: int) -> bool:
     """Partition certificate for the V = x branch at drift slope kappa."""
-    out = classify_infinite(ex21_chain(), ex21_beta(kappa), ex21_partition(m),
-                            Limit.TO_INFINITY)
-    return out.verdict is Verdict.RECURRENT
+    return _ex21_verdict(ex21_beta(kappa), m, Limit.TO_INFINITY) is Verdict.RECURRENT
 
 
 def ex21_transience_verdict(kappa: float, m: int) -> bool:
     """Partition certificate for the V = 1/x branch, r0 -> infinity.
 
-    The coarse drift bounds are the closed forms 1 - kappa, 1/2 - kappa, ...,
-    -kappa: singleton classes keep their own values and the tail class takes
-    its limiting value.
+    The drift bounds are the closed forms 1 - kappa, 1/2 - kappa, ..., -kappa:
+    singleton classes keep their own values and the tail class takes its
+    limiting value.
     """
-    beta_f = np.array([1.0 / j - kappa for j in range(1, m)] + [-kappa])
-    _, q_f = coarsen(ex21_chain(), ex21_beta(kappa), ex21_partition(m))
-    out = classify_coarse(beta_f, q_f, Limit.TO_ZERO)
-    return out.verdict is Verdict.TRANSIENT
+    beta = BetaSequence(head=tuple(1.0 / j - kappa for j in range(1, m)), tail_limit=-kappa)
+    return _ex21_verdict(beta, m, Limit.TO_ZERO) is Verdict.TRANSIENT
+
+
+def _ex21_verdict(beta: BetaSequence, m: int, tag: Limit) -> Verdict:
+    return classify_infinite(ex21_chain(), beta, ex21_partition(m), tag).verdict
 
 
 def _document_model(stem: str, b=None) -> RegimeModel:

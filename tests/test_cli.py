@@ -23,6 +23,7 @@ from regime.markov import (
 )
 from regime.modelfile import compile_rate_expr, load_model, parse_model
 from regime.reproduce import benchmark_documents, emit_models
+from regime.simulate import run_ensemble
 
 
 def _refuse_constant(name: str):
@@ -601,6 +602,24 @@ class TestSimulateCommand:
         assert out == "" and len(err.splitlines()) == 1
         assert err.startswith("error: ") and "truncate infinite chains first" in err
 
+    def test_two_dimensional_document_takes_one_x0_per_axis(self, tmp_path, capsys):
+        doc = _doc("ou", boundary=None, dimension=2)
+        path = write_model(tmp_path, doc)
+        out = tmp_path / "sim.json"
+        assert main(["simulate", path, "--x0", "3", "3", "--r0", "1", "--T", "2.0",
+                     "--dt", "0.01", "--trials", "100", "--seed", "5",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())["simulation"]
+        lib = run_ensemble(parse_model(doc).sde(), x0=[3.0, 3.0], i0=0, r0=1.0, T=2.0,
+                           dt=0.01, trials=100, seed=5, escape_radius=50.0)
+        assert report == json.loads(json.dumps(jsonify(vars(lib))))
+        assert report["x0"] == [3.0, 3.0]
+        capsys.readouterr()
+        assert main(["simulate", path, "--x0", "3", "--r0", "1", "--T", "2.0",
+                     "--dt", "0.01", "--trials", "100"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: x0 must match the model dimension\n"
+
     def test_state_dependent_simulation(self, tmp_path, capsys):
         path = write_model(tmp_path, benchmark_documents()["ex22"])
         out = tmp_path / "sim.json"
@@ -872,6 +891,18 @@ BAD_DOCUMENTS = [
      "dimension must be a positive integer"),
     ("reflect-dimension", _doc("ou", dimension=2), "SchemaError",
      "boundary 'reflect' needs dimension 1"),
+    ("rates-dimension", _doc("ex22", boundary=None, dimension=2), "SchemaError",
+     "q.kind 'rates' needs dimension 1"),
+    # the rate compiler's fold exceeds the recursion limit at 1000 terms (a
+    # 2 KB document), Python's parser at 3000, and 10^5 unary minuses exhaust
+    # the parser's memory
+    ("rate-deep-fold", _with(_doc("ex22"), ("q", "entries", 0, "expr"), "+".join(["x"] * 1000)),
+     "ParseError", "rate expression of 1999 characters nests too deeply to parse"),
+    ("rate-deep-parser", _with(_doc("ex22"), ("q", "entries", 0, "expr"), "+".join(["x"] * 3000)),
+     "ParseError", "rate expression of 5999 characters nests too deeply to parse"),
+    ("rate-deep-memory", _with(_doc("ex22"), ("q", "entries", 0, "expr"), "-" * 100_000 + "x"),
+     "ParseError", "rate expression of 100001 characters nests too deeply to parse"),
+    ("json-too-deep", "[" * 2000 + "]" * 2000, "ParseError", "nests too deeply to parse"),
 ]
 
 

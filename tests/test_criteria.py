@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from regime import (
+    BetaSequence,
     Limit,
     LyapunovBehavior,
     TailHomogeneousChain,
     Verdict,
     bisect_verdict,
     classify_avg,
-    classify_coarse,
     classify_infinite,
     classify_mmatrix,
     classify_ou,
@@ -127,11 +127,13 @@ class TestClassifyInfinite:
     def test_transient_branch_with_tail_limit_bounds(self):
         # V = 1/x drift bounds at r0 -> infinity: (1 - kappa, -kappa)
         kappa = 0.8
-        beta_f = np.array([1.0 - kappa, -kappa])
-        _, q_f = (np.array([kappa - 1.0, kappa]),
-                  np.array([[-1.0, 1.0], [2.0, -2.0]]))
-        out = classify_coarse(beta_f, q_f, TO_ZERO)
+        beta = BetaSequence(head=(1.0 - kappa,), tail_limit=-kappa)
+        out = classify_infinite(ex21_chain(), beta, ex21_partition(2), TO_ZERO)
         assert out.verdict is Verdict.TRANSIENT
+        assert list(out.certificate) == ["beta_f", "q_f", "matrix", "mmatrix",
+                                         "partition", "chain_recurrent"]
+        np.testing.assert_array_equal(out.certificate["beta_f"], [1.0 - kappa, -kappa])
+        np.testing.assert_array_equal(out.certificate["q_f"], [[-1.0, 1.0], [2.0, -2.0]])
 
     def test_requires_recurrent_chain(self):
         chain = TailHomogeneousChain.constant(up=2.0, down=1.0)

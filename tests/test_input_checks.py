@@ -14,7 +14,6 @@ from regime import (
     TailHomogeneousChain,
     bisect_verdict,
     classify_avg,
-    classify_coarse,
     classify_mmatrix,
     classify_ou,
     classify_power_1d,
@@ -82,8 +81,6 @@ INPUT_CHECKS = [
      "finite classes must lie inside the explicit head"),
     ("lyapunov-not-finite", lambda: LyapunovBehavior(TO_INF, [np.inf, 0.0]), ValueError,
      "beta must be finite"),
-    ("coarse-shape", lambda: classify_coarse([1.0, 2.0], np.zeros((3, 3)), TO_INF),
-     ValueError, "class generator shape must match beta^F"),
     ("power-sigma-length", lambda: classify_power_1d(Q2, [-1.0, 2.0], [1.0] * 3, 0.5),
      ValueError, "sigma must be scalar or per-regime"),
     ("power-sigma-zero", lambda: classify_power_1d(Q2, [-1.0, 2.0], [0.0], 0.5),

@@ -14,6 +14,7 @@ from regime import (
     run_ensemble,
     validate_qmatrix,
 )
+from regime import reproduce
 from regime.reproduce import (
     EX21_REFERENCES,
     ex21_chain,
@@ -125,3 +126,17 @@ class TestMonteCarloCorroboration:
         report = reproduce_ou(mc=True)
         summary = report["monte_carlo"][0]
         assert summary["return_fraction"] >= 0.95
+
+    @pytest.mark.parametrize("reproducer", [reproduce_ex21, reproduce_ex22],
+                             ids=["ex21", "ex22"])
+    def test_two_sided_mc_rows(self, reproducer, monkeypatch):
+        # the rows' own horizon of 60 is shortened to 5 for speed
+        run = reproduce.simulate.run_ensemble
+        monkeypatch.setattr(reproduce.simulate, "run_ensemble",
+                            lambda model, **kw: run(model, **{**kw, "T": 5.0}))
+        rows = reproducer(mc=True)["monte_carlo"]
+        assert [row["label"] for row in rows] == ["kappa=0.3 (recurrent side)",
+                                                  "kappa=1.2 (transient side)"]
+        assert [(row["trials"], row["t_horizon"]) for row in rows] == [(200, 5.0)] * 2
+        recurrent, transient = rows
+        assert recurrent["return_fraction"] > transient["return_fraction"]

@@ -4,7 +4,6 @@ regime-switching diffusions, with a Monte Carlo engine for corroboration."""
 from . import errors
 from .criteria import (
     Classification,
-    FredholmPair,
     Limit,
     LyapunovBehavior,
     Verdict,
@@ -18,7 +17,6 @@ from .criteria import (
     classify_state_dependent,
     classify_two_function,
     classify_two_function_state_dependent,
-    fredholm_solve,
     kappa_thresholds,
 )
 from .markov import (
@@ -57,12 +55,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "Classification", "FredholmPair", "Limit", "LyapunovBehavior", "Verdict",
+    "Classification", "Limit", "LyapunovBehavior", "Verdict",
     "bisect_verdict", "classify_avg", "classify_infinite",
     "classify_mmatrix", "classify_ou", "classify_power_1d",
     "classify_radial_sampled", "classify_state_dependent",
     "classify_two_function", "classify_two_function_state_dependent",
-    "fredholm_solve", "kappa_thresholds",
+    "kappa_thresholds",
     "BetaSequence", "Partition", "QMatrix", "ScanGrid", "StateDependentRates",
     "TailHomogeneousChain", "bound_rates", "coarsen", "invariant_measure",
     "validate_qmatrix",

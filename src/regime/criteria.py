@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ChainNotRecurrent, NotSolvable, SingularSolve
+from .errors import ChainNotRecurrent, SingularSolve
 from .markov import (
     BetaSequence,
     Partition,
@@ -66,15 +66,6 @@ class LyapunovBehavior:
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float).ravel())
         if not np.isfinite(self.beta).all():
             raise ValueError("beta must be finite")
-
-
-@dataclass(frozen=True, eq=False)
-class FredholmPair:
-    """kappa > 0 and xi solving Q xi = -kappa 1 - beta, pinned by sum(mu xi) = 0."""
-
-    kappa: float
-    xi: np.ndarray
-    residual: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,43 +213,26 @@ def _pinned_solve(q: QMatrix, mu: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return xi
 
 
-def fredholm_solve(q: QMatrix, beta) -> FredholmPair:
-    """kappa = -sum(mu beta) and xi with Q xi = -kappa 1 - beta.
-
-    Solvable exactly when the averaged drift is nonpositive (kappa >= 0); the
-    solution is pinned by sum(mu xi) = 0 and the residual is checked against
-    1e-9 of the data scale.
-    """
-    return _fredholm_pair(q, *_averaged(q, beta))
-
-
-def _fredholm_pair(q: QMatrix, b: np.ndarray, mu: np.ndarray, s: float,
-                   tol: float) -> FredholmPair:
-    """fredholm_solve given the invariant measure and the average ``s = mu @ b``."""
-    if s > tol:
-        raise NotSolvable(f"averaged drift {s:.6g} is positive; no resolvent pair")
-    kappa = -s
-    xi = _pinned_solve(q, mu, -kappa - b)
-    scale = q.scale() + float(np.abs(b).max())
-    residual = float(np.abs(q.entries @ xi + kappa + b).max())
-    if residual > 1e-9 * max(scale, 1e-300):
-        raise SingularSolve(f"resolvent residual {residual:g} exceeds tolerance")
-    xi.setflags(write=False)
-    return FredholmPair(kappa=kappa, xi=xi, residual=residual)
-
-
 def classify_two_function(q: QMatrix, lyap: LyapunovBehavior) -> Classification:
     """Two-function test: negative averaged beta certifies the h-limit verdict.
 
     ``lyap`` holds beta_i with L_i h <= beta_i g and the limit of h:
     h -> infinity gives recurrence, h -> 0 transience; the certificate is the
-    resolvent pair (kappa, xi).
+    resolvent pair: kappa = -sum(mu beta) and xi with Q xi = -kappa 1 - beta,
+    pinned by sum(mu xi) = 0, whose residual is checked against 1e-9 of the
+    data scale.
     """
     b, mu, s, tol = _averaged(q, lyap.beta)
     if s < -tol:
-        pair = _fredholm_pair(q, b, mu, s, tol)
+        kappa = -s
+        xi = _pinned_solve(q, mu, -kappa - b)
+        scale = q.scale() + float(np.abs(b).max())
+        residual = float(np.abs(q.entries @ xi + kappa + b).max())
+        if residual > 1e-9 * max(scale, 1e-300):
+            raise SingularSolve(f"resolvent residual {residual:g} exceeds tolerance")
+        xi.setflags(write=False)
         cert = {"mu": mu, "mu_beta": s,
-                "fredholm": {"kappa": pair.kappa, "xi": pair.xi, "residual": pair.residual}}
+                "fredholm": {"kappa": kappa, "xi": xi, "residual": residual}}
         return Classification(_verdict(lyap.tag, Verdict.RECURRENT), "thm31", cert)
     return Classification(Verdict.INCONCLUSIVE, "thm31", {"mu": mu, "mu_beta": s},
                           reason="averaged beta is not negative; for 1-d power drift the "

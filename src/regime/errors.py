@@ -57,10 +57,6 @@ class NoConvergence(RegimeError):
 
 
 # criteria
-class NotSolvable(RegimeError):
-    """The averaged drift is not negative, so the resolvent system has no use here."""
-
-
 class ChainNotRecurrent(RegimeError):
     """The switching chain itself is transient; the partition criterion needs recurrence."""
 

@@ -10,7 +10,7 @@ import pytest
 from regime import (
     Verdict,
     classify_power_1d,
-    fredholm_solve,
+    classify_two_function,
     invariant_measure,
     leading_minors,
     perron,
@@ -127,10 +127,11 @@ def test_criterion_4_fredholm_suite():
         beta = rng.standard_normal(n)
         target = -(0.2 + rng.random())
         beta += target - float(mu @ beta)
-        pair = fredholm_solve(q, beta)
-        assert pair.kappa == pytest.approx(-target, rel=1e-12)
+        pair = classify_two_function(
+            q, LyapunovBehavior(Limit.TO_INFINITY, beta)).certificate["fredholm"]
+        assert pair["kappa"] == pytest.approx(-target, rel=1e-12)
         scale = q.scale() + np.abs(beta).max()
-        resid = np.abs(q.entries @ pair.xi + pair.kappa + beta).max()
+        resid = np.abs(q.entries @ pair["xi"] + pair["kappa"] + beta).max()
         assert resid <= 1e-9 * scale
 
     # the proof-side boundary quantity: sum(mu_i b_i w_i) < 0 for Q w = b

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regime import modelfile
+from regime import criteria, modelfile
 from regime._util import jsonify
 from regime.cli import RUNNERS, build_parser, main
 from regime.criteria import Limit, classify_infinite
@@ -455,6 +455,29 @@ class TestClassifyCommand:
         assert {"criterion": "thm21", "skipped": failure} in report["attempted"]
         assert [r for r in report["reasons"] if not r.startswith("needs")] == [
             "no positive vector x with A x >> 0 is provable in floating point", failure]
+
+    def test_auto_records_a_thm31_residual_failure_and_goes_on(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # xi moved off the solution in one entry: the residual 2e-8 exceeds
+        # 1e-9 of the data scale 3
+        solve = criteria._pinned_solve
+
+        def perturbed(q, mu, rhs):
+            xi = solve(q, mu, rhs)
+            xi[0] += 1e-8
+            return xi
+        monkeypatch.setattr(criteria, "_pinned_solve", perturbed)
+        path = write_model(tmp_path, {
+            "regimes": 2, "q": {"kind": "matrix", "entries": [[-1.0, 1.0], [2.0, -2.0]]},
+            "two_function": {"beta": [-1.0, 0.5], "h_limit": "to-infinity"}})
+        failure = "resolvent residual 2e-08 exceeds tolerance"
+        assert main(["classify", path, "--criterion", "thm31"]) == 1
+        assert capsys.readouterr().err == f"error: SingularSolve: {failure}\n"
+        assert main(["classify", path]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert {"criterion": "thm31", "skipped": failure} in report["attempted"]
+        assert report["reasons"][-3:] == [failure, "needs state-dependent rates",
+                                          "needs sampled radial drift components"]
 
     @pytest.mark.parametrize("mode", ["auto", "thm22"])
     def test_tolerated_round_off_leaves_a_z_matrix(self, mode, tmp_path, capsys):

@@ -20,13 +20,12 @@ from regime import (
     classify_two_function,
     classify_two_function_state_dependent,
     criteria,
-    fredholm_solve,
     invariant_measure,
     kappa_thresholds,
     leading_minors,
     validate_qmatrix,
 )
-from regime.errors import ChainNotRecurrent, NotSolvable
+from regime.errors import ChainNotRecurrent, SingularSolve
 from regime.reproduce import (
     ex21_beta,
     ex21_chain,
@@ -154,18 +153,23 @@ class TestClassifyOU:
         assert classify_ou(Q2, [-1.0, 2.0]).verdict is Verdict.INCONCLUSIVE
 
 
+def fredholm(q, beta):
+    """The resolvent pair of a conclusive thm31 certificate."""
+    return classify_two_function(q, LyapunovBehavior(TO_INF, beta)).certificate["fredholm"]
+
+
 class TestFredholm:
     def test_constant_beta(self):
-        pair = fredholm_solve(Q2, [-0.8, -0.8])
-        assert pair.kappa == pytest.approx(0.8, abs=1e-14)
-        np.testing.assert_allclose(pair.xi, [0.0, 0.0], atol=1e-12)
+        pair = fredholm(Q2, [-0.8, -0.8])
+        assert pair["kappa"] == pytest.approx(0.8, abs=1e-14)
+        np.testing.assert_allclose(pair["xi"], [0.0, 0.0], atol=1e-12)
 
     def test_two_state_by_hand(self):
         # kappa = 5/3; Q xi = (4/3, -8/3) with mu-mean zero gives (-4/9, 8/9)
-        pair = fredholm_solve(Q2, [-3.0, 1.0])
-        assert pair.kappa == pytest.approx(5 / 3, abs=1e-12)
-        np.testing.assert_allclose(pair.xi, [-4 / 9, 8 / 9], atol=1e-12)
-        assert pair.residual <= 1e-9 * 5.0
+        pair = fredholm(Q2, [-3.0, 1.0])
+        assert pair["kappa"] == pytest.approx(5 / 3, abs=1e-12)
+        np.testing.assert_allclose(pair["xi"], [-4 / 9, 8 / 9], atol=1e-12)
+        assert pair["residual"] <= 1e-9 * 5.0
 
     def test_random_residuals(self):
         rng = np.random.default_rng(17)
@@ -174,16 +178,40 @@ class TestFredholm:
             mu = invariant_measure(q)
             beta = rng.standard_normal(6)
             beta -= (mu @ beta) + 1.0  # averaged drift exactly -1
-            pair = fredholm_solve(q, beta)
-            assert pair.kappa == pytest.approx(1.0, rel=1e-12)
+            pair = fredholm(q, beta)
+            assert pair["kappa"] == pytest.approx(1.0, rel=1e-12)
             scale = q.scale() + np.abs(beta).max()
-            resid = np.abs(q.entries @ pair.xi + pair.kappa + beta).max()
+            resid = np.abs(q.entries @ pair["xi"] + pair["kappa"] + beta).max()
             assert resid <= 1e-9 * scale
-            assert abs(mu @ pair.xi) < 1e-10
+            assert abs(mu @ pair["xi"]) < 1e-10
 
-    def test_positive_average_not_solvable(self):
-        with pytest.raises(NotSolvable):
-            fredholm_solve(Q2, [1.0, 1.0])
+    def test_positive_average_gives_no_pair(self):
+        out = classify_two_function(Q2, LyapunovBehavior(TO_INF, [1.0, 1.0]))
+        assert out.verdict is Verdict.INCONCLUSIVE
+        assert "fredholm" not in out.certificate
+
+    def test_singular_system_raises(self, monkeypatch):
+        # mu is taken as computed, so the pinned system is the one solve left
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+        mu = invariant_measure(Q2)
+        monkeypatch.setattr(criteria, "invariant_measure", lambda q: mu)
+        monkeypatch.setattr(criteria.np.linalg, "solve", singular)
+        with pytest.raises(SingularSolve, match="^pinned resolvent solve failed: Singular matrix$"):
+            fredholm(Q2, [-3.0, 1.0])
+
+    def test_residual_past_the_bound_raises(self, monkeypatch):
+        # xi + c 1 leaves Q xi unchanged, so one entry moves alone; the data
+        # scale is 5 and the bound 5e-9
+        solve = criteria._pinned_solve
+
+        def perturbed(q, mu, rhs):
+            xi = solve(q, mu, rhs)
+            xi[0] += 1e-8
+            return xi
+        monkeypatch.setattr(criteria, "_pinned_solve", perturbed)
+        with pytest.raises(SingularSolve, match="^resolvent residual 2e-08 exceeds tolerance$"):
+            fredholm(Q2, [-3.0, 1.0])
 
 
 class TestClassifyTwoFunction:

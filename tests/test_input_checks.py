@@ -20,7 +20,6 @@ from regime import (
     classify_state_dependent,
     classify_two_function,
     classify_two_function_state_dependent,
-    fredholm_solve,
     leading_minors,
     perron,
     power_drift,
@@ -42,7 +41,8 @@ PER_REGIME_READERS = {
     "thm32": lambda v: classify_two_function_state_dependent(Q2, v, TO_INF),
     "prop22": lambda v: classify_ou(Q2, v),
     "cor31": lambda v: classify_power_1d(Q2, v, [1.0], 0.5),
-    "fredholm_solve": lambda v: fredholm_solve(Q2, v),
+    "fredholm": lambda v: classify_two_function(
+        Q2, LyapunovBehavior(TO_INF, v)).certificate["fredholm"],
     "perron": lambda v: perron(Q2, v, 0.5),
 }
 

@@ -267,10 +267,16 @@ def classify_two_function_state_dependent(q_tilde: QMatrix, beta, tag: Limit) ->
 # radial drift samples and the 1-d power-drift dichotomy
 # ---------------------------------------------------------------------------
 
+# the drift |x|^delta against the sigma^2 / (2|x|) that Ito's formula adds to
+# the radial drift: below delta = -1 the noise term dominates, at -1 they tie
+_ITO_ORDER = ("at delta <= -1 Ito's sigma^2/(2|x|) term is of the drift's order or "
+              "larger, so the verdict depends on sigma; this test needs delta > -1")
+
 def classify_radial_sampled(q: QMatrix, radial_samples, delta: float) -> Classification:
     """Radial criterion from samples of b^(phi, i) . phi, shaped (n_directions,
     n_regimes): recurrent when the mu-average of the per-regime maxima (the
-    limsup bound) is negative, transient when that of the minima is positive."""
+    limsup bound) is negative, transient when that of the minima is positive.
+    It ignores sigma, so it needs delta > -1 and is inconclusive otherwise."""
     s = np.asarray(radial_samples, dtype=float)
     if s.ndim != 2 or s.shape[1] != q.n:
         raise ValueError("samples must be (n_directions, n_regimes)")
@@ -280,6 +286,8 @@ def classify_radial_sampled(q: QMatrix, radial_samples, delta: float) -> Classif
     tol = SIGN_TOL * max(1.0, float(np.abs(s).max()))
     cert = {"mu": mu, "beta": beta_up, "beta_tilde": beta_lo,
             "mu_beta": s_up, "mu_beta_tilde": s_lo, "delta": delta}
+    if delta <= -1.0:
+        return Classification(Verdict.INCONCLUSIVE, "thm33", cert, reason=_ITO_ORDER)
     if s_up < -tol:
         return Classification(Verdict.RECURRENT, "thm33", cert)
     if s_lo > tol:
@@ -291,12 +299,14 @@ def classify_radial_sampled(q: QMatrix, radial_samples, delta: float) -> Classif
 def classify_power_1d(q: QMatrix, b, sigma, delta: float) -> Classification:
     """Complete dichotomy for 1-d power drift b_i x^delta with reflecting zero.
 
-    For delta in [-1, 1) the process is recurrent exactly when
+    For delta in (-1, 1) the process is recurrent exactly when
     sum(mu_i b_i) <= 0 (boundary included), transient otherwise; this test is
-    total, never inconclusive.  At the boundary the certificate additionally
-    records the strictly negative proof-side quantity
+    total there, never inconclusive.  At the boundary the certificate
+    additionally records the strictly negative proof-side quantity
     sum(mu_i b_i (Q^-1 b)_i).  delta = 1 is the linear case and is delegated
-    to :func:`classify_ou`.
+    to :func:`classify_ou`.  At delta = -1 the verdict depends on sigma (one
+    regime with b = 0.4, sigma = 1 is a Bessel process of dimension 1.8, so
+    recurrent), and the test is inconclusive.
     """
     sv = np.asarray(sigma, dtype=float).ravel()
     if sv.size not in (1, q.n):
@@ -312,6 +322,8 @@ def classify_power_1d(q: QMatrix, b, sigma, delta: float) -> Classification:
 
     bv, mu, s, tol = _averaged(q, b)
     cert = {"mu": mu, "mu_b": s, "delta": delta, "tol": tol}
+    if delta == -1.0:
+        return Classification(Verdict.INCONCLUSIVE, "cor31", cert, reason=_ITO_ORDER)
     if s <= tol:
         if abs(s) <= tol and float(np.abs(bv).max()) > tol:
             w = _pinned_solve(q, mu, bv.copy())

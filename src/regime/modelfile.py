@@ -16,6 +16,8 @@ Schema overview (all 1-based regime/state indices in files)::
                | {"kind": "ou", "b": [...]}               # power with delta 1
                | {"kind": "radial", "delta": <float>,
                   "radial_component": [[...per regime...], ...]},
+                   # cor31 and thm33 conclude only for delta > -1: at -1 the
+                   # verdict depends on sigma, and both are inconclusive
       "sigma"?: <float> | [<float>, ...],
       "lyapunov"?: {"beta": [...], "tag": "to-infinity"|"to-zero", "r0"?: ..}
                  | {"preset": "abs", "r0"?: ..}            # V = |x|

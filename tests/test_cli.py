@@ -456,6 +456,22 @@ class TestClassifyCommand:
         assert [r for r in report["reasons"] if not r.startswith("needs")] == [
             "no positive vector x with A x >> 0 is provable in floating point", failure]
 
+    @pytest.mark.parametrize("criterion, drift", [
+        ("cor31", {"kind": "power", "b": [0.4, 0.4], "delta": -1.0}),
+        ("thm33", {"kind": "radial", "delta": -1.0,
+                   "radial_component": [[0.3, 0.3], [0.3, 0.3]]})])
+    def test_delta_minus_one_is_inconclusive(self, criterion, drift, tmp_path, capsys):
+        # both regimes alike: dX = 0.4/X dt + dB has scale density x^-0.8, so
+        # it is recurrent (likewise 0.3/X), while mu.b > 0 reads transient
+        path = write_model(tmp_path, {
+            "regimes": 2, "q": {"kind": "matrix", "entries": [[-1.0, 1.0], [2.0, -2.0]]},
+            "drift": drift, "sigma": 1.0, "boundary": "reflect"})
+        assert main(["classify", path]) == 2
+        report = json.loads(capsys.readouterr().out)
+        (attempt,) = [a for a in report["attempted"] if a["criterion"] == criterion]
+        assert attempt["verdict"] == "inconclusive"
+        assert "Ito's sigma^2/(2|x|) term" in attempt["reason"]
+
     def test_auto_records_a_thm31_residual_failure_and_goes_on(self, tmp_path, capsys,
                                                                 monkeypatch):
         # xi moved off the solution in one entry: the residual 2e-8 exceeds

@@ -370,6 +370,12 @@ class TestClassifyRadial:
         np.testing.assert_allclose(out.certificate["beta"], [1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(out.certificate["beta_tilde"], [-1.0, -1.0], atol=1e-12)
 
+    def test_delta_minus_one_is_inconclusive(self):
+        # outward 0.3 / |x| in both regimes with sigma = 1 is recurrent in 1-d
+        out = classify_radial_sampled(Q2, [[0.3, 0.3], [0.3, 0.3]], -1.0)
+        assert out.verdict is Verdict.INCONCLUSIVE
+        assert "Ito's sigma^2/(2|x|) term" in out.reason
+
     @pytest.mark.parametrize("samples", [np.zeros(2), np.zeros((4, 3)), np.zeros((4, 2, 1))])
     def test_samples_must_be_directions_by_regimes(self, samples):
         with pytest.raises(ValueError, match=r"samples must be \(n_directions, n_regimes\)"):
@@ -385,9 +391,20 @@ class TestClassifyPower1d:
         assert cert["mu_b_w"] == pytest.approx(-2 / 3, abs=1e-12)
 
     def test_positive_drift_everywhere(self):
-        for delta in (-1.0, -0.5, 0.0, 0.5, 0.9):
+        for delta in (-0.5, 0.0, 0.5, 0.9):
             assert classify_power_1d(Q2, [1.0, 1.0], [1.0], delta).verdict \
                 is Verdict.TRANSIENT
+        # at delta = -1 identical regimes are recurrent iff b <= sigma^2 / 2
+        assert classify_power_1d(Q2, [1.0, 1.0], [1.0], -1.0).verdict \
+            is Verdict.INCONCLUSIVE
+
+    def test_delta_minus_one_is_inconclusive(self):
+        # dX = 0.4/X dt + dB is a Bessel process of dimension 1.8: recurrent,
+        # though mu.b = 0.4 > 0
+        out = classify_power_1d(Q2, [0.4, 0.4], [1.0], -1.0)
+        assert out.verdict is Verdict.INCONCLUSIVE
+        assert "Ito's sigma^2/(2|x|) term" in out.reason
+        assert out.certificate["mu_b"] == pytest.approx(0.4, abs=1e-12)
 
     def test_linear_case_delegates(self):
         out = classify_power_1d(Q2, [-2.0, 1.0], [1.0], 1.0)

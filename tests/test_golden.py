@@ -39,7 +39,10 @@ documents as the one whose thm32 certificate needs a non-constant eta; its
 verdicts were pinned before thm32 was posed over the increments of eta, and
 its digest after, when its eta became exactly (2, 1, 1) (it was
 (1.9999999999999998, 0.9999999999999999, 1.0), not nonincreasing).  No other
-digest moved with that change.
+digest moved with that change.  ``radial-gap`` (delta = -1) had its digest
+and verdicts re-recorded when cor31 and thm33 became inconclusive at
+delta = -1: its thm33 reason names the Ito term, where it named the straddle
+of the averaged bounds, and no exit code or verdict changed.
 """
 
 import dataclasses
@@ -170,7 +173,7 @@ CLI_DIGEST = {
     ("preset-abs", "classify-modes"): "78b61cfd4a8665185e7bf1cc3c28a385222a5ba5fe33015a85282837f201bbdd",
     ("preset-inverse-abs", "classify-modes"): "96b256d8322f5dea5f245eb76c2556c5cb10b2cb224c2b8a5cecfb8586d4cf36",
     ("radial", "classify-modes"): "c937c3d4d7ea669dea8531ead0b15f7eabe236765993e6e49dfa967e5ba70248",
-    ("radial-gap", "classify-modes"): "8d0022cc4570dd3222a4b2200cbb54363d8950501babf2eeb21f209a3bd4ce16",
+    ("radial-gap", "classify-modes"): "d32107fee117b8878b68c5aebf1d4d33dec0849893bfb6158b009a7eb92ad969",
     ("two-matrix", "classify-modes"): "162ae590799d13ceb9b9a9c0875d06654e3a3237b2a969e3f4af55c55b56e980",
     ("two-matrix-gap", "classify-modes"): "1510ff89934215575eb4a55c819ac0b169c7de0577665e7f150097b4a89e0223",
     ("two-rates", "classify-modes"): "bc6a1b176f9cc8f6788407f4cde8214e59c8391c52ca4044278d69aaa045b0be",

@@ -162,7 +162,8 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--i0 must lie in 1..{model.n_regimes}, got {args.i0}")
     report = run_ensemble(model, x0=args.x0, i0=args.i0 - 1, r0=args.r0, T=args.T, dt=args.dt,
                           trials=args.trials, seed=args.seed, escape_radius=args.escape_radius)
-    _emit({"model": str(args.model), "simulation": vars(report)}, args.out, args.text)
+    sim = dict(vars(report), i0=args.i0)  # the 1-based regime the user gave
+    _emit({"model": str(args.model), "simulation": sim}, args.out, args.text)
     return 0
 
 

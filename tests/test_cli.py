@@ -631,6 +631,16 @@ class TestSimulateCommand:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: --i0 must lie in 1..2, got {i0}\n"
 
+    def test_report_gives_i0_as_given(self, tmp_path, capsys):
+        # --i0 counts from 1; the library's regime index counts from 0
+        path = write_model(tmp_path, benchmark_documents()["ou"])
+        args = ["--x0", "3", "--r0", "1", "--T", "1.0", "--dt", "0.01", "--trials", "100"]
+        assert main(["simulate", path, *args, "--i0", "2"]) == 0
+        report = json.loads(capsys.readouterr().out)["simulation"]
+        lib = run_ensemble(load_model(path).sde(), x0=3.0, i0=1, r0=1.0, T=1.0, dt=0.01,
+                           trials=100, seed=0, escape_radius=50.0)
+        assert report == json.loads(json.dumps(jsonify(dict(vars(lib), i0=2))))
+
     def test_infinite_chain_fails_with_one_error_line(self, tmp_path, capsys):
         doc = benchmark_documents()["ex21"]
         doc.update(drift={"kind": "ou", "b": [-1.0]}, sigma=1.0)
@@ -651,7 +661,7 @@ class TestSimulateCommand:
         report = json.loads(out.read_text())["simulation"]
         lib = run_ensemble(parse_model(doc).sde(), x0=[3.0, 3.0], i0=0, r0=1.0, T=2.0,
                            dt=0.01, trials=100, seed=5, escape_radius=50.0)
-        assert report == json.loads(json.dumps(jsonify(vars(lib))))
+        assert report == json.loads(json.dumps(jsonify(dict(vars(lib), i0=1))))
         assert report["x0"] == [3.0, 3.0]
         capsys.readouterr()
         assert main(["simulate", path, "--x0", "3", "--r0", "1", "--T", "2.0",

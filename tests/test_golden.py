@@ -42,7 +42,10 @@ its digest after, when its eta became exactly (2, 1, 1) (it was
 digest moved with that change.  ``radial-gap`` (delta = -1) had its digest
 and verdicts re-recorded when cor31 and thm33 became inconclusive at
 delta = -1: its thm33 reason names the Ito term, where it named the straddle
-of the averaged bounds, and no exit code or verdict changed.
+of the averaged bounds, and no exit code or verdict changed.  The three
+``simulate`` digests and ``RATES3_SIMULATE_DIGEST`` were re-recorded when the
+report began to give ``--i0`` as typed (1-based): each output changed only
+in its ``"i0"`` line, from 0 to 1.
 """
 
 import dataclasses
@@ -152,12 +155,12 @@ STEP_SWITCHES = 26
 # "classify-modes" hashes the transcript of ``_classify_transcript``.
 CLI_DIGEST = {
     ("cor31", "classify"): "59778622abbcf03a62a004eed14bed5f7fb888af13e3dafc09ef88fd323029d2",
-    ("cor31", "simulate"): "0ec894992741274700c431ccef23bef3b7a188f381f87b0416208cafba0cd3be",
+    ("cor31", "simulate"): "915a6597b74184546c95c824ac1d7974378063a6846bfaddd29d4aa4123ed542",
     ("ex21", "classify"): "12c3e413fe80c88b27d02ccbfe9a49891c3d41acd861bc1ddfff4a768c675071",
     ("ex22", "classify"): "9f1074a1ea19db7bf5e835c1da122edd20762b5afe9b66e21f41605478b1d3ec",
-    ("ex22", "simulate"): "5ecf65ce543d54e6fa7cd00a24b6a5e79c7c12145996c35319ac950f10a4897b",
+    ("ex22", "simulate"): "d3eff369b7734ff191a413eb6bf544015c0bd5d5dd58ec3bf8c88458c1774dac",
     ("ou", "classify"): "10d14ac1a22246ee70618314dec6a903c0a3fb5f23056a9ef0af9927cfd76767",
-    ("ou", "simulate"): "4ecad45025270891523b810887e1ce949049489dc718a6ddd0419b22254609d1",
+    ("ou", "simulate"): "6169c53d738c79c2625469a87676288d23ea38ab78191eba6cf417b9af693cf4",
     ("beta-boundary", "classify-modes"): "4c3f6d3803955a55af97e4ea814d1dde6c2927aab7ce84982d90406b880d5de5",
     ("beta-inf", "classify-modes"): "39913561bbe07a59364e222f908f2bd8178c57fb87d79a9b4efcea1ff4ec3058",
     ("beta-zero", "classify-modes"): "a1f181a57dc6632748cc090c4528d99d2ff356f65b2ad567246fc7661ce2397a",
@@ -195,7 +198,7 @@ RATES3_DOC = {"regimes": 3,
                     "scan": {"lo": 1e-3, "hi": 1e3}},
               "drift": {"kind": "power", "b": [-1.0, 0.5, -0.5], "delta": 0.5},
               "sigma": [1.0, 0.8, 1.2], "boundary": "reflect"}
-RATES3_SIMULATE_DIGEST = "d65cee30ec3a5e89371e41cf3405693db69bd7fc34d667bd70cb0c4f3fc600bf"
+RATES3_SIMULATE_DIGEST = "7d470445b0c7a1be3bcc5cfcc4f7fadc941d8b483e8791ac82a49eaa6fa49264"
 CLI_MODES = ("auto", "cor31", "prop22", "thm22", "thm23", "thm24",
              "thm21", "thm31", "thm32", "thm33")
 

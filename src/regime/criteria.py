@@ -339,13 +339,14 @@ def classify_power_1d(q: QMatrix, b, sigma, delta: float) -> Classification:
 
 def kappa_thresholds(a: float, b: float) -> tuple:
     """Closed-form drift thresholds for the two-class birth-death benchmark
-    with down-rate ``a`` and up-rate ``b`` (requires a >= b > 0).
+    with down-rate ``a`` and up-rate ``b`` (requires finite a >= b > 0).
 
     Returns ``(kappa_rec, kappa_trans)``: drift slopes below/above which the
-    two-class partition certificate proves recurrence/transience.
+    two-class partition certificate proves recurrence/transience.  Rates
+    whose squares overflow (about 1e154 and up) are refused.
     """
-    if not (a >= b > 0):
-        raise ValueError("need a >= b > 0")
+    if not (a >= b > 0 and np.isfinite(a)):
+        raise ValueError("need finite a >= b > 0")
     s = a + b + 1.0
     kappa_rec = (s - np.sqrt(s * s - 4.0 * a)) / 2.0
     if 2.0 * a * b <= 1.0 - b:
@@ -353,6 +354,8 @@ def kappa_thresholds(a: float, b: float) -> tuple:
     else:
         t = a + b - 1.0
         kappa_trans = (1.0 - b - a + np.sqrt(t * t + 4.0 * a + 2.0 * b - 2.0)) / 2.0
+    if not np.isfinite([kappa_rec, kappa_trans]).all():
+        raise ValueError(f"the closed forms overflow at a = {a:g}, b = {b:g}")
     return float(kappa_rec), float(kappa_trans)
 
 

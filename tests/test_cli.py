@@ -1081,5 +1081,17 @@ class TestThresholdsCommand:
     def test_invalid_rates(self, capsys):
         assert main(["thresholds", "1", "2"]) == 1
 
+    @pytest.mark.parametrize("a, b, message", [
+        ("inf", "1", "need finite a >= b > 0"),
+        ("1", "inf", "need finite a >= b > 0"),
+        ("nan", "1", "need finite a >= b > 0"),
+        ("1e200", "1e200", "the closed forms overflow at a = 1e+200, b = 1e+200")])
+    def test_non_finite_fails_with_one_error_line(self, capsys, a, b, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["thresholds", a, b]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
     def test_unknown_command_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -454,6 +454,20 @@ class TestKappaThresholds:
         with pytest.raises(ValueError):
             kappa_thresholds(1.0, 2.0)
 
+    @pytest.mark.parametrize("a, b", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+    def test_non_finite_rates_refused(self, a, b):
+        with pytest.raises(ValueError, match="^need finite a >= b > 0$"):
+            kappa_thresholds(a, b)
+
+    def test_overflowing_closed_forms_refused(self):
+        # both tend to finite limits (1/2 and 3/4), but s * s overflows
+        with pytest.raises(ValueError, match="^the closed forms overflow at a = 1e"):
+            kappa_thresholds(1e200, 1e200)
+
+    def test_benchmark_values_keep_their_bits(self):
+        rec, trans = kappa_thresholds(2.0, 1.0)
+        assert (rec.hex(), trans.hex()) == ("0x1.2bec333018866p-1", "0x1.76cf5d0b09954p-1")
+
 
 class TestThresholdConsistency:
     def test_two_class_bisection_matches_closed_forms(self):

@@ -272,6 +272,7 @@ def classify_two_function_state_dependent(q_tilde: QMatrix, beta, tag: Limit) ->
 _ITO_ORDER = ("at delta <= -1 Ito's sigma^2/(2|x|) term is of the drift's order or "
               "larger, so the verdict depends on sigma; this test needs delta > -1")
 
+
 def classify_radial_sampled(q: QMatrix, radial_samples, delta: float) -> Classification:
     """Radial criterion from samples of b^(phi, i) . phi, shaped (n_directions,
     n_regimes): recurrent when the mu-average of the per-regime maxima (the

@@ -440,6 +440,7 @@ class TestKappaThresholds:
         rec, trans = kappa_thresholds(2.0, 1.0)
         assert rec == pytest.approx(2 - math.sqrt(2), abs=1e-12)
         assert trans == pytest.approx(math.sqrt(3) - 1, abs=1e-12)
+        assert (rec.hex(), trans.hex()) == ("0x1.2bec333018866p-1", "0x1.76cf5d0b09954p-1")
 
     def test_equal_rates(self):
         rec, trans = kappa_thresholds(1.0, 1.0)
@@ -463,10 +464,6 @@ class TestKappaThresholds:
         # both tend to finite limits (1/2 and 3/4), but s * s overflows
         with pytest.raises(ValueError, match="^the closed forms overflow at a = 1e"):
             kappa_thresholds(1e200, 1e200)
-
-    def test_benchmark_values_keep_their_bits(self):
-        rec, trans = kappa_thresholds(2.0, 1.0)
-        assert (rec.hex(), trans.hex()) == ("0x1.2bec333018866p-1", "0x1.76cf5d0b09954p-1")
 
 
 class TestThresholdConsistency:

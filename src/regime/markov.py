@@ -170,10 +170,11 @@ class StateDependentRates:
     ``rate_fn(x, lam)`` is called with positions ``x`` of shape (k,) and the
     regime of each, an integer array ``lam`` of shape (k,), and returns the
     (n, k) rate table: entry (j, p) is q_{lam[p], j}(x[p]), and entry
-    (lam[p], p) is 0.  Optional ``hints[(i, j)] = (inf, sup)``, with
-    ``inf <= sup``, give closed-form bounds over the whole domain;
-    :func:`bound_rates` uses them in place of scanned bounds once the scan
-    agrees with them.
+    (lam[p], p) is 0.  Optional ``hints[(i, j)] = (inf, sup)``, for
+    off-diagonal pairs of regimes 0..n-1 with finite ``0 <= inf <= sup``,
+    give closed-form bounds over the whole domain; :func:`bound_rates` uses
+    them in place of scanned bounds once the scan agrees with them, and the
+    Monte Carlo engine thins against the sups when every pair has one.
     """
 
     n: int
@@ -181,9 +182,18 @@ class StateDependentRates:
     hints: Optional[dict] = None
 
     def __post_init__(self):
+        def regime(v) -> bool:  # a bool would index an array as a mask
+            return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < self.n
+
         for (i, j), (inf_v, sup_v) in (self.hints or {}).items():
+            if not (regime(i) and regime(j) and i != j):
+                raise ValueError(f"hint for q[{i},{j}] names no off-diagonal pair of "
+                                 f"regimes 0..{self.n - 1}")
             if not inf_v <= sup_v:
                 raise ValueError(f"hint for q[{i},{j}] needs inf <= sup, "
+                                 f"got [{inf_v:g}, {sup_v:g}]")
+            if not 0 <= inf_v <= sup_v < np.inf:
+                raise ValueError(f"hint for q[{i},{j}] needs finite bounds with inf >= 0, "
                                  f"got [{inf_v:g}, {sup_v:g}]")
 
     def evaluate(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -38,8 +38,8 @@ finite.  Rate expressions are arithmetic in the single variable ``x`` with
 exp/log/sqrt/sin/cos/tanh/abs and the constants pi and e; their parts free of
 ``x`` must evaluate to finite real numbers.  Every rate is read on the scan
 grid that a ``rates`` document must give, and each (i, j) pair is listed once.
-An ``inf``/``sup`` hint needs ``inf <= sup`` and must contain every value its
-expression takes on that grid.
+An ``inf``/``sup`` hint needs ``0 <= inf <= sup`` and must contain every value
+its expression takes on that grid.
 """
 
 from __future__ import annotations
@@ -257,6 +257,8 @@ def _parse_q(doc, n_regimes):
                 hi = _finite_number(ent["sup"], f"q.entries[{k}].sup")
                 if lo > hi:
                     raise SchemaError(f"q.entries[{k}]: hint inf {lo:g} exceeds sup {hi:g}")
+                if lo < 0:
+                    raise SchemaError(f"q.entries[{k}]: hint inf {lo:g} is negative")
                 hints[(i - 1, j - 1)] = (lo, hi)
             elif "inf" in ent or "sup" in ent:
                 raise SchemaError(f"q.entries[{k}]: give both inf and sup hints or neither")

@@ -8,12 +8,16 @@ before the horizon, so reports corroborate the analytic verdicts rather than
 prove them.
 
 One step of a whole batch is a fixed handful of numpy operations
-(``_Kernel``): the model's drift, sigma and, for state-dependent switching,
-``rate_fn`` are each called once on every active path with its regime array;
-a constant generator instead gathers a per-ensemble table of cumulative
-rates, whose step bound is checked once, before any path is seeded.  Either
-way a step switches regimes by one rule over the candidates' cumulative
-rows.
+(``_Kernel``): the model's drift and sigma are each called once on every
+active path with its regime array.  A constant generator gathers a
+per-ensemble table of cumulative rates, whose step bound is checked once,
+before any path is seeded.  State-dependent rates with an ``(inf, sup)``
+hint on every pair get such a bound from the sups, as the bounding
+generator of thm23 and thm32 does, and ``rate_fn`` reads them only at the
+paths that can switch in a step, which must keep to that bound.  Other
+state-dependent rates are read by one ``rate_fn`` call on every active path
+and checked against the guard at every step.  Either way a step switches
+regimes by one rule over the candidates' cumulative rows.
 
 Reproducibility contract: path k draws from exactly numpy's PCG64 stream
 seeded with ``SeedSequence(seed, spawn_key=(k,))``, consuming one block of
@@ -24,8 +28,9 @@ therefore bitwise identical for a given (seed, config) no matter how paths
 are chunked; aggregation is ordered by path index.
 
 Every uniform is drawn, but only those below the kernel's switching bound
-(``_Kernel.bound``: the largest q_i dt of a constant generator, else the
-0.1 guard that every step enforces) are kept.  A uniform at or above the
+(``_Kernel.bound``: the largest q_i dt of a constant generator, the largest
+sum of the hints' sup_ij dt for fully hinted rates within the guard, else
+the 0.1 guard that every step enforces) are kept.  A uniform at or above the
 bound is at or above every switching probability a step lets through, so
 it cannot switch a regime: dropping it changes no result.
 """
@@ -76,8 +81,9 @@ class SdeModel:
     ``coef[lam][:, None]``, as ``power_drift`` and ``regime_sigma`` do;
     callables that ignore the regime work unchanged.  ``rates`` is either a
     constant generator or 1-d ``StateDependentRates``, whose
-    ``rate_fn(x, lam)`` takes the same batch (positions as shape (k,)) and
-    returns the (n, k) table of rates out of each path's regime;
+    ``rate_fn(x, lam)`` takes the same batch (positions as shape (k,)), or
+    when every pair is hinted only the paths that can switch in the step,
+    and returns the (n, k) table of rates out of each path's regime;
     ``n_regimes`` is its ``n``.  ``boundary="reflect"`` keeps d = 1 paths on
     the half-line by reflecting at zero.
     """
@@ -163,27 +169,35 @@ class SimulationReport:
 class _Kernel:
     """One Euler-Maruyama step plus thinned switching for a batch of paths.
 
-    Built once per ensemble.  For a constant generator it holds the
-    cumulative off-diagonal rows ``cumsum(q_ij dt)`` and raises StepTooLarge
-    at once if any regime's total (the last column) breaks the thinning
-    bound; for state-dependent rates it sums the (n, k) table of one
-    ``rate_fn(x, lam)`` call down its columns instead, and checks the bound
-    at each step, since it depends on x.  ``bound`` is at least every total
-    a step lets through, so only paths whose uniform lies below it need one:
-    a step takes the positions of those candidates and their uniforms.  Each
-    candidate gets one cumulative row, gathered by regime from the table or
-    taken from the step's column; it switches when its uniform falls below
-    the row's total and moves to the first regime whose cumulative entry
-    exceeds it.  The model's callables are read from ``model`` at every step,
-    so a copy of the model with other callables is honoured.
+    Built once per ensemble.  ``bound`` is at least every total a step lets
+    through, so only paths whose uniform lies below it need one: a step
+    takes the positions of those candidates and their uniforms.  A constant
+    generator holds the cumulative off-diagonal rows ``cumsum(q_ij dt)``,
+    raises StepTooLarge at once if any regime's total (the last column)
+    breaks the thinning guard, and is bounded by its largest total.
+    State-dependent rates with a hint on every pair are bounded by the
+    largest total of ``cumsum(sup_ij dt)``, added in ``_rate_cumsum``'s
+    order, when it is within the guard: float addition is monotone, so no
+    path's total exceeds it while its rates keep to their sups.  With either
+    a priori bound a step without candidates ends after the Euler step, and
+    hinted rates are read at the candidates only.  Other state-dependent
+    rates are read on the whole batch and checked against the guard at
+    every step, since their bound depends on x.  Each candidate gets one
+    cumulative row, gathered by regime from the table or taken from the
+    step's column; it switches when its uniform falls below the row's total
+    and moves to the first regime whose cumulative entry exceeds it.  The
+    model's callables are read from ``model`` at every step, so a copy of
+    the model with other callables is honoured.
     """
 
     def __init__(self, model: SdeModel, dt: float):
         self.model = model
         self.dt = dt
         self.sqrt_dt = np.sqrt(dt)
-        if isinstance(model.rates, QMatrix):
-            off = np.array(model.rates.entries, dtype=float)
+        rates = model.rates
+        self.table = self.sup = None
+        if isinstance(rates, QMatrix):
+            off = np.array(rates.entries, dtype=float)
             np.fill_diagonal(off, 0.0)
             self.table = np.cumsum(off * dt, axis=1)
             total = self.table[:, -1]
@@ -193,9 +207,16 @@ class _Kernel:
                 raise StepTooLarge(f"dt * q = {total[reg]:.3g} > 0.1 in regime {reg}; "
                                    f"shrink dt")
             self.bound = float(total.max())
-        else:
-            self.table = None
-            self.bound = _MAX_SWITCH_PROB  # what _rate_cumsum enforces
+            return
+        self.bound = _MAX_SWITCH_PROB  # what _rate_cumsum enforces without hints
+        hints = rates.hints or {}
+        if hints and len(hints) == rates.n * (rates.n - 1):  # off-diagonal pairs only
+            sup = np.zeros((rates.n, rates.n))
+            for (i, j), (_, sup_v) in hints.items():
+                sup[i, j] = sup_v
+            top = float(np.cumsum(sup * dt, axis=1)[:, -1].max())
+            if top <= _MAX_SWITCH_PROB:
+                self.sup, self.bound = sup, top
 
     def advance(self, x: np.ndarray, lam: np.ndarray, z: np.ndarray,
                 cand: np.ndarray, u: np.ndarray) -> tuple:
@@ -217,8 +238,13 @@ class _Kernel:
         x_new = x + drift * self.dt + sig * z * self.sqrt_dt
         if model.boundary == "reflect":
             np.abs(x_new, out=x_new)
-        if self.table is None:
-            rows = self._rate_cumsum(x, lam).take(cand, axis=1).T
+        if self.table is None and self.sup is None:
+            # no a priori bound: every path's rates are checked against the guard
+            rows = self._rate_cumsum(x[:, 0], lam).take(cand, axis=1).T
+        elif cand.size == 0:
+            return x_new, lam
+        elif self.table is None:
+            rows = self._rate_cumsum(x.take(cand, axis=0)[:, 0], lam.take(cand)).T
         else:
             rows = self.table.take(lam.take(cand), axis=0)
         hit = (u < rows[:, -1]).nonzero()[0]
@@ -228,10 +254,10 @@ class _Kernel:
         lam_new[cand.take(hit)] = (u.take(hit)[:, None] < rows.take(hit, axis=0)).argmax(axis=1)
         return x_new, lam_new
 
-    def _rate_cumsum(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    def _rate_cumsum(self, xs: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Cumulative switching probabilities, (n, k): row j sums q_{lam,l}(x) dt
-        over l <= j, from one ``rate_fn(x, lam)`` call on the whole batch."""
-        xs = x[:, 0]
+        over l <= j, from one ``rate_fn(xs, lam)`` call; every total must be
+        within ``bound``."""
         q = self.model.rates.evaluate(xs, lam)
         # row-by-row running sum: np.cumsum along the short axis is slower,
         # and adds in the same order
@@ -239,12 +265,18 @@ class _Kernel:
         for j in range(1, len(cum)):
             np.add(cum[j - 1], cum[j], out=cum[j])
         top = cum[-1].max()
-        if not top <= _MAX_SWITCH_PROB:
+        if not top <= self.bound:
             if not np.isfinite(top):
                 _raise_bad_rate(q, xs, lam)
             p = int(cum[-1].argmax())
             _check_diagonal(q, xs, lam, p)
-            raise StepTooLarge(f"dt * q = {top:.3g} > 0.1 in regime {lam[p]}; shrink dt")
+            if self.sup is None:
+                raise StepTooLarge(f"dt * q = {top:.3g} > 0.1 in regime {lam[p]}; shrink dt")
+            # the total can pass the hints' bound only if a rate passes its sup
+            i = int(lam[p])
+            j = int((q[:, p] > self.sup[i]).argmax())
+            raise ValueError(f"q[{i},{j}](x = {xs[p]:.6g}) = {q[j, p]:.6g} exceeds its hint "
+                             f"sup {self.sup[i, j]:g}")
         return cum
 
 

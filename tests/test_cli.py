@@ -832,6 +832,32 @@ def test_inverted_hint_fails_with_one_error_line(tmp_path, capsys, mode, scan, w
     assert out == "" and err == want
 
 
+# q_12 = 1 + 2 sin(pi x)^2 is 1 on the scan nodes 1, 2 and 3, inside its hint
+# [1, 2], and 3 halfway between them
+BETWEEN_NODES_DOC = {
+    "regimes": 2,
+    "q": {"kind": "rates",
+          "entries": [{"i": 1, "j": 2, "expr": "1 + 2*sin(pi*x)**2", "inf": 1.0, "sup": 2.0},
+                      {"i": 2, "j": 1, "expr": "1", "inf": 1.0, "sup": 2.0}],
+          "scan": {"lo": 1.0, "hi": 3.0, "points": 2, "spacing": "linear"}},
+    "drift": {"kind": "power", "b": [-1.0, -1.0], "delta": 1.0},
+    "sigma": 0.1, "boundary": "reflect",
+    "lyapunov": {"beta": [-1.0, -1.0], "tag": "to-infinity"},
+}
+
+
+def test_rate_above_its_hint_between_scan_nodes_fails_simulate(tmp_path, capsys):
+    # the scan cannot see the rate pass its sup, so classify trusts the hint;
+    # simulate thins against the sup and refuses a path whose rate passes it
+    path = write_model(tmp_path, BETWEEN_NODES_DOC)
+    assert main(["classify", path, "--criterion", "thm23"]) == 0
+    capsys.readouterr()
+    assert main(["simulate", path, "--x0", "2.5", "--r0", "1", "--T", "1.0", "--dt", "0.01",
+                 "--trials", "100"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: q[0,1](x = 2.5) = 3 exceeds its hint sup 2\n"
+
+
 def test_step_cap_fails_at_once_with_one_error_line(tmp_path, capsys):
     # 1e15 steps of work are refused before any path is seeded
     path = write_model(tmp_path, benchmark_documents()["ex22"])
@@ -900,6 +926,9 @@ BAD_DOCUMENTS = [
     ("rate-one-hint", _with(_doc("ex22"), ("q", "entries", 0), {"i": 1, "j": 2, "expr": "x",
                                                                 "inf": 0.0}),
      "SchemaError", "q.entries[0]: give both inf and sup hints or neither"),
+    # a negative inf is the hint's fault, not a negative rate's
+    ("rate-negative-hint", _with(_doc("ex22"), ("q", "entries", 1, "inf"), -1.0),
+     "SchemaError", "q.entries[1]: hint inf -1 is negative"),
     ("rate-syntax", _with(_doc("ex22"), ("q", "entries", 0, "expr"), "1 +"), "ParseError",
      "bad rate expression '1 +'"),
     ("rate-construct", _with(_doc("ex22"), ("q", "entries", 0, "expr"), "x.real"), "ParseError",

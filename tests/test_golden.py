@@ -61,7 +61,8 @@ from regime import cli, least_real_eigenvalue, modelfile, reproduce, run_ensembl
 from regime.markov import bound_rates
 from regime.modelfile import load_model
 from test_mmatrix import exact_leading_minors, exactly_semipositive
-from test_simulate import plane_model, step
+from regime.simulate import _Kernel
+from test_simulate import plane_model, step, without_hints
 
 
 # name -> (model builder taking the emitted-model directory, run_ensemble kwargs)
@@ -360,6 +361,18 @@ def test_three_regime_rates_simulate_is_bitwise_golden(tmp_path, capsys):
     assert cli.main(["simulate", str(path)] + CLI_SIMULATE_ARGS) == 0
     out = capsys.readouterr().out.replace(str(path), "MODEL")
     assert hashlib.sha256(out.encode()).hexdigest() == RATES3_SIMULATE_DIGEST
+
+
+def test_hinted_three_regime_rates_report_as_unhinted():
+    # _RATES3 hints every pair, with sup sums 3, 4 and 2 per row, so at
+    # dt = 0.01 the engine keeps uniforms below 0.04 and reads the rates at
+    # those paths only; the report is the unhinted one, to the bit
+    model = modelfile.parse_model(dict(RATES3_DOC, q=_RATES3)).sde()
+    assert _Kernel(model, 0.01).bound == 0.04
+    kw = dict(x0=2.0, i0=0, r0=1.0, T=5.0, dt=0.01, trials=200, seed=3)
+    hinted = run_ensemble(model, **kw)
+    assert repr(hinted) == repr(run_ensemble(without_hints(model), **kw))
+    assert 0 < hinted.returned < 200
 
 
 def test_classify_verdicts_are_pinned(model_dir, capsys):

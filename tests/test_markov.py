@@ -169,6 +169,25 @@ class TestBoundRates:
         with pytest.raises(ValueError, match=r"^hint for q\[1,0\] needs inf <= sup, got "):
             StateDependentRates(n=2, rate_fn=fn, hints={(0, 1): (1.0, 1.0), (1, 0): hint})
 
+    @pytest.mark.parametrize("pair, hint, message", [
+        ((0, 5), (1.0, 2.0), r"^hint for q\[0,5\] names no off-diagonal pair of regimes 0\.\.1$"),
+        ((1, 1), (1.0, 2.0), r"^hint for q\[1,1\] names no off-diagonal pair of regimes 0\.\.1$"),
+        ((-1, 0), (1.0, 2.0), r"^hint for q\[-1,0\] names no off-diagonal pair"),
+        ((0.5, 1), (1.0, 2.0), r"^hint for q\[0\.5,1\] names no off-diagonal pair"),
+        ((True, 0), (1.0, 2.0), r"^hint for q\[True,0\] names no off-diagonal pair"),
+        ((1, 0), (-3.0, -1.0), r"^hint for q\[1,0\] needs finite bounds with inf >= 0, "
+                               r"got \[-3, -1\]$"),
+        ((1, 0), (1.0, float("inf")), r"^hint for q\[1,0\] needs finite bounds with inf >= 0, "
+                                      r"got \[1, inf\]$"),
+    ], ids=["out-of-range", "diagonal", "negative-index", "float-index", "bool-index", "negative",
+            "infinite"])
+    def test_bad_hint_is_rejected_when_the_rates_are_built(self, pair, hint, message):
+        # bound_rates would skip such a key, and a negative sup would let the
+        # Monte Carlo engine keep no uniform at all
+        fn = two_regime_rates(up=lambda x: 1.0, down=lambda x: 1.0)
+        with pytest.raises(ValueError, match=message):
+            StateDependentRates(n=2, rate_fn=fn, hints={(0, 1): (1.0, 1.0), pair: hint})
+
     def test_one_call_per_row(self):
         # row 0 is fully hinted and read too; every row is read once, on the
         # grid refined once

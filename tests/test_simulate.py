@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 
 from regime import (
     QMatrix,
+    ScanGrid,
     SdeModel,
     StateDependentRates,
     TailHomogeneousChain,
+    bound_rates,
     invariant_measure,
     run_ensemble,
     simulate,
@@ -35,6 +38,12 @@ def bound_model() -> SdeModel:
     """ex22's slopes at kappa = 0.3 with the constant generator Q_AT_BOUND."""
     return SdeModel(dim=1, drift=power_drift([-0.7, 0.3]), sigma=regime_sigma(np.sqrt(2.0)),
                     rates=Q_AT_BOUND, boundary="reflect")
+
+
+def without_hints(model: SdeModel) -> SdeModel:
+    """``model`` with its rates' hints dropped, so the engine reads the rates
+    of the whole batch at every step against the 0.1 guard."""
+    return dataclasses.replace(model, rates=dataclasses.replace(model.rates, hints=None))
 
 
 def step(model: SdeModel, x, regime: int, dt: float, rng: np.random.Generator) -> tuple:
@@ -183,15 +192,19 @@ class TestStep:
 
 
 class TestCandidates:
-    @pytest.mark.parametrize("model", [bound_model(), ex22_sde_model(0.3)],
-                             ids=["at-bound", "state-dependent"])
-    def test_uniforms_below_the_bound_decide_every_switch(self, model):
+    @pytest.mark.parametrize("model, bound", [
+        (bound_model(), 0.1),
+        # ex22's hints bound both rates by 2, so q dt <= 2e-3
+        (ex22_sde_model(0.3), 2e-3),
+        (without_hints(ex22_sde_model(0.3)), simulate._MAX_SWITCH_PROB),
+    ], ids=["at-bound", "state-dependent", "unhinted"])
+    def test_uniforms_below_the_bound_decide_every_switch(self, model, bound):
         # one step with every path a candidate against one with only those
         # whose uniform lies below the kernel's bound: the same to the bit,
         # uniforms exactly at the bound included
         dt, k = 1e-3, 5000
         kernel = _Kernel(model, dt)
-        assert kernel.bound == (0.1 if model.rates is Q_AT_BOUND else simulate._MAX_SWITCH_PROB)
+        assert kernel.bound == bound
         rng = np.random.default_rng(4)
         x = rng.uniform(0.5, 5.0, (k, 1))
         lam = rng.integers(0, 2, k)
@@ -330,8 +343,9 @@ class TestRunEnsemble:
                 np.testing.assert_array_equal(w[block], p)
 
     def test_rng_memory_holds_normals_and_kept_uniforms(self):
-        # 2000 paths by 1000 steps: 16 MB of normals and about 200000 kept
-        # uniforms (q dt <= 0.1); a dense buffer of every uniform would add
+        # 2000 paths by 1000 steps: 16 MB of normals and about 4000 kept
+        # uniforms (ex22's hints give q dt <= 2e-3; 200000 below the 0.1
+        # guard without them); a dense buffer of every uniform would add
         # another 16 MB
         model = ex22_sde_model(1.2)
         tracemalloc.start()
@@ -562,6 +576,86 @@ class TestStateDependentRateValues:
         with pytest.raises(ValueError, match=r"rate_fn\(x, lam\) entry \(lam\[p\], p\) = "
                                              r"\(0, 0\) must be 0, got 60 at x = 3"):
             run_ensemble(model, x0=3.0, i0=0, r0=1.0, T=1.0, dt=1e-3, trials=100, seed=0)
+
+
+class TestHintedRates:
+    """Rates with a hint on every pair are thinned against the hints' sups:
+    read only at the paths whose uniform lies below the bound, with the
+    reports of the unhinted rates, to the bit."""
+
+    @staticmethod
+    def _counted(model: SdeModel, seen: list) -> SdeModel:
+        """``model`` whose rate_fn records the positions of each call."""
+        fn = model.rates.rate_fn
+
+        def rate_fn(x, lam):
+            seen.append(x.size)
+            return fn(x, lam)
+
+        return dataclasses.replace(model, rates=dataclasses.replace(model.rates, rate_fn=rate_fn))
+
+    @pytest.mark.parametrize("kappa", [0.3, 1.2])
+    def test_hints_change_no_report(self, kappa):
+        model = ex22_sde_model(kappa)
+        assert _Kernel(model, 1e-3).sup is not None
+        kw = dict(x0=3.0, i0=0, r0=1.0, T=2.0, dt=1e-3, trials=200, seed=5)
+        seen = []
+        hinted = run_ensemble(self._counted(model, seen), **kw)
+        assert repr(hinted) == repr(run_ensemble(without_hints(model), **kw))
+        assert 0 < hinted.returned < 200
+        # about 200 * 2000 * 2e-3 = 800 candidates, in calls of at least one
+        assert min(seen) >= 1 and 400 < sum(seen) < 1600 and len(seen) < 2000
+
+    @pytest.mark.parametrize("hints", [{(0, 1): (1.0, 200.0), (1, 0): (1.0, 2.0)},
+                                       {(0, 1): (1.0, 2.0)}],
+                             ids=["loose", "partial"])
+    def test_hints_that_give_no_bound_read_the_whole_batch(self, hints):
+        # a sup of 200 at dt = 1e-3 gives 0.2, past the guard; one hint of
+        # two bounds nothing
+        model = ex22_sde_model(0.3)
+        model = dataclasses.replace(model, rates=dataclasses.replace(model.rates, hints=hints))
+        kernel = _Kernel(model, 1e-3)
+        assert kernel.sup is None and kernel.bound == simulate._MAX_SWITCH_PROB
+        kw = dict(x0=3.0, i0=0, r0=1.0, T=1.0, dt=1e-3, trials=100, seed=5)
+        seen = []
+        loose = run_ensemble(self._counted(model, seen), **kw)
+        assert repr(loose) == repr(run_ensemble(without_hints(model), **kw))
+        assert len(seen) == 1000 and seen[0] == 100
+
+    def test_rate_fn_sees_only_the_candidates(self):
+        seen = []
+
+        def rate_fn(x, lam):
+            seen.append((x.tolist(), lam.tolist()))
+            return np.where(np.arange(2)[:, None] == lam, 0.0, 1.0)
+
+        rates = StateDependentRates(n=2, rate_fn=rate_fn,
+                                    hints={(0, 1): (1.0, 1.0), (1, 0): (0.5, 1.0)})
+        model = SdeModel(dim=1, drift=lambda x, lam: np.zeros_like(x), sigma=lambda x, lam: 0.0,
+                         rates=rates)
+        kernel = _Kernel(model, 0.01)
+        assert kernel.bound == 0.01
+        x, lam, z = np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([0, 1, 1, 0]), np.zeros((4, 1))
+        _, lam_new = kernel.advance(x, lam, z, np.array([], dtype=np.intp), np.array([]))
+        assert seen == [] and lam_new.tolist() == [0, 1, 1, 0]
+        _, lam_new = kernel.advance(x, lam, z, np.array([3, 1]), np.array([0.005, 0.01]))
+        assert seen == [([4.0, 2.0], [0, 1])]
+        assert lam_new.tolist() == [0, 1, 1, 1]
+
+    def test_rate_above_its_sup_between_scan_nodes_raises(self):
+        # 1 + 2 sin(pi x)^2 is 1 on the scan nodes 1, 2 and 3, inside its
+        # hint [1, 2], and 3 at x = 2.5, where the paths stay
+        def rate_fn(x, lam):
+            up = np.where(lam == 0, 1.0 + 2.0 * np.sin(np.pi * x) ** 2, 1.0)
+            return np.where(np.arange(2)[:, None] == lam, 0.0, up)
+
+        rates = StateDependentRates(n=2, rate_fn=rate_fn,
+                                    hints={(0, 1): (1.0, 2.0), (1, 0): (1.0, 2.0)})
+        bound_rates(rates, ScanGrid(lo=1.0, hi=3.0, points=2, spacing="linear"))
+        model = SdeModel(dim=1, drift=lambda x, lam: np.zeros_like(x), sigma=lambda x, lam: 0.0,
+                         rates=rates)
+        with pytest.raises(ValueError, match=r"^q\[0,1\]\(x = 2\.5\) = 3 exceeds its hint sup 2$"):
+            run_ensemble(model, x0=2.5, i0=0, r0=1.0, T=1.0, dt=1e-2, trials=100, seed=0)
 
 
 class TestMultiDimensional:

@@ -11,13 +11,17 @@ One step of a whole batch is a fixed handful of numpy operations
 (``_Kernel``): the model's drift and sigma are each called once on every
 active path with its regime array.  A constant generator gathers a
 per-ensemble table of cumulative rates, whose step bound is checked once,
-before any path is seeded.  State-dependent rates with an ``(inf, sup)``
-hint on every pair get such a bound from the sups, as the bounding
-generator of thm23 and thm32 does, and ``rate_fn`` reads them only at the
-paths that can switch in a step, which must keep to that bound.  Other
-state-dependent rates are read by one ``rate_fn`` call on every active path
-and checked against the guard at every step.  Either way a step switches
-regimes by one rule over the candidates' cumulative rows.
+before any path is seeded.  Its switches read no position, so each block's
+are decided before the block's first step, from the table and the kept
+uniforms, and a step is only the Euler update and the hit test.
+State-dependent rates with an ``(inf, sup)`` hint on every pair get such a
+bound from the sups, as the bounding generator of thm23 and thm32 does, and
+``rate_fn`` reads them only at the paths that can switch in a step, which
+must keep to that bound.  Other state-dependent rates are read by one
+``rate_fn`` call on every active path and checked against the guard at
+every step.  Every switch follows one rule over cumulative rows, the one
+``_Kernel.advance`` applies step by step; its table branch is the reference
+that the block decision of a constant generator reproduces bit for bit.
 
 Reproducibility contract: path k draws from exactly numpy's PCG64 stream
 seeded with ``SeedSequence(seed, spawn_key=(k,))``, consuming one block of
@@ -186,8 +190,12 @@ class _Kernel:
     cumulative row, gathered by regime from the table or taken from the
     step's column; it switches when its uniform falls below the row's total
     and moves to the first regime whose cumulative entry exceeds it.  The
-    model's callables are read from ``model`` at every step, so a copy of
-    the model with other callables is honoured.
+    engine steps state-dependent rates through ``advance``; a constant
+    generator's blocks take only the Euler step (``euler``) from here, their
+    switches decided ahead by ``_block_switches``, and ``advance``'s table
+    branch stays as the per-step reference rule for them.  The model's
+    callables are read from ``model`` at every step, so a copy of the model
+    with other callables is honoured.
     """
 
     def __init__(self, model: SdeModel, dt: float):
@@ -224,20 +232,7 @@ class _Kernel:
         holds the distinct positions, in any order, of the paths that may
         switch, ``u`` their uniforms; every other path's uniform is at least
         ``bound``."""
-        model = self.model
-        k, d = x.shape
-        drift = np.asarray(model.drift(x, lam), dtype=float)
-        if drift.shape != (k, d):
-            raise ValueError(f"drift(x, lam) must return the batch shape (k, d) = {(k, d)}, "
-                             f"got {drift.shape}; gather per-regime coefficients "
-                             f"as coef[lam][:, None]")
-        sig = np.asarray(model.sigma(x, lam), dtype=float)
-        if sig.shape not in ((), (d,), (k, 1), (k, d)):
-            raise ValueError(f"sigma(x, lam) must return a scalar or shape (d,), (k, 1) "
-                             f"or (k, d) with (k, d) = {(k, d)}, got {sig.shape}")
-        x_new = x + drift * self.dt + sig * z * self.sqrt_dt
-        if model.boundary == "reflect":
-            np.abs(x_new, out=x_new)
+        x_new = self.euler(x, lam, z)
         if self.table is None and self.sup is None:
             # no a priori bound: every path's rates are checked against the guard
             rows = self._rate_cumsum(x[:, 0], lam).take(cand, axis=1).T
@@ -253,6 +248,30 @@ class _Kernel:
         lam_new = lam.copy()
         lam_new[cand.take(hit)] = (u.take(hit)[:, None] < rows.take(hit, axis=0)).argmax(axis=1)
         return x_new, lam_new
+
+    def euler(self, x: np.ndarray, lam: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """The Euler-Maruyama step of the batch ``x`` in regimes ``lam`` with
+        normals ``z``, reflected at zero on a half-line model: one ``drift``
+        and one ``sigma`` call."""
+        model = self.model
+        k, d = x.shape
+        drift = np.asarray(model.drift(x, lam), dtype=float)
+        if drift.shape != (k, d):
+            raise ValueError(f"drift(x, lam) must return the batch shape (k, d) = {(k, d)}, "
+                             f"got {drift.shape}; gather per-regime coefficients "
+                             f"as coef[lam][:, None]")
+        sig = np.asarray(model.sigma(x, lam), dtype=float)
+        if sig.shape not in ((), (d,), (k, 1), (k, d)):
+            raise ValueError(f"sigma(x, lam) must return a scalar or shape (d,), (k, 1) "
+                             f"or (k, d) with (k, d) = {(k, d)}, got {sig.shape}")
+        # x + drift dt + sig z sqrt(dt), summed in place: float addition
+        # commutes, so the bits are those of the left-to-right sum
+        x_new = drift * self.dt
+        x_new += x
+        x_new += (sig * z) * self.sqrt_dt
+        if model.boundary == "reflect":
+            np.abs(x_new, out=x_new)
+        return x_new
 
     def _rate_cumsum(self, xs: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Cumulative switching probabilities, (n, k): row j sums q_{lam,l}(x) dt
@@ -340,22 +359,25 @@ def _simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: i
                     r0: float, n_steps: int, dt: float, seed: int) -> tuple:
     """Run a block of paths to min(hitting time, horizon).
 
-    The active paths' positions, regimes and indices stay compacted, in path
-    order; a step where some path hits removes it.  Each block's normals sit
-    in a step-major buffer, one column per active path at the start of the
+    The active paths' positions and indices stay compacted, in path order; a
+    step where some path hits removes it.  Each block's normals sit in a
+    step-major buffer, one column per active path at the start of the
     block, so a step reads a contiguous row until the first path of the
-    block retires.  Its uniforms are kept only below ``kernel.bound``
-    (``_live_uniforms``); from the first retirement a column-to-position
-    array, -1 once retired, turns a step's columns into batch positions.
-    One generator serves every path: it is set to a path's state, draws
-    that path's block into a contiguous group scratch, and the group is
-    copied into the buffers at once.  Returns each path's hitting time and
-    its radius at the horizon: nan for the radius of a returned path, and
-    for the hitting time of one still out.
+    block retires, and the row's entries at the active paths' columns from
+    then on.  Its uniforms are kept only below ``kernel.bound``.  One
+    generator serves every path: it is set to a path's state, draws that
+    path's block into a contiguous group scratch, and the group is copied
+    into the buffers at once.  The kept uniforms then switch the block's
+    regimes: ``_table_block`` decides a constant generator's switches before
+    the block's first step, ``_rates_block`` hands state-dependent rates'
+    candidates to ``_Kernel.advance`` step by step.  Returns each path's
+    hitting time and its radius at the horizon: nan for the radius of a
+    returned path, and for the hitting time of one still out.
     """
     k = path_ids.size
     d = model.dim
     kernel = _Kernel(model, dt)
+    run_block = _rates_block if kernel.table is None else _table_block
     states = _path_states(seed, path_ids)
     gen = np.random.Generator(np.random.PCG64())
     bitgen = gen.bit_generator
@@ -374,7 +396,6 @@ def _simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: i
         span = min(BLOCK, n_steps - done_steps)
         more = done_steps + span < n_steps
         active = ids.tolist()
-        cand_cols = cand_u = None  # the last block's store goes before this one is built
         live, live_u = [], []
         for c0 in range(0, len(active), group):
             members = active[c0:c0 + group]
@@ -392,34 +413,127 @@ def _simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: i
             live_u.append(u_mem.ravel().take(at))
             at += c0 * span
             live.append(at)
-        cand_cols, cand_u = _live_uniforms(live, live_u, span)
-        width = ids.size
-        cols = None  # buffer columns of the active paths once one has retired
-        for s in range(span):
-            if cols is None:
-                x, lam = kernel.advance(x, lam, z_buf[s, :width], cand_cols[s], cand_u[s])
-            else:
-                pos = col_pos.take(cand_cols[s])
-                alive = pos >= 0
-                x, lam = kernel.advance(x, lam, z_buf[s, cols], pos[alive], cand_u[s][alive])
-            hit = _norm(x) <= r0
-            hits = hit.nonzero()[0]
-            if hits.size:
-                hit_time[ids[hits]] = (done_steps + s + 1) * dt
-                keep = ~hit
-                ids, x, lam = ids[keep], x[keep], lam[keep]
-                if ids.size == 0:
-                    break
-                if cols is None:
-                    cols = np.arange(width)
-                    col_pos = np.empty(width, dtype=np.intp)
-                col_pos[cols[hits]] = -1
-                cols = cols[keep]
-                col_pos[cols] = np.arange(cols.size)
+        ids, x, lam = run_block(kernel, z_buf, live, live_u, span, done_steps, r0, hit_time,
+                                ids, x, lam)
         done_steps += span
     radius = np.full(k, np.nan)
     radius[ids] = _norm(x)
     return hit_time, radius
+
+
+def _rates_block(kernel: _Kernel, z_buf: np.ndarray, live: list, live_u: list, span: int,
+                 t0: int, r0: float, hit_time: np.ndarray, ids: np.ndarray, x: np.ndarray,
+                 lam: np.ndarray) -> tuple:
+    """Step the active paths ``ids`` at ``x`` in regimes ``lam`` through one
+    block of ``span`` steps after step ``t0``, under state-dependent rates.
+
+    Each step hands ``_Kernel.advance`` its candidates, the columns of its
+    kept uniforms (``_live_uniforms``); from the first retirement a
+    column-to-position array, -1 once retired, turns them into batch
+    positions.  Writes the hitting times of the paths that return and
+    returns the survivors' ``ids``, ``x`` and ``lam``.
+    """
+    cand_cols, cand_u = _live_uniforms(live, live_u, span)
+    width = ids.size
+    cols = None  # buffer columns of the active paths once one has retired
+    for s in range(span):
+        if cols is None:
+            x, lam = kernel.advance(x, lam, z_buf[s, :width], cand_cols[s], cand_u[s])
+        else:
+            pos = col_pos.take(cand_cols[s])
+            alive = pos >= 0
+            x, lam = kernel.advance(x, lam, z_buf[s, cols], pos[alive], cand_u[s][alive])
+        hit = _norm(x) <= r0
+        hits = hit.nonzero()[0]
+        if hits.size:
+            hit_time[ids[hits]] = (t0 + s + 1) * kernel.dt
+            keep = ~hit
+            ids, x, lam = ids[keep], x[keep], lam[keep]
+            if ids.size == 0:
+                break
+            if cols is None:
+                cols = np.arange(width)
+                col_pos = np.empty(width, dtype=np.intp)
+            col_pos[cols[hits]] = -1
+            cols = cols[keep]
+            col_pos[cols] = np.arange(cols.size)
+    return ids, x, lam
+
+
+def _table_block(kernel: _Kernel, z_buf: np.ndarray, live: list, live_u: list, span: int,
+                 t0: int, r0: float, hit_time: np.ndarray, ids: np.ndarray, x: np.ndarray,
+                 lam: np.ndarray) -> tuple:
+    """``_rates_block`` under a constant generator, whose switches read no
+    position: every switch of the block is decided before its first step
+    (``_block_switches``), so a step is the Euler update and the hit test.
+
+    Regimes are kept by buffer column for the block.  A step's switches go
+    into a fresh copy, so no regime array handed to ``drift`` or ``sigma``
+    changes after the call; only the paths' ids, positions and columns are
+    compacted when some retire.
+    """
+    switch_cols, switch_to, lam_end = _block_switches(kernel.table, lam, live, live_u, span)
+    width = ids.size
+    half_line = kernel.model.boundary == "reflect"
+    lam_col = lam
+    cols = None  # buffer columns of the active paths once one has retired
+    for s in range(span):
+        if cols is None:
+            x = kernel.euler(x, lam_col, z_buf[s, :width])
+        else:
+            x = kernel.euler(x, lam_col.take(cols), z_buf[s].take(cols, axis=0))
+        if switch_cols[s].size:
+            lam_col = lam_col.copy()
+            lam_col[switch_cols[s]] = switch_to[s]
+        # a reflected position is its own radius
+        hit = (x[:, 0] if half_line else _norm(x)) <= r0
+        hits = hit.nonzero()[0]
+        if hits.size:
+            hit_time[ids[hits]] = (t0 + s + 1) * kernel.dt
+            keep = (~hit).nonzero()[0]
+            ids, x = ids.take(keep), x.take(keep, axis=0)
+            cols = keep if cols is None else cols.take(keep)
+            if ids.size == 0:
+                break
+    return ids, x, (lam_end if cols is None else lam_end.take(cols))
+
+
+def _block_switches(table: np.ndarray, lam: np.ndarray, live: list, live_u: list,
+                    span: int) -> tuple:
+    """Every switch of one block under a constant generator's cumulative
+    rows ``table``, from the regimes ``lam`` of its buffer columns; empties
+    both lists of kept uniforms (as for ``_live_uniforms``).
+
+    The kept uniforms are path-major, so each column's come in step order.
+    Round r takes, for every column with more than r of them, its r-th, and
+    applies ``_Kernel.advance``'s rule to the row of the column's current
+    regime: a switch when the uniform lies below the row's total, to the
+    first regime whose cumulative entry exceeds it.  Returns, for each
+    step, the columns that switch and their new regimes, and every column's
+    regime at the end of the block.
+    """
+    at = np.concatenate(live)
+    live.clear()
+    vals = np.concatenate(live_u)
+    live_u.clear()
+    counts = np.bincount(at // span, minlength=lam.size)
+    first = np.cumsum(counts) - counts  # each column's first kept uniform
+    total = table[:, -1]
+    cur = lam.copy()
+    sw_at, sw_to = [at[:0]], [cur[:0]]
+    for r in range(counts.max()):
+        c = (counts > r).nonzero()[0]
+        idx = first.take(c) + r
+        u = vals.take(idx)
+        reg = cur.take(c)
+        hit = (u < total.take(reg)).nonzero()[0]
+        if hit.size:
+            to = (u.take(hit)[:, None] < table.take(reg.take(hit), axis=0)).argmax(axis=1)
+            cur[c.take(hit)] = to
+            sw_at.append(at.take(idx.take(hit)))
+            sw_to.append(to)
+    switch_cols, switch_to = _live_uniforms(sw_at, sw_to, span)
+    return switch_cols, switch_to, cur
 
 
 def _live_uniforms(live: list, live_u: list, span: int) -> tuple:
@@ -429,7 +543,8 @@ def _live_uniforms(live: list, live_u: list, span: int) -> tuple:
     of the kept uniforms in path-major order, and ``live_u`` their values.
     Returns, for each step, the buffer columns of its kept uniforms,
     ascending, and their values: views into one index array and one float64
-    array, 16 bytes per kept uniform.
+    array, 16 bytes per kept uniform.  ``_block_switches`` splits a block's
+    switches and their new regimes by step the same way.
     """
     at = np.concatenate(live)
     live.clear()
@@ -467,6 +582,7 @@ def run_ensemble(model: SdeModel, x0, i0: int, r0: float, T: float, dt: float,
 
     Paths run until they enter the ball of radius r0 > 0 or the horizon T
     ends; one still out at T has escaped if beyond ``escape_radius > r0``.
+    A reflecting model starts on its half-line, ``x0 >= 0``.
     """
     for name, v in (("seed", seed), ("trials", trials), ("i0", i0)):
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
@@ -482,6 +598,10 @@ def run_ensemble(model: SdeModel, x0, i0: int, r0: float, T: float, dt: float,
                     ("escape_radius", escape_radius), ("T / dt", T / dt)):
         if not np.isfinite(v).all():
             raise ValueError(f"{name} must be finite")
+    if model.boundary == "reflect" and x0v[0] < 0:
+        # the first reflection would move the start silently
+        raise ValueError(f"x0 must lie on the half-line x >= 0 of a reflecting model, "
+                         f"got {x0v[0]:g}")
     if r0 <= 0:
         raise ValueError("r0 must be positive")
     if escape_radius <= r0:

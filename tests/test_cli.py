@@ -623,6 +623,15 @@ class TestSimulateCommand:
         assert out == "" and len(err.splitlines()) == 1
         assert err == f"error: {message}\n"
 
+    def test_start_off_the_half_line_fails_with_one_error_line(self, tmp_path, capsys):
+        # the ou model reflects at zero, so no path of it can start at -3
+        path = write_model(tmp_path, benchmark_documents()["ou"])
+        assert main(["simulate", path, "--x0", "-3", "--r0", "1", "--T", "1", "--dt", "1e-2",
+                     "--trials", "100"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: x0 must lie on the half-line x >= 0 of a reflecting model, got -3\n"
+
     @pytest.mark.parametrize("i0", ["0", "3", "-1"])
     def test_i0_outside_the_regimes_names_their_range(self, tmp_path, capsys, i0):
         path = write_model(tmp_path, benchmark_documents()["ou"])

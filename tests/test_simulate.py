@@ -437,6 +437,21 @@ class TestRunEnsemble:
         with pytest.raises(ValueError):
             run_ensemble(model, x0=0.5, i0=0, r0=1.0, T=1.0, dt=1e-3, trials=120, seed=0)
 
+    @pytest.mark.parametrize("x0", [-3.0, -0.5])
+    def test_reflecting_start_off_the_half_line_is_refused(self, x0):
+        # the first reflection would move such a start silently
+        seen = []
+        model = SdeModel(dim=1, drift=lambda x, lam: seen.append(1) or -x,
+                         sigma=lambda x, lam: 1.0, rates=Q2, boundary="reflect")
+        kwargs = dict(i0=0, r0=1.0, T=0.1, dt=1e-2, trials=100, seed=0)
+        with pytest.raises(ValueError, match=rf"^x0 must lie on the half-line x >= 0 of a "
+                                             rf"reflecting model, got {x0:g}$"):
+            run_ensemble(model, x0=x0, **kwargs)
+        assert seen == []
+        assert run_ensemble(model, x0=3.0, **kwargs).x0 == (3.0,)
+        free = dataclasses.replace(model, boundary="none")
+        assert run_ensemble(free, x0=-3.0, **kwargs).x0 == (-3.0,)
+
     def test_dt_refinement_within_ci(self):
         # halving dt moves the return fraction by less than the CI width
         model = ex22_sde_model(0.3)
@@ -473,6 +488,36 @@ class TestCallbackContract:
                                      np.ones(3))
         assert len(seen) == 1
         assert seen[0][0] == (3, 1) and seen[0][1].tolist() == [0, 1, 1]
+
+    def test_no_regime_array_changes_after_a_callable_returns(self, monkeypatch):
+        # a constant generator's switches are decided once per block and set
+        # step by step; none may land in an array a callable was handed
+        monkeypatch.setattr(simulate, "BLOCK", 40)
+        kept = []
+        slopes = np.array([-2.0, -0.5, 0.5])
+
+        def drift(x, lam):
+            kept.append((x.shape, lam, lam.copy()))
+            return slopes[lam][:, None] * x
+
+        q = validate_qmatrix([[-6.0, 4.0, 2.0], [3.0, -6.0, 3.0], [5.0, 1.0, -6.0]])
+        model = SdeModel(dim=1, drift=drift, sigma=regime_sigma(1.0), rates=q,
+                         boundary="reflect")
+        n_steps, dt = 160, 1e-2
+        hit_time, _ = _simulate_paths(model, np.arange(60), np.array([1.5]), 0, 1.0, n_steps,
+                                      dt, 3)
+        hit_step = np.where(np.isfinite(hit_time), np.rint(hit_time / dt), np.inf)
+        # paths retire within several of the four blocks, and some are still out
+        assert np.unique(hit_step[np.isfinite(hit_step)] // 40).size > 2
+        assert np.isinf(hit_step).any()
+        # one call per step, each on the batch active at that step
+        active = [int((hit_step > s).sum()) for s in range(n_steps)]
+        assert [shape for shape, _, _ in kept] == [(a, 1) for a in active]
+        assert [lam.shape for _, lam, _ in kept] == [(a,) for a in active]
+        for _, lam, copy in kept:
+            np.testing.assert_array_equal(lam, copy)
+        # the regimes did switch
+        assert len({tuple(copy.tolist()) for _, _, copy in kept}) > 10
 
     def test_helpers_gather_by_regime(self):
         x = np.array([[2.0], [-4.0], [9.0]])

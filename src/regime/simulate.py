@@ -7,21 +7,26 @@ construction; a path counts as returned only if it reaches the target ball
 before the horizon, so reports corroborate the analytic verdicts rather than
 prove them.
 
-One step of a whole batch is a fixed handful of numpy operations
-(``_Kernel``): the model's drift and sigma are each called once on every
-active path with its regime array.  A constant generator gathers a
-per-ensemble table of cumulative rates, whose step bound is checked once,
-before any path is seeded.  Its switches read no position, so each block's
-are decided before the block's first step, from the table and the kept
-uniforms, and a step is only the Euler update and the hit test.
-State-dependent rates with an ``(inf, sup)`` hint on every pair get such a
-bound from the sups, as the bounding generator of thm23 and thm32 does, and
-``rate_fn`` reads them only at the paths that can switch in a step, which
-must keep to that bound.  Other state-dependent rates are read by one
-``rate_fn`` call on every active path and checked against the guard at
-every step.  Every switch follows one rule over cumulative rows, the one
-``_Kernel.advance`` applies step by step; its table branch is the reference
-that the block decision of a constant generator reproduces bit for bit.
+One block step loop (``_run_block``) serves every generator.  A step is a
+fixed handful of numpy operations: the Euler update (``_Kernel.euler``),
+which calls the model's drift and sigma once on every active path with its
+regime array, then the step's switches, as buffer columns and new regimes
+written into a fresh copy of the regimes, so no regime array handed to
+``drift``, ``sigma`` or ``rate_fn`` changes after the call.  The switches
+come from one of two sources.  A constant generator gathers a per-ensemble
+table of cumulative rates, whose step bound is checked once, before any
+path is seeded; its switches read no position, so each block's are decided
+before the block's first step, from the table and the kept uniforms
+(``_block_switches``).  State-dependent rates' are decided at the step by
+``_Kernel.switches``, from the pre-step positions.  Those with an
+``(inf, sup)`` hint on every pair get a bound from the sups, as the
+bounding generator of thm23 and thm32 does, and ``rate_fn`` reads them only
+at the paths that can switch in a step, which must keep to that bound.
+Other state-dependent rates are read by one ``rate_fn`` call on every
+active path and checked against the guard at every step.  Every switch
+follows one rule over cumulative rows (``_switch``); the table branch of
+``_Kernel.switches`` applies it step by step and is the reference that the
+block decision of a constant generator reproduces bit for bit.
 
 Reproducibility contract: path k draws from exactly numpy's PCG64 stream
 seeded with ``SeedSequence(seed, spawn_key=(k,))``, consuming one block of
@@ -174,26 +179,25 @@ class _Kernel:
     """One Euler-Maruyama step plus thinned switching for a batch of paths.
 
     Built once per ensemble.  ``bound`` is at least every total a step lets
-    through, so only paths whose uniform lies below it need one: a step
-    takes the positions of those candidates and their uniforms.  A constant
-    generator holds the cumulative off-diagonal rows ``cumsum(q_ij dt)``,
-    raises StepTooLarge at once if any regime's total (the last column)
-    breaks the thinning guard, and is bounded by its largest total.
-    State-dependent rates with a hint on every pair are bounded by the
-    largest total of ``cumsum(sup_ij dt)``, added in ``_rate_cumsum``'s
-    order, when it is within the guard: float addition is monotone, so no
-    path's total exceeds it while its rates keep to their sups.  With either
-    a priori bound a step without candidates ends after the Euler step, and
-    hinted rates are read at the candidates only.  Other state-dependent
-    rates are read on the whole batch and checked against the guard at
-    every step, since their bound depends on x.  Each candidate gets one
-    cumulative row, gathered by regime from the table or taken from the
-    step's column; it switches when its uniform falls below the row's total
-    and moves to the first regime whose cumulative entry exceeds it.  The
-    engine steps state-dependent rates through ``advance``; a constant
-    generator's blocks take only the Euler step (``euler``) from here, their
-    switches decided ahead by ``_block_switches``, and ``advance``'s table
-    branch stays as the per-step reference rule for them.  The model's
+    through, so only paths whose uniform lies below it need one: a step's
+    switches take the positions of those candidates and their uniforms.  A
+    constant generator holds the cumulative off-diagonal rows
+    ``cumsum(q_ij dt)``, raises StepTooLarge at once if any regime's total
+    (the last column) breaks the thinning guard, and is bounded by its
+    largest total.  State-dependent rates with a hint on every pair are
+    bounded by the largest total of ``cumsum(sup_ij dt)``, added in
+    ``_rate_cumsum``'s order, when it is within the guard: float addition is
+    monotone, so no path's total exceeds it while its rates keep to their
+    sups.  With either a priori bound a step without candidates has no
+    switches, and hinted rates are read at the candidates only.  Other
+    state-dependent rates are read on the whole batch and checked against
+    the guard at every step, since their bound depends on x.  Each
+    candidate gets one cumulative row, gathered by regime from the table or
+    taken from the step's column, for ``_switch``.  The engine takes the
+    Euler update (``euler``) from here for every generator and the switches
+    (``switches``) for state-dependent rates; a constant generator's are
+    decided ahead by ``_block_switches``, and the table branch of
+    ``switches`` stays as the per-step reference rule for them.  The model's
     callables are read from ``model`` at every step, so a copy of the model
     with other callables is honoured.
     """
@@ -226,28 +230,24 @@ class _Kernel:
             if top <= _MAX_SWITCH_PROB:
                 self.sup, self.bound = sup, top
 
-    def advance(self, x: np.ndarray, lam: np.ndarray, z: np.ndarray,
-                cand: np.ndarray, u: np.ndarray) -> tuple:
-        """One step of the batch ``x``, ``lam`` with normals ``z``.  ``cand``
-        holds the distinct positions, in any order, of the paths that may
-        switch, ``u`` their uniforms; every other path's uniform is at least
-        ``bound``."""
-        x_new = self.euler(x, lam, z)
+    def switches(self, x: np.ndarray, lam: np.ndarray, cand: np.ndarray,
+                 u: np.ndarray) -> tuple:
+        """The switches of one step of the batch at pre-step positions ``x``
+        in regimes ``lam``.  ``cand`` holds the distinct positions, in any
+        order, of the paths that may switch, ``u`` their uniforms; every
+        other path's uniform is at least ``bound``.  Returns the positions
+        that switch and their new regimes."""
         if self.table is None and self.sup is None:
             # no a priori bound: every path's rates are checked against the guard
             rows = self._rate_cumsum(x[:, 0], lam).take(cand, axis=1).T
         elif cand.size == 0:
-            return x_new, lam
+            return cand, cand
         elif self.table is None:
             rows = self._rate_cumsum(x.take(cand, axis=0)[:, 0], lam.take(cand)).T
         else:
             rows = self.table.take(lam.take(cand), axis=0)
-        hit = (u < rows[:, -1]).nonzero()[0]
-        if hit.size == 0:
-            return x_new, lam
-        lam_new = lam.copy()
-        lam_new[cand.take(hit)] = (u.take(hit)[:, None] < rows.take(hit, axis=0)).argmax(axis=1)
-        return x_new, lam_new
+        hit, to = _switch(rows, u)
+        return cand.take(hit), to
 
     def euler(self, x: np.ndarray, lam: np.ndarray, z: np.ndarray) -> np.ndarray:
         """The Euler-Maruyama step of the batch ``x`` in regimes ``lam`` with
@@ -355,6 +355,7 @@ def _path_states(seed: int, path_ids: np.ndarray) -> list:
     return states
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: int,
                     r0: float, n_steps: int, dt: float, seed: int) -> tuple:
     """Run a block of paths to min(hitting time, horizon).
@@ -367,17 +368,16 @@ def _simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: i
     then on.  Its uniforms are kept only below ``kernel.bound``.  One
     generator serves every path: it is set to a path's state, draws that
     path's block into a contiguous group scratch, and the group is copied
-    into the buffers at once.  The kept uniforms then switch the block's
-    regimes: ``_table_block`` decides a constant generator's switches before
-    the block's first step, ``_rates_block`` hands state-dependent rates'
-    candidates to ``_Kernel.advance`` step by step.  Returns each path's
-    hitting time and its radius at the horizon: nan for the radius of a
-    returned path, and for the hitting time of one still out.
+    into the buffers at once.  ``_run_block`` then steps the block.  The
+    stepping runs with numpy's overflow and invalid warnings off: a path
+    that overflows to inf escapes, and one whose position turns nan raises
+    ValueError.  Returns each path's hitting time and its radius at the
+    horizon: nan for the radius of a returned path, and for the hitting
+    time of one still out.
     """
     k = path_ids.size
     d = model.dim
     kernel = _Kernel(model, dt)
-    run_block = _rates_block if kernel.table is None else _table_block
     states = _path_states(seed, path_ids)
     gen = np.random.Generator(np.random.PCG64())
     bitgen = gen.bit_generator
@@ -413,89 +413,78 @@ def _simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: i
             live_u.append(u_mem.ravel().take(at))
             at += c0 * span
             live.append(at)
-        ids, x, lam = run_block(kernel, z_buf, live, live_u, span, done_steps, r0, hit_time,
-                                ids, x, lam)
+        ids, x, lam = _run_block(kernel, z_buf, live, live_u, span, done_steps, r0, hit_time,
+                                 ids, x, lam)
         done_steps += span
+    out = _norm(x)
+    lost = np.isnan(out).nonzero()[0]
+    if lost.size:
+        # a nan radius would read as a returned path
+        raise ValueError(f"path {path_ids[ids[lost[0]]]} ends at position nan: an Euler step "
+                         f"overflowed, or drift or sigma returned nan")
     radius = np.full(k, np.nan)
-    radius[ids] = _norm(x)
+    radius[ids] = out
     return hit_time, radius
 
 
-def _rates_block(kernel: _Kernel, z_buf: np.ndarray, live: list, live_u: list, span: int,
-                 t0: int, r0: float, hit_time: np.ndarray, ids: np.ndarray, x: np.ndarray,
-                 lam: np.ndarray) -> tuple:
+def _run_block(kernel: _Kernel, z_buf: np.ndarray, live: list, live_u: list, span: int,
+               t0: int, r0: float, hit_time: np.ndarray, ids: np.ndarray, x: np.ndarray,
+               lam: np.ndarray) -> tuple:
     """Step the active paths ``ids`` at ``x`` in regimes ``lam`` through one
-    block of ``span`` steps after step ``t0``, under state-dependent rates.
+    block of ``span`` steps after step ``t0``.
 
-    Each step hands ``_Kernel.advance`` its candidates, the columns of its
-    kept uniforms (``_live_uniforms``); from the first retirement a
-    column-to-position array, -1 once retired, turns them into batch
-    positions.  Writes the hitting times of the paths that return and
-    returns the survivors' ``ids``, ``x`` and ``lam``.
+    Regimes are kept by buffer column for the block.  A step takes the Euler
+    update, then writes its switches, as columns and new regimes, into a
+    fresh copy, so no regime array handed to ``drift``, ``sigma`` or
+    ``rate_fn`` changes after the call; only the paths' ids, positions and
+    columns are compacted when some retire.  A constant generator's switches
+    read no position, so all of the block's are decided before its first
+    step (``_block_switches``).  State-dependent rates' are decided at each
+    step by ``_Kernel.switches`` from the pre-step positions of the step's
+    candidates, the columns of its kept uniforms (``_live_uniforms``), which
+    map to batch positions by their place in the ascending active columns.
+    Writes the hitting times of the paths that return and returns the
+    survivors' ``ids``, ``x`` and ``lam``.
     """
-    cand_cols, cand_u = _live_uniforms(live, live_u, span)
-    width = ids.size
-    cols = None  # buffer columns of the active paths once one has retired
-    for s in range(span):
-        if cols is None:
-            x, lam = kernel.advance(x, lam, z_buf[s, :width], cand_cols[s], cand_u[s])
-        else:
-            pos = col_pos.take(cand_cols[s])
-            alive = pos >= 0
-            x, lam = kernel.advance(x, lam, z_buf[s, cols], pos[alive], cand_u[s][alive])
-        hit = _norm(x) <= r0
-        hits = hit.nonzero()[0]
-        if hits.size:
-            hit_time[ids[hits]] = (t0 + s + 1) * kernel.dt
-            keep = ~hit
-            ids, x, lam = ids[keep], x[keep], lam[keep]
-            if ids.size == 0:
-                break
-            if cols is None:
-                cols = np.arange(width)
-                col_pos = np.empty(width, dtype=np.intp)
-            col_pos[cols[hits]] = -1
-            cols = cols[keep]
-            col_pos[cols] = np.arange(cols.size)
-    return ids, x, lam
-
-
-def _table_block(kernel: _Kernel, z_buf: np.ndarray, live: list, live_u: list, span: int,
-                 t0: int, r0: float, hit_time: np.ndarray, ids: np.ndarray, x: np.ndarray,
-                 lam: np.ndarray) -> tuple:
-    """``_rates_block`` under a constant generator, whose switches read no
-    position: every switch of the block is decided before its first step
-    (``_block_switches``), so a step is the Euler update and the hit test.
-
-    Regimes are kept by buffer column for the block.  A step's switches go
-    into a fresh copy, so no regime array handed to ``drift`` or ``sigma``
-    changes after the call; only the paths' ids, positions and columns are
-    compacted when some retire.
-    """
-    switch_cols, switch_to, lam_end = _block_switches(kernel.table, lam, live, live_u, span)
+    if kernel.table is None:
+        cand_cols, cand_u = _live_uniforms(live, live_u, span)
+    else:
+        switch_cols, switch_to = _block_switches(kernel.table, lam, live, live_u, span)
     width = ids.size
     half_line = kernel.model.boundary == "reflect"
     lam_col = lam
     cols = None  # buffer columns of the active paths once one has retired
     for s in range(span):
         if cols is None:
-            x = kernel.euler(x, lam_col, z_buf[s, :width])
+            x_new = kernel.euler(x, lam, z_buf[s, :width])
         else:
-            x = kernel.euler(x, lam_col.take(cols), z_buf[s].take(cols, axis=0))
-        if switch_cols[s].size:
+            x_new = kernel.euler(x, lam, z_buf[s].take(cols, axis=0))
+        if kernel.table is not None:
+            at, to = switch_cols[s], switch_to[s]
+        elif cols is None:
+            at, to = kernel.switches(x, lam, cand_cols[s], cand_u[s])
+        else:
+            cand = cand_cols[s]
+            pos = cols.searchsorted(cand)
+            alive = (cols.take(pos, mode="clip") == cand).nonzero()[0]
+            at, to = kernel.switches(x, lam, pos.take(alive), cand_u[s].take(alive))
+            at = cols.take(at)
+        x = x_new
+        if at.size:
             lam_col = lam_col.copy()
-            lam_col[switch_cols[s]] = switch_to[s]
+            lam_col[at] = to
+            lam = lam_col if cols is None else lam_col.take(cols)
         # a reflected position is its own radius
         hit = (x[:, 0] if half_line else _norm(x)) <= r0
         hits = hit.nonzero()[0]
         if hits.size:
             hit_time[ids[hits]] = (t0 + s + 1) * kernel.dt
             keep = (~hit).nonzero()[0]
-            ids, x = ids.take(keep), x.take(keep, axis=0)
+            ids, x, lam = ids.take(keep), x.take(keep, axis=0), lam.take(keep)
             cols = keep if cols is None else cols.take(keep)
             if ids.size == 0:
                 break
-    return ids, x, (lam_end if cols is None else lam_end.take(cols))
+    return ids, x, lam
 
 
 def _block_switches(table: np.ndarray, lam: np.ndarray, live: list, live_u: list,
@@ -506,11 +495,8 @@ def _block_switches(table: np.ndarray, lam: np.ndarray, live: list, live_u: list
 
     The kept uniforms are path-major, so each column's come in step order.
     Round r takes, for every column with more than r of them, its r-th, and
-    applies ``_Kernel.advance``'s rule to the row of the column's current
-    regime: a switch when the uniform lies below the row's total, to the
-    first regime whose cumulative entry exceeds it.  Returns, for each
-    step, the columns that switch and their new regimes, and every column's
-    regime at the end of the block.
+    applies ``_switch`` to the row of the column's current regime.  Returns,
+    for each step, the columns that switch and their new regimes.
     """
     at = np.concatenate(live)
     live.clear()
@@ -518,22 +504,28 @@ def _block_switches(table: np.ndarray, lam: np.ndarray, live: list, live_u: list
     live_u.clear()
     counts = np.bincount(at // span, minlength=lam.size)
     first = np.cumsum(counts) - counts  # each column's first kept uniform
-    total = table[:, -1]
     cur = lam.copy()
     sw_at, sw_to = [at[:0]], [cur[:0]]
     for r in range(counts.max()):
         c = (counts > r).nonzero()[0]
         idx = first.take(c) + r
-        u = vals.take(idx)
-        reg = cur.take(c)
-        hit = (u < total.take(reg)).nonzero()[0]
+        hit, to = _switch(table.take(cur.take(c), axis=0), vals.take(idx))
         if hit.size:
-            to = (u.take(hit)[:, None] < table.take(reg.take(hit), axis=0)).argmax(axis=1)
             cur[c.take(hit)] = to
             sw_at.append(at.take(idx.take(hit)))
             sw_to.append(to)
-    switch_cols, switch_to = _live_uniforms(sw_at, sw_to, span)
-    return switch_cols, switch_to, cur
+    return _live_uniforms(sw_at, sw_to, span)
+
+
+def _switch(rows: np.ndarray, u: np.ndarray) -> tuple:
+    """The switching rule over cumulative rows, one per uniform ``u``: a
+    uniform below its row's total switches, to the first regime whose
+    cumulative entry exceeds it.  Returns the indices of the switching
+    uniforms and their new regimes."""
+    hit = (u < rows[:, -1]).nonzero()[0]
+    if hit.size == 0:
+        return hit, hit
+    return hit, (u.take(hit)[:, None] < rows.take(hit, axis=0)).argmax(axis=1)
 
 
 def _live_uniforms(live: list, live_u: list, span: int) -> tuple:

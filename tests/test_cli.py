@@ -632,6 +632,19 @@ class TestSimulateCommand:
         assert out == ""
         assert err == "error: x0 must lie on the half-line x >= 0 of a reflecting model, got -3\n"
 
+    def test_nan_path_fails_with_one_error_line(self, tmp_path, capsys):
+        # the slope -1e306 overflows the reflected Euler step into inf - inf;
+        # the nan path used to count as censored, with growth_exponent "nan"
+        doc = benchmark_documents()["ou"]
+        doc["drift"]["b"] = [-1e306, 1]
+        path = write_model(tmp_path, doc)
+        assert main(["simulate", path, "--x0", "3", "--r0", "1", "--T", "1", "--dt", "0.01",
+                     "--trials", "100"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: path 0 ends at position nan: an Euler step overflowed, "
+                       "or drift or sigma returned nan\n")
+
     @pytest.mark.parametrize("i0", ["0", "3", "-1"])
     def test_i0_outside_the_regimes_names_their_range(self, tmp_path, capsys, i0):
         path = write_model(tmp_path, benchmark_documents()["ou"])

@@ -17,7 +17,6 @@ from regime import (
     truncate_chain,
     validate_qmatrix,
 )
-from regime import simulate
 from regime.errors import NegativeOffDiagonal, StepTooLarge, UnboundedRate
 from regime.reproduce import ex21_sde_model, ex22_sde_model
 from regime.simulate import _Kernel, _norm, _simulate_paths, power_drift, regime_sigma
@@ -46,13 +45,27 @@ def without_hints(model: SdeModel) -> SdeModel:
     return dataclasses.replace(model, rates=dataclasses.replace(model.rates, hints=None))
 
 
+def advance(kernel: _Kernel, x: np.ndarray, lam: np.ndarray, z: np.ndarray, cand: np.ndarray,
+            u: np.ndarray) -> tuple:
+    """One step of the batch ``x`` in regimes ``lam`` with normals ``z``:
+    ``kernel.euler``, then ``kernel.switches`` of the candidates ``cand``
+    with uniforms ``u`` written into a copy of ``lam``.  Returns
+    (x', lam')."""
+    x_new = kernel.euler(x, lam, z)
+    at, to = kernel.switches(x, lam, cand, u)
+    if at.size:
+        lam = lam.copy()
+        lam[at] = to
+    return x_new, lam
+
+
 def step(model: SdeModel, x, regime: int, dt: float, rng: np.random.Generator) -> tuple:
     """Single-path step through the batch kernel: returns (x', regime').  Draws
     one normal vector and one uniform from ``rng`` in that order."""
     xv = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, model.dim)
     z = rng.standard_normal((1, model.dim))
     u = rng.random(1)
-    x_new, lam_new = _Kernel(model, dt).advance(xv, np.array([regime]), z, np.array([0]), u)
+    x_new, lam_new = advance(_Kernel(model, dt), xv, np.array([regime]), z, np.array([0]), u)
     out_x = x_new[0, 0] if model.dim == 1 and np.isscalar(x) else x_new[0]
     return out_x, int(lam_new[0])
 
@@ -108,8 +121,8 @@ def reference_simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarr
             u_buf[:, col] = rngs[j].random(span)
         cols = np.arange(ids.size)
         for s in range(span):
-            x, lam = kernel.advance(x, lam, z_buf[s, cols], np.arange(ids.size),
-                                    u_buf[s, cols])
+            x, lam = advance(kernel, x, lam, z_buf[s, cols], np.arange(ids.size),
+                             u_buf[s, cols])
             hit = _norm(x) <= r0
             if hit.any():
                 hit_time[ids[hit]] = (done_steps + s + 1) * dt
@@ -160,7 +173,7 @@ class TestStep:
         lam = np.zeros(k, dtype=int)
         z = rng.standard_normal((k, 1))
         u = rng.random(k)
-        _, lam_new = _Kernel(model, dt).advance(x, lam, z, np.arange(k), u)
+        _, lam_new = advance(_Kernel(model, dt), x, lam, z, np.arange(k), u)
         frac = (lam_new != 0).mean()
         assert frac == pytest.approx(Q2.entries[0, 1] * dt, abs=0.003)
 
@@ -211,9 +224,9 @@ class TestCandidates:
         z = rng.standard_normal((k, 1))
         u = rng.random(k) * 2 * kernel.bound
         u[::9] = kernel.bound
-        dense = kernel.advance(x, lam, z, np.arange(k), u)
+        dense = advance(kernel, x, lam, z, np.arange(k), u)
         cand = np.flatnonzero(u < kernel.bound)
-        kept = kernel.advance(x, lam, z, cand, u[cand])
+        kept = advance(kernel, x, lam, z, cand, u[cand])
         for a, b in zip(dense, kept):
             np.testing.assert_array_equal(a, b)
         assert (dense[1] != lam).sum() > 20
@@ -234,9 +247,9 @@ class TestCandidates:
         u = rng.random(k) * 0.2
         cand = rng.permutation(np.flatnonzero(u < simulate._MAX_SWITCH_PROB))
         const, rated = (
-            _Kernel(SdeModel(dim=1, drift=power_drift([-1.0, 0.5, 0.2]),
-                             sigma=regime_sigma([1.0, 2.0, 0.5]), rates=rates), dt)
-            .advance(x, lam, z, cand, u[cand]) for rates in (q, table))
+            advance(_Kernel(SdeModel(dim=1, drift=power_drift([-1.0, 0.5, 0.2]),
+                                     sigma=regime_sigma([1.0, 2.0, 0.5]), rates=rates), dt),
+                    x, lam, z, cand, u[cand]) for rates in (q, table))
         for a, b in zip(const, rated):
             np.testing.assert_array_equal(a, b)
         moved = const[1] != lam
@@ -255,7 +268,7 @@ class TestRegimeOccupation:
         for _ in range(n_steps):
             z = rng.standard_normal((k, 1))
             u = rng.random(k)
-            x, lam = kernel.advance(x, lam, z, np.arange(k), u)
+            x, lam = advance(kernel, x, lam, z, np.arange(k), u)
             counts += np.bincount(lam, minlength=2)
         occ = counts / counts.sum()
         mu = invariant_measure(Q2)
@@ -285,8 +298,8 @@ class TestSingleRegimeOU:
         lam = np.zeros(k, dtype=int)
         kernel = _Kernel(model, dt)
         for _ in range(n_steps):
-            x, lam = kernel.advance(x, lam, rng.standard_normal((k, 1)), np.arange(k),
-                                    rng.random(k))
+            x, lam = advance(kernel, x, lam, rng.standard_normal((k, 1)), np.arange(k),
+                             rng.random(k))
         assert float(np.var(x)) == pytest.approx(1.0, rel=0.05)
 
 
@@ -317,8 +330,9 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("build, x0", [(lambda: ex22_sde_model(0.3), [3.0]),
                                            (lambda: ex21_sde_model(0.3), [3.0]),
                                            (bound_model, [3.0]),
-                                           (plane_model, [6.0, 8.0])],
-                             ids=["ex22", "ex21", "at-bound", "plane"])
+                                           (plane_model, [6.0, 8.0]),
+                                           (lambda: without_hints(ex22_sde_model(0.3)), [3.0])],
+                             ids=["ex22", "ex21", "at-bound", "plane", "unhinted"])
     def test_shared_generator_matches_per_path_generators(self, monkeypatch, build, x0):
         # 3000 steps cross 30 blocks of 100, and groups of 3 do not divide the
         # 40 paths or the active counts as paths retire mid-block; each block
@@ -484,16 +498,18 @@ class TestCallbackContract:
 
         model = SdeModel(dim=1, drift=drift, sigma=lambda x, lam: 0.0, rates=Q2)
         x = np.ones((3, 1))
-        _Kernel(model, 0.01).advance(x, np.array([0, 1, 1]), np.zeros((3, 1)), np.arange(3),
-                                     np.ones(3))
+        advance(_Kernel(model, 0.01), x, np.array([0, 1, 1]), np.zeros((3, 1)), np.arange(3),
+                np.ones(3))
         assert len(seen) == 1
         assert seen[0][0] == (3, 1) and seen[0][1].tolist() == [0, 1, 1]
 
-    def test_no_regime_array_changes_after_a_callable_returns(self, monkeypatch):
-        # a constant generator's switches are decided once per block and set
-        # step by step; none may land in an array a callable was handed
+    @pytest.mark.parametrize("kind", ["constant", "hinted", "unhinted"])
+    def test_no_regime_array_changes_after_a_callable_returns(self, monkeypatch, kind):
+        # regimes are kept by buffer column for every generator, and a step's
+        # switches are set after its callables; none may land in an array a
+        # drift or rate_fn call was handed
         monkeypatch.setattr(simulate, "BLOCK", 40)
-        kept = []
+        kept, rate_lams = [], []
         slopes = np.array([-2.0, -0.5, 0.5])
 
         def drift(x, lam):
@@ -501,9 +517,22 @@ class TestCallbackContract:
             return slopes[lam][:, None] * x
 
         q = validate_qmatrix([[-6.0, 4.0, 2.0], [3.0, -6.0, 3.0], [5.0, 1.0, -6.0]])
-        model = SdeModel(dim=1, drift=drift, sigma=regime_sigma(1.0), rates=q,
+        off = q.entries.copy()
+        np.fill_diagonal(off, 0.0)
+
+        def rate_fn(x, lam):
+            rate_lams.append((lam, lam.copy()))
+            return off[lam].T * (1.0 + 0.5 * np.sin(x))
+
+        hints = {(i, j): (0.5 * off[i, j], 1.5 * off[i, j])
+                 for i in range(3) for j in range(3) if i != j}
+        rates = {"constant": q,
+                 "hinted": StateDependentRates(n=3, rate_fn=rate_fn, hints=hints),
+                 "unhinted": StateDependentRates(n=3, rate_fn=rate_fn)}[kind]
+        model = SdeModel(dim=1, drift=drift, sigma=regime_sigma(1.0), rates=rates,
                          boundary="reflect")
         n_steps, dt = 160, 1e-2
+        assert (_Kernel(model, dt).sup is None) == (kind != "hinted")
         hit_time, _ = _simulate_paths(model, np.arange(60), np.array([1.5]), 0, 1.0, n_steps,
                                       dt, 3)
         hit_step = np.where(np.isfinite(hit_time), np.rint(hit_time / dt), np.inf)
@@ -516,6 +545,10 @@ class TestCallbackContract:
         assert [lam.shape for _, lam, _ in kept] == [(a,) for a in active]
         for _, lam, copy in kept:
             np.testing.assert_array_equal(lam, copy)
+        for lam, copy in rate_lams:
+            np.testing.assert_array_equal(lam, copy)
+        assert (len(rate_lams) == n_steps) == (kind == "unhinted")
+        assert (len(rate_lams) > 0) == (kind != "constant")
         # the regimes did switch
         assert len({tuple(copy.tolist()) for _, _, copy in kept}) > 10
 
@@ -533,8 +566,8 @@ class TestCallbackContract:
         model = SdeModel(dim=1, drift=lambda x, i: (0.3 - 1.0 / (i + 1)) * x,
                          sigma=lambda x, i: 1.0, rates=Q2)
         with pytest.raises(ValueError, match=r"drift\(x, lam\)"):
-            _Kernel(model, 0.01).advance(np.ones((3, 1)), np.array([0, 1, 0]),
-                                         np.zeros((3, 1)), np.arange(3), np.ones(3))
+            advance(_Kernel(model, 0.01), np.ones((3, 1)), np.array([0, 1, 0]),
+                    np.zeros((3, 1)), np.arange(3), np.ones(3))
 
     @pytest.mark.parametrize("sig", [
         np.array([1.0, 2.0, 3.0]),      # (k,) aligns with the axis dimension
@@ -544,8 +577,8 @@ class TestCallbackContract:
     def test_bad_sigma_shapes_are_rejected(self, sig):
         model = SdeModel(dim=2, drift=lambda x, lam: -x, sigma=lambda x, lam: sig, rates=Q2)
         with pytest.raises(ValueError, match=r"sigma\(x, lam\)"):
-            _Kernel(model, 0.01).advance(np.ones((3, 2)), np.zeros(3, dtype=int),
-                                         np.zeros((3, 2)), np.arange(3), np.ones(3))
+            advance(_Kernel(model, 0.01), np.ones((3, 2)), np.zeros(3, dtype=int),
+                    np.zeros((3, 2)), np.arange(3), np.ones(3))
 
     @pytest.mark.parametrize("table", [
         np.ones(3),             # one rate per path, as a per-pair callable returns
@@ -557,8 +590,8 @@ class TestCallbackContract:
         rates = StateDependentRates(n=2, rate_fn=lambda x, lam: table)
         model = SdeModel(dim=1, drift=lambda x, lam: -x, sigma=lambda x, lam: 1.0, rates=rates)
         with pytest.raises(ValueError, match=r"rate_fn\(x, lam\)"):
-            _Kernel(model, 0.01).advance(np.ones((3, 1)), np.zeros(3, dtype=int),
-                                         np.zeros((3, 1)), np.arange(3), np.ones(3))
+            advance(_Kernel(model, 0.01), np.ones((3, 1)), np.zeros(3, dtype=int),
+                    np.zeros((3, 1)), np.arange(3), np.ones(3))
 
     def test_rate_fn_sees_the_batch_once_per_step(self):
         seen = []
@@ -569,8 +602,8 @@ class TestCallbackContract:
 
         model = SdeModel(dim=1, drift=lambda x, lam: np.zeros_like(x), sigma=lambda x, lam: 0.0,
                          rates=StateDependentRates(n=2, rate_fn=rate_fn))
-        _Kernel(model, 0.01).advance(np.ones((3, 1)), np.array([0, 1, 1]),
-                                     np.zeros((3, 1)), np.arange(3), np.ones(3))
+        advance(_Kernel(model, 0.01), np.ones((3, 1)), np.array([0, 1, 1]),
+                np.zeros((3, 1)), np.arange(3), np.ones(3))
         assert len(seen) == 1
         assert seen[0][0] == (3,) and seen[0][1].tolist() == [0, 1, 1]
 
@@ -681,9 +714,9 @@ class TestHintedRates:
         kernel = _Kernel(model, 0.01)
         assert kernel.bound == 0.01
         x, lam, z = np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([0, 1, 1, 0]), np.zeros((4, 1))
-        _, lam_new = kernel.advance(x, lam, z, np.array([], dtype=np.intp), np.array([]))
+        _, lam_new = advance(kernel, x, lam, z, np.array([], dtype=np.intp), np.array([]))
         assert seen == [] and lam_new.tolist() == [0, 1, 1, 0]
-        _, lam_new = kernel.advance(x, lam, z, np.array([3, 1]), np.array([0.005, 0.01]))
+        _, lam_new = advance(kernel, x, lam, z, np.array([3, 1]), np.array([0.005, 0.01]))
         assert seen == [([4.0, 2.0], [0, 1])]
         assert lam_new.tolist() == [0, 1, 1, 1]
 
@@ -712,6 +745,31 @@ class TestMultiDimensional:
             model = SdeModel(dim=len(x0), drift=slopes, sigma=lambda x, lam: 1.0, rates=Q2)
             rep = run_ensemble(model, x0=x0, i0=0, r0=1.0, T=1.0, dt=1e-2, trials=100, seed=1)
             assert rep.growth_exponent == pytest.approx(100 * np.log(1.2), rel=1e-12)
+
+    def test_nan_path_is_refused(self):
+        # the slope -1e306 overflows a reflected path's Euler step into
+        # inf - inf; a nan radius would count as censored, so the lowest
+        # path id at nan is named instead, without a RuntimeWarning
+        model = SdeModel(dim=1, drift=power_drift([-1e306, 1.0]), sigma=regime_sigma(1.0),
+                         rates=Q2, boundary="reflect")
+        kw = dict(x0=3.0, r0=1.0, T=1.0, dt=1e-2, trials=100, seed=0)
+        nan_path = (r" ends at position nan: an Euler step overflowed, "
+                    r"or drift or sigma returned nan$")
+        with pytest.raises(ValueError, match="^path 0" + nan_path):
+            run_ensemble(model, i0=0, **kw)
+        with pytest.raises(ValueError, match="^path 1" + nan_path):
+            run_ensemble(model, i0=1, **kw)
+        with pytest.raises(ValueError, match="^path 40" + nan_path):
+            _simulate_paths(model, np.arange(40, 60), np.array([3.0]), 1, 1.0, 100, 1e-2, 0)
+
+    def test_overflow_to_inf_escapes(self):
+        # every path overflows to +-inf: an escape, with an infinite growth
+        # exponent and no RuntimeWarning
+        model = SdeModel(dim=1, drift=power_drift([1e306, 1e306]), sigma=regime_sigma(1.0),
+                         rates=Q2)
+        rep = run_ensemble(model, x0=3.0, i0=0, r0=1.0, T=1.0, dt=1e-2, trials=100, seed=0)
+        assert rep.escape_count == 100 and rep.censored == 0
+        assert rep.growth_exponent == np.inf
 
     def test_norm_keeps_the_squared_form_in_range(self):
         x = np.array([[3.0, 4.0], [1e200, 1e200], [-1e300, 0.0], [np.inf, 1.0], [0.1, 0.2]])

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
 
 def jsonify(obj):
-    """Recursively convert numpy scalars/arrays, enums, and tuples for json.dump."""
+    """Recursively convert numpy scalars/arrays, enums, and tuples for json.dump.
+
+    RFC 8259 JSON has no infinity or NaN, so a non-finite float becomes the
+    string ``"inf"``, ``"-inf"`` or ``"nan"``, as ``render_text`` prints it.
+    """
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -18,7 +23,9 @@ def jsonify(obj):
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, np.generic):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
     return obj
 
 

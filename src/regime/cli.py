@@ -115,11 +115,7 @@ class _Parser(argparse.ArgumentParser):
 def _emit(report: dict, out: str | None, as_text: bool) -> None:
     doc = jsonify(report)
     if out or not as_text:
-        try:
-            text = json.dumps(doc, indent=2, allow_nan=False)
-        except ValueError:  # RFC 8259 has no inf or nan: write "inf", "nan" as --text does
-            doc_json = json.loads(json.dumps(doc), parse_constant=lambda c: str(float(c)))
-            text = json.dumps(doc_json, indent=2)
+        text = json.dumps(doc, indent=2, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     print(render_text(doc) if as_text else text)

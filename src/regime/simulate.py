@@ -12,19 +12,24 @@ fixed handful of numpy operations: the Euler update (``_Kernel.euler``),
 which calls the model's drift and sigma once on every active path with its
 regime array, then the step's switches, as buffer columns and new regimes
 written into a fresh copy of the regimes, so no regime array handed to
-``drift``, ``sigma`` or ``rate_fn`` changes after the call.  The switches
-come from one of two sources.  A constant generator gathers a per-ensemble
-table of cumulative rates, whose step bound is checked once, before any
-path is seeded; its switches read no position, so each block's are decided
-before the block's first step, from the table and the kept uniforms
-(``_block_switches``).  State-dependent rates' are decided at the step by
-``_Kernel.switches``, from the pre-step positions.  Those with an
-``(inf, sup)`` hint on every pair get a bound from the sups, as the
-bounding generator of thm23 and thm32 does, and ``rate_fn`` reads them only
-at the paths that can switch in a step, which must keep to that bound.
-Other state-dependent rates are read by one ``rate_fn`` call on every
-active path and checked against the guard at every step.  Every switch
-follows one rule over cumulative rows (``_switch``); the table branch of
+``drift``, ``sigma`` or ``rate_fn`` changes after the call.  The fill joins
+each block's kept uniforms into one array pair, their flat indices
+``column * span + step``, path-major, and their values, and the loop splits
+one pair by step, once per block (``_by_step``).  A constant generator
+gathers a per-ensemble table of cumulative rates, whose step bound is
+checked once, before any path is seeded; its switches read no position, so
+its pair is the block's switches and their new regimes, decided before the
+block's first step from the table and the kept uniforms
+(``_block_switches``).  State-dependent rates hand over the kept uniforms
+themselves: their paths are the candidates whose switches
+``_Kernel.switches`` decides at each step from the pre-step positions.
+Those with an ``(inf, sup)`` hint on every pair get a bound from the sups,
+as the bounding generator of thm23 and thm32 does, and ``rate_fn`` reads
+them only at the candidates, which must keep to that bound.  Other
+state-dependent rates are read by one ``rate_fn`` call on every active path
+and checked against the guard at every step.  A path at +-inf has escaped:
+no rate is read there, and it keeps its regime.  Every switch follows one
+rule over cumulative rows (``_switch``); the table branch of
 ``_Kernel.switches`` applies it step by step and is the reference that the
 block decision of a constant generator reproduces bit for bit.
 
@@ -191,10 +196,11 @@ class _Kernel:
     sups.  With either a priori bound a step without candidates has no
     switches, and hinted rates are read at the candidates only.  Other
     state-dependent rates are read on the whole batch and checked against
-    the guard at every step, since their bound depends on x.  Each
-    candidate gets one cumulative row, gathered by regime from the table or
-    taken from the step's column, for ``_switch``.  The engine takes the
-    Euler update (``euler``) from here for every generator and the switches
+    the guard at every step, since their bound depends on x; no read takes
+    in a path at +-inf, whose row of zeros never switches.  Each candidate
+    gets one cumulative row, gathered by regime from the table or taken
+    from the step's column, for ``_switch``.  The engine takes the Euler
+    update (``euler``) from here for every generator and the switches
     (``switches``) for state-dependent rates; a constant generator's are
     decided ahead by ``_block_switches``, and the table branch of
     ``switches`` stays as the per-step reference rule for them.  The model's
@@ -276,7 +282,14 @@ class _Kernel:
     def _rate_cumsum(self, xs: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Cumulative switching probabilities, (n, k): row j sums q_{lam,l}(x) dt
         over l <= j, from one ``rate_fn(xs, lam)`` call; every total must be
-        within ``bound``."""
+        within ``bound``.  A path at +-inf has escaped: its rates are not
+        read, and its column of zeros keeps its regime."""
+        if np.isinf(xs).any():
+            on = ~np.isinf(xs)
+            cum = np.zeros((self.model.rates.n, xs.size))
+            if on.any():
+                cum[:, on] = self._rate_cumsum(xs[on], lam[on])
+            return cum
         q = self.model.rates.evaluate(xs, lam)
         # row-by-row running sum: np.cumsum along the short axis is slower,
         # and adds in the same order
@@ -368,9 +381,11 @@ def _simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: i
     then on.  Its uniforms are kept only below ``kernel.bound``.  One
     generator serves every path: it is set to a path's state, draws that
     path's block into a contiguous group scratch, and the group is copied
-    into the buffers at once.  ``_run_block`` then steps the block.  The
-    stepping runs with numpy's overflow and invalid warnings off: a path
-    that overflows to inf escapes, and one whose position turns nan raises
+    into the buffers at once.  ``_run_block`` steps the block from the
+    normals and one array pair: the kept uniforms, or for a constant
+    generator the switches they give (``_block_switches``).  The stepping
+    runs with numpy's overflow and invalid warnings off: a path that
+    overflows to inf escapes, and one whose position turns nan raises
     ValueError.  Returns each path's hitting time and its radius at the
     horizon: nan for the radius of a returned path, and for the hitting
     time of one still out.
@@ -396,7 +411,7 @@ def _simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: i
         span = min(BLOCK, n_steps - done_steps)
         more = done_steps + span < n_steps
         active = ids.tolist()
-        live, live_u = [], []
+        at, vals = [], []
         for c0 in range(0, len(active), group):
             members = active[c0:c0 + group]
             # the members' uniforms, contiguous, one row per path
@@ -409,11 +424,15 @@ def _simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: i
                     states[j] = bitgen.state
             c1 = c0 + len(members)
             z_buf[:span, c0:c1] = z_grp[:len(members), :span].swapaxes(0, 1)
-            at = np.flatnonzero(u_mem < kernel.bound)
-            live_u.append(u_mem.ravel().take(at))
-            at += c0 * span
-            live.append(at)
-        ids, x, lam = _run_block(kernel, z_buf, live, live_u, span, done_steps, r0, hit_time,
+            flat = np.flatnonzero(u_mem < kernel.bound)
+            vals.append(u_mem.ravel().take(flat))
+            at.append(flat + c0 * span)
+        # rebinding drops the groups' parts, and a constant generator's
+        # kept uniforms once its switches are decided
+        at, vals = np.concatenate(at), np.concatenate(vals)
+        if kernel.table is not None:
+            at, vals = _block_switches(kernel.table, lam, at, vals, span)
+        ids, x, lam = _run_block(kernel, z_buf, at, vals, span, done_steps, r0, hit_time,
                                  ids, x, lam)
         done_steps += span
     out = _norm(x)
@@ -427,29 +446,28 @@ def _simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: i
     return hit_time, radius
 
 
-def _run_block(kernel: _Kernel, z_buf: np.ndarray, live: list, live_u: list, span: int,
-               t0: int, r0: float, hit_time: np.ndarray, ids: np.ndarray, x: np.ndarray,
-               lam: np.ndarray) -> tuple:
+def _run_block(kernel: _Kernel, z_buf: np.ndarray, at: np.ndarray, vals: np.ndarray,
+               span: int, t0: int, r0: float, hit_time: np.ndarray, ids: np.ndarray,
+               x: np.ndarray, lam: np.ndarray) -> tuple:
     """Step the active paths ``ids`` at ``x`` in regimes ``lam`` through one
     block of ``span`` steps after step ``t0``.
 
-    Regimes are kept by buffer column for the block.  A step takes the Euler
-    update, then writes its switches, as columns and new regimes, into a
-    fresh copy, so no regime array handed to ``drift``, ``sigma`` or
+    ``at`` holds flat indices ``column * span + step`` in path-major order
+    and ``vals`` a value for each: a constant generator's switches in the
+    block and their new regimes (``_block_switches``), or state-dependent
+    rates' kept uniforms.  They are split by step once (``_by_step``), in
+    place.  Regimes are kept by buffer column for the block.  A step takes
+    the Euler update, then writes its switches, as columns and new regimes,
+    into a fresh copy, so no regime array handed to ``drift``, ``sigma`` or
     ``rate_fn`` changes after the call; only the paths' ids, positions and
-    columns are compacted when some retire.  A constant generator's switches
-    read no position, so all of the block's are decided before its first
-    step (``_block_switches``).  State-dependent rates' are decided at each
-    step by ``_Kernel.switches`` from the pre-step positions of the step's
-    candidates, the columns of its kept uniforms (``_live_uniforms``), which
-    map to batch positions by their place in the ascending active columns.
-    Writes the hitting times of the paths that return and returns the
-    survivors' ``ids``, ``x`` and ``lam``.
+    columns are compacted when some retire.  State-dependent rates' switches
+    are decided at each step by ``_Kernel.switches`` from the pre-step
+    positions of the step's candidates, the columns of its kept uniforms,
+    which map to batch positions by their place in the ascending active
+    columns.  Writes the hitting times of the paths that return and returns
+    the survivors' ``ids``, ``x`` and ``lam``.
     """
-    if kernel.table is None:
-        cand_cols, cand_u = _live_uniforms(live, live_u, span)
-    else:
-        switch_cols, switch_to = _block_switches(kernel.table, lam, live, live_u, span)
+    step_cols, step_vals = _by_step(at, vals, span)
     width = ids.size
     half_line = kernel.model.boundary == "reflect"
     lam_col = lam
@@ -460,14 +478,14 @@ def _run_block(kernel: _Kernel, z_buf: np.ndarray, live: list, live_u: list, spa
         else:
             x_new = kernel.euler(x, lam, z_buf[s].take(cols, axis=0))
         if kernel.table is not None:
-            at, to = switch_cols[s], switch_to[s]
+            at, to = step_cols[s], step_vals[s]
         elif cols is None:
-            at, to = kernel.switches(x, lam, cand_cols[s], cand_u[s])
+            at, to = kernel.switches(x, lam, step_cols[s], step_vals[s])
         else:
-            cand = cand_cols[s]
+            cand = step_cols[s]
             pos = cols.searchsorted(cand)
             alive = (cols.take(pos, mode="clip") == cand).nonzero()[0]
-            at, to = kernel.switches(x, lam, pos.take(alive), cand_u[s].take(alive))
+            at, to = kernel.switches(x, lam, pos.take(alive), step_vals[s].take(alive))
             at = cols.take(at)
         x = x_new
         if at.size:
@@ -487,21 +505,17 @@ def _run_block(kernel: _Kernel, z_buf: np.ndarray, live: list, live_u: list, spa
     return ids, x, lam
 
 
-def _block_switches(table: np.ndarray, lam: np.ndarray, live: list, live_u: list,
+def _block_switches(table: np.ndarray, lam: np.ndarray, at: np.ndarray, vals: np.ndarray,
                     span: int) -> tuple:
     """Every switch of one block under a constant generator's cumulative
-    rows ``table``, from the regimes ``lam`` of its buffer columns; empties
-    both lists of kept uniforms (as for ``_live_uniforms``).
+    rows ``table``, from the regimes ``lam`` of its buffer columns and the
+    block's kept uniforms: their flat indices ``at`` and values ``vals``.
 
     The kept uniforms are path-major, so each column's come in step order.
     Round r takes, for every column with more than r of them, its r-th, and
-    applies ``_switch`` to the row of the column's current regime.  Returns,
-    for each step, the columns that switch and their new regimes.
+    applies ``_switch`` to the row of the column's current regime.  Returns
+    the switches' flat indices, path-major, and their new regimes.
     """
-    at = np.concatenate(live)
-    live.clear()
-    vals = np.concatenate(live_u)
-    live_u.clear()
     counts = np.bincount(at // span, minlength=lam.size)
     first = np.cumsum(counts) - counts  # each column's first kept uniform
     cur = lam.copy()
@@ -510,11 +524,10 @@ def _block_switches(table: np.ndarray, lam: np.ndarray, live: list, live_u: list
         c = (counts > r).nonzero()[0]
         idx = first.take(c) + r
         hit, to = _switch(table.take(cur.take(c), axis=0), vals.take(idx))
-        if hit.size:
-            cur[c.take(hit)] = to
-            sw_at.append(at.take(idx.take(hit)))
-            sw_to.append(to)
-    return _live_uniforms(sw_at, sw_to, span)
+        cur[c.take(hit)] = to
+        sw_at.append(at.take(idx.take(hit)))
+        sw_to.append(to)
+    return np.concatenate(sw_at), np.concatenate(sw_to)
 
 
 def _switch(rows: np.ndarray, u: np.ndarray) -> tuple:
@@ -528,30 +541,24 @@ def _switch(rows: np.ndarray, u: np.ndarray) -> tuple:
     return hit, (u.take(hit)[:, None] < rows.take(hit, axis=0)).argmax(axis=1)
 
 
-def _live_uniforms(live: list, live_u: list, span: int) -> tuple:
-    """Per-step store of one block's kept uniforms; empties both lists.
+def _by_step(at: np.ndarray, vals: np.ndarray, span: int) -> tuple:
+    """Split one block's pairs, flat indices ``column * span + step`` in
+    path-major order and values, by step, in place.
 
-    ``live`` holds, group by group, the flat indices ``column * span + step``
-    of the kept uniforms in path-major order, and ``live_u`` their values.
-    Returns, for each step, the buffer columns of its kept uniforms,
-    ascending, and their values: views into one index array and one float64
-    array, 16 bytes per kept uniform.  ``_block_switches`` splits a block's
-    switches and their new regimes by step the same way.
+    Returns, for each step, the buffer columns of its entries, ascending,
+    and their values: views into ``at`` and ``vals``, which now hold the
+    columns and values sorted by step, so no unsorted copy outlives the split.
     """
-    at = np.concatenate(live)
-    live.clear()
-    vals = np.concatenate(live_u)
-    live_u.clear()
     steps = (at % span).astype(np.int16)  # span <= BLOCK < 2**15
-    ends = np.cumsum(np.bincount(steps, minlength=span)).tolist()
+    ends = [0] + np.cumsum(np.bincount(steps, minlength=span)).tolist()
     # numpy's stable sort of 16-bit keys is a radix sort; it keeps the
     # path-major order within a step, so the columns of a step ascend
     order = np.argsort(steps, kind="stable")
-    vals = vals.take(order)
-    cols = np.floor_divide(at, span, out=at).take(order)
-    starts = [0] + ends[:-1]
-    return ([cols[a:b] for a, b in zip(starts, ends)],
-            [vals[a:b] for a, b in zip(starts, ends)])
+    np.floor_divide(at, span, out=at)
+    at.take(order, out=at)  # take buffers its output in "raise" mode
+    vals.take(order, out=vals)
+    return ([at[a:b] for a, b in zip(ends, ends[1:])],
+            [vals[a:b] for a, b in zip(ends, ends[1:])])
 
 
 def _norm(x: np.ndarray) -> np.ndarray:

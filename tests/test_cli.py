@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from regime import criteria, modelfile
-from regime._util import jsonify
+from regime._util import jsonify, render_text
 from regime.cli import RUNNERS, build_parser, main
 from regime.criteria import Limit, classify_infinite
 from regime.errors import CriterionNotApplicable, ParseError, SchemaError
@@ -1031,6 +1031,17 @@ def test_jsonify_turns_numpy_scalars_into_python_values():
     assert [type(v) for v in (doc["f"], doc["i"], doc["b"], doc["t"][0])] == [
         float, int, bool, int]
     assert json.loads(json.dumps(doc)) == doc
+
+
+@pytest.mark.parametrize("value, text", [(np.inf, "inf"), (-np.inf, "-inf"), (np.nan, "nan")])
+def test_jsonify_writes_non_finite_floats_as_text_does(value, text):
+    doc = jsonify({"float": float(value), "scalar": np.float64(value),
+                   "single": np.float32(value), "array": np.array([1.5, value])})
+    assert doc == {"float": text, "scalar": text, "single": text, "array": [1.5, text]}
+    assert json.loads(json.dumps(doc, allow_nan=False)) == doc
+    # --text prints the string as it prints the float
+    assert render_text(doc) == render_text({"float": value, "scalar": value, "single": value,
+                                            "array": [1.5, value]})
 
 
 class TestParserReuse:

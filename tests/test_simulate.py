@@ -771,6 +771,19 @@ class TestMultiDimensional:
         assert rep.escape_count == 100 and rep.censored == 0
         assert rep.growth_exponent == np.inf
 
+    @pytest.mark.parametrize("rates", ["hinted", "unhinted", "constant"])
+    def test_overflow_to_inf_escapes_whatever_the_rates(self, rates):
+        # ex22's rates (1 + 2x)/(1 + x) are nan at x = inf: a path there has
+        # escaped, so no rate is read at it and it keeps its regime
+        model = dataclasses.replace(ex22_sde_model(1.2), drift=power_drift([1e306, 1e306]))
+        if rates == "unhinted":
+            model = without_hints(model)
+        elif rates == "constant":
+            model = dataclasses.replace(model, rates=Q2)
+        rep = run_ensemble(model, x0=3.0, i0=0, r0=1.0, T=1.0, dt=1e-3, trials=100, seed=0)
+        assert rep.escape_count == 100 and rep.censored == 0
+        assert rep.growth_exponent == np.inf
+
     def test_norm_keeps_the_squared_form_in_range(self):
         x = np.array([[3.0, 4.0], [1e200, 1e200], [-1e300, 0.0], [np.inf, 1.0], [0.1, 0.2]])
         r = _norm(x)

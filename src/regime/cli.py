@@ -10,11 +10,14 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import reproduce as repro
 from ._util import jsonify, render_text
 from .criteria import (
+    Classification,
     classify_avg,
     classify_infinite,
     classify_mmatrix,
@@ -32,77 +35,64 @@ from .modelfile import RegimeModel, load_model
 from .simulate import run_ensemble
 
 
-def _need(cond: bool, what: str):
-    if not cond:
-        raise CriterionNotApplicable(what)
+# Each applicability rule of a criterion, stated once: a test on the model
+# and the reason a criterion that needs it does not apply.
+NEEDS = {
+    "q": (lambda m: isinstance(m.switching, QMatrix), "needs a constant rate matrix"),
+    "rates": (lambda m: isinstance(m.switching, StateDependentRates),
+              "needs state-dependent rates"),
+    "chain": (lambda m: isinstance(m.switching, TailHomogeneousChain),
+              "needs an infinite birth-death switching chain"),
+    "power": (lambda m: m.drift_b is not None, "needs a power drift section"),
+    "linear": (lambda m: m.drift_b is not None and m.delta == 1.0,
+               "needs a linear (ou) drift section"),
+    "1-d": (lambda m: m.dim == 1, "needs a 1-d state space"),
+    "sigma": (lambda m: m.sigma is not None, "needs a sigma section"),
+    "lyapunov": (lambda m: m.lyapunov is not None, "needs a lyapunov section"),
+    "beta_seq": (lambda m: m.beta_seq is not None, "needs a lyapunov beta sequence"),
+    "cutpoints": (lambda m: m.cutpoints is not None, "needs partition cutpoints"),
+    "two_function": (lambda m: m.two_function is not None, "needs a two_function section"),
+    "radial": (lambda m: m.radial_component is not None, "needs sampled radial drift components"),
+}
 
 
-def _run_cor31(model: RegimeModel):
-    _need(isinstance(model.switching, QMatrix), "needs a constant rate matrix")
-    _need(model.drift_b is not None, "needs a power drift section")
-    _need(model.dim == 1, "needs a 1-d state space")
-    _need(model.sigma is not None, "needs a sigma section")
-    return classify_power_1d(model.switching, model.drift_b, model.sigma, model.delta)
+@dataclass(frozen=True)
+class _Runner:
+    """A criterion as ``classify`` runs it: the ``NEEDS`` rules it takes, in
+    check order, and its classifier, which is called only once every rule
+    holds.  The first rule that fails raises CriterionNotApplicable."""
 
+    needs: tuple
+    classify: Callable[[RegimeModel], Classification]
 
-def _run_prop22(model: RegimeModel):
-    _need(isinstance(model.switching, QMatrix), "needs a constant rate matrix")
-    _need(model.drift_b is not None and model.delta == 1.0, "needs a linear (ou) drift section")
-    return classify_ou(model.switching, model.drift_b)
-
-
-def _run_thm22(model: RegimeModel):
-    _need(isinstance(model.switching, QMatrix), "needs a constant rate matrix")
-    _need(model.lyapunov is not None, "needs a lyapunov section")
-    return classify_mmatrix(model.switching, model.lyapunov)
-
-
-def _run_thm23(model: RegimeModel):
-    _need(isinstance(model.switching, StateDependentRates), "needs state-dependent rates")
-    _need(model.lyapunov is not None, "needs a lyapunov section")
-    return classify_state_dependent(model.q_tilde, model.lyapunov)
-
-
-def _run_thm24(model: RegimeModel):
-    _need(isinstance(model.switching, TailHomogeneousChain),
-          "needs an infinite birth-death switching chain")
-    _need(model.beta_seq is not None, "needs a lyapunov beta sequence")
-    _need(model.cutpoints is not None, "needs partition cutpoints")
-    partition = Partition.from_cutpoints(model.beta_seq, model.cutpoints)
-    return classify_infinite(model.switching, model.beta_seq, partition, model.lyapunov.tag)
-
-
-def _run_thm21(model: RegimeModel):
-    _need(isinstance(model.switching, QMatrix), "needs a constant rate matrix")
-    _need(model.lyapunov is not None, "needs a lyapunov section")
-    return classify_avg(model.switching, model.lyapunov)
-
-
-def _run_thm31(model: RegimeModel):
-    _need(isinstance(model.switching, QMatrix), "needs a constant rate matrix")
-    _need(model.two_function is not None, "needs a two_function section")
-    return classify_two_function(model.switching, model.two_function)
-
-
-def _run_thm32(model: RegimeModel):
-    _need(isinstance(model.switching, StateDependentRates), "needs state-dependent rates")
-    _need(model.two_function is not None, "needs a two_function section")
-    two = model.two_function
-    return classify_two_function_state_dependent(model.q_tilde, two.beta, two.tag)
-
-
-def _run_thm33(model: RegimeModel):
-    _need(isinstance(model.switching, QMatrix), "needs a constant rate matrix")
-    _need(model.radial_component is not None, "needs sampled radial drift components")
-    return classify_radial_sampled(model.switching, model.radial_component, model.delta)
+    def __call__(self, model: RegimeModel) -> Classification:
+        for holds, reason in (NEEDS[rule] for rule in self.needs):
+            if not holds(model):
+                raise CriterionNotApplicable(reason)
+        return self.classify(model)
 
 
 # --criterion auto runs these in this order: the complete 1-d dichotomy and the
 # linear-drift test first, then the M-matrix certificates, then the averaged
 # and two-function tests.
-RUNNERS = {"cor31": _run_cor31, "prop22": _run_prop22, "thm22": _run_thm22,
-           "thm23": _run_thm23, "thm24": _run_thm24, "thm21": _run_thm21,
-           "thm31": _run_thm31, "thm32": _run_thm32, "thm33": _run_thm33}
+RUNNERS = {
+    "cor31": _Runner(("q", "power", "1-d", "sigma"), lambda m: classify_power_1d(
+        m.switching, m.drift_b, m.sigma, m.delta)),
+    "prop22": _Runner(("q", "linear"), lambda m: classify_ou(m.switching, m.drift_b)),
+    "thm22": _Runner(("q", "lyapunov"), lambda m: classify_mmatrix(m.switching, m.lyapunov)),
+    "thm23": _Runner(("rates", "lyapunov"),
+                     lambda m: classify_state_dependent(m.q_tilde, m.lyapunov)),
+    "thm24": _Runner(("chain", "beta_seq", "cutpoints"), lambda m: classify_infinite(
+        m.switching, m.beta_seq, Partition.from_cutpoints(m.beta_seq, m.cutpoints),
+        m.lyapunov.tag)),
+    "thm21": _Runner(("q", "lyapunov"), lambda m: classify_avg(m.switching, m.lyapunov)),
+    "thm31": _Runner(("q", "two_function"),
+                     lambda m: classify_two_function(m.switching, m.two_function)),
+    "thm32": _Runner(("rates", "two_function"), lambda m: classify_two_function_state_dependent(
+        m.q_tilde, m.two_function.beta, m.two_function.tag)),
+    "thm33": _Runner(("q", "radial"), lambda m: classify_radial_sampled(
+        m.switching, m.radial_component, m.delta)),
+}
 
 
 class _Parser(argparse.ArgumentParser):

@@ -94,7 +94,7 @@ def compile_rate_expr(expr: str) -> Callable[[np.ndarray], np.ndarray]:
             operands = tuple(node.args)
         elif isinstance(node, ast.Name) and node.id == "x":
             return node
-        elif ((isinstance(node, ast.Constant) and isinstance(node.value, (int, float)))
+        elif ((isinstance(node, ast.Constant) and type(node.value) in (int, float))  # no bool
               or (isinstance(node, ast.Name) and node.id in _ALLOWED_NAMES)):
             operands = ()
         else:
@@ -248,7 +248,9 @@ def _parse_q(doc, n_regimes):
                 raise SchemaError(f"q.entries[{k}]: bad index pair ({i},{j})")
             if j - 1 in rows.get(i - 1, ()):
                 raise SchemaError(f"q.entries[{k}]: pair ({i},{j}) is listed twice")
-            text = str(ent["expr"])
+            text = ent["expr"]
+            if not isinstance(text, str):
+                raise SchemaError(f"q.entries[{k}].expr must be a string")
             if text not in fns:
                 fns[text] = compile_rate_expr(text)
             rows.setdefault(i - 1, {})[j - 1] = text

@@ -7,32 +7,6 @@ construction; a path counts as returned only if it reaches the target ball
 before the horizon, so reports corroborate the analytic verdicts rather than
 prove them.
 
-One block step loop (``_run_block``) serves every generator.  A step is a
-fixed handful of numpy operations: the Euler update (``_Kernel.euler``),
-which calls the model's drift and sigma once on every active path with its
-regime array, then the step's switches, as buffer columns and new regimes
-written into a fresh copy of the regimes, so no regime array handed to
-``drift``, ``sigma`` or ``rate_fn`` changes after the call.  The fill joins
-each block's kept uniforms into one array pair, their flat indices
-``column * span + step``, path-major, and their values, and the loop splits
-one pair by step, once per block (``_by_step``).  A constant generator
-gathers a per-ensemble table of cumulative rates, whose step bound is
-checked once, before any path is seeded; its switches read no position, so
-its pair is the block's switches and their new regimes, decided before the
-block's first step from the table and the kept uniforms
-(``_block_switches``).  State-dependent rates hand over the kept uniforms
-themselves: their paths are the candidates whose switches
-``_Kernel.switches`` decides at each step from the pre-step positions.
-Those with an ``(inf, sup)`` hint on every pair get a bound from the sups,
-as the bounding generator of thm23 and thm32 does, and ``rate_fn`` reads
-them only at the candidates, which must keep to that bound.  Other
-state-dependent rates are read by one ``rate_fn`` call on every active path
-and checked against the guard at every step.  A path at +-inf has escaped:
-no rate is read there, and it keeps its regime.  Every switch follows one
-rule over cumulative rows (``_switch``); the table branch of
-``_Kernel.switches`` applies it step by step and is the reference that the
-block decision of a constant generator reproduces bit for bit.
-
 Reproducibility contract: path k draws from exactly numpy's PCG64 stream
 seeded with ``SeedSequence(seed, spawn_key=(k,))``, consuming one block of
 normals and one block of uniforms per BLOCK steps.  The states of all paths
@@ -41,12 +15,30 @@ in the tests) and one generator is switched between them.  Results are
 therefore bitwise identical for a given (seed, config) no matter how paths
 are chunked; aggregation is ordered by path index.
 
-Every uniform is drawn, but only those below the kernel's switching bound
-(``_Kernel.bound``: the largest q_i dt of a constant generator, the largest
-sum of the hints' sup_ij dt for fully hinted rates within the guard, else
-the 0.1 guard that every step enforces) are kept.  A uniform at or above the
-bound is at or above every switching probability a step lets through, so
-it cannot switch a regime: dropping it changes no result.
+Design.  Paths run in blocks of up to BLOCK steps, in three stages.
+- Fill (``_simulate_paths``): each path's normals go to a step-major buffer,
+  one column per active path.  Of its uniforms only those below
+  ``_Kernel.bound`` are kept: the largest q_i dt of a constant generator,
+  the largest sum of the hints' sup_ij dt when every pair of state-dependent
+  rates is hinted and the sum is within the guard, else the guard.  No step
+  lets a larger total through, so a dropped uniform would switch nothing.
+  The kept uniforms become one array pair: flat indices
+  ``column * span + step``, path-major, and values.
+- Hand-off: a constant generator's switches read no position, so its pair
+  becomes the block's switches and new regimes (``_block_switches``).
+  State-dependent rates keep the uniforms: their paths are the candidates.
+- Step loop (``_run_block``): the pair is split by step once (``_by_step``).
+  A step is the Euler update (``_Kernel.euler``), one drift and one sigma
+  call on the active paths, then its switches, written into a fresh copy of
+  the regimes, so no regime array passed to ``drift``, ``sigma`` or
+  ``rate_fn`` changes after the call.  ``_Kernel.switches`` reads fully
+  hinted rates at the candidates only, which must keep to their sups, and
+  other rates on every active path, checked against the guard.
+Every switch follows one rule over cumulative rows (``_switch``); the table
+branch of ``_Kernel.switches`` is the per-step reference that the block
+decision of a constant generator reproduces bit for bit.  A path at +-inf
+has escaped: no rate is read there, and it keeps its regime.  A path at nan
+is an error.
 """
 
 from __future__ import annotations
@@ -181,32 +173,13 @@ class SimulationReport:
 
 
 class _Kernel:
-    """One Euler-Maruyama step plus thinned switching for a batch of paths.
-
-    Built once per ensemble.  ``bound`` is at least every total a step lets
-    through, so only paths whose uniform lies below it need one: a step's
-    switches take the positions of those candidates and their uniforms.  A
-    constant generator holds the cumulative off-diagonal rows
-    ``cumsum(q_ij dt)``, raises StepTooLarge at once if any regime's total
-    (the last column) breaks the thinning guard, and is bounded by its
-    largest total.  State-dependent rates with a hint on every pair are
-    bounded by the largest total of ``cumsum(sup_ij dt)``, added in
-    ``_rate_cumsum``'s order, when it is within the guard: float addition is
-    monotone, so no path's total exceeds it while its rates keep to their
-    sups.  With either a priori bound a step without candidates has no
-    switches, and hinted rates are read at the candidates only.  Other
-    state-dependent rates are read on the whole batch and checked against
-    the guard at every step, since their bound depends on x; no read takes
-    in a path at +-inf, whose row of zeros never switches.  Each candidate
-    gets one cumulative row, gathered by regime from the table or taken
-    from the step's column, for ``_switch``.  The engine takes the Euler
-    update (``euler``) from here for every generator and the switches
-    (``switches``) for state-dependent rates; a constant generator's are
-    decided ahead by ``_block_switches``, and the table branch of
-    ``switches`` stays as the per-step reference rule for them.  The model's
-    callables are read from ``model`` at every step, so a copy of the model
-    with other callables is honoured.
-    """
+    """One Euler-Maruyama step and the switches of a batch of paths, built
+    once per ensemble.  ``bound`` is at least every switching total a step
+    lets through.  A constant generator's cumulative off-diagonal rows
+    ``cumsum(q_ij dt)`` are ``table``, and a regime whose total breaks the
+    guard raises StepTooLarge here; fully hinted rates whose sups set the
+    bound keep them in ``sup``.  The model's callables are read at every
+    step, so a copy of the model with other callables is honoured."""
 
     def __init__(self, model: SdeModel, dt: float):
         self.model = model
@@ -238,11 +211,10 @@ class _Kernel:
 
     def switches(self, x: np.ndarray, lam: np.ndarray, cand: np.ndarray,
                  u: np.ndarray) -> tuple:
-        """The switches of one step of the batch at pre-step positions ``x``
-        in regimes ``lam``.  ``cand`` holds the distinct positions, in any
-        order, of the paths that may switch, ``u`` their uniforms; every
-        other path's uniform is at least ``bound``.  Returns the positions
-        that switch and their new regimes."""
+        """One step's switches of the batch at pre-step positions ``x`` in
+        regimes ``lam``, from the distinct positions ``cand`` (any order) of
+        the paths whose uniforms ``u`` lie below ``bound``.  Returns the
+        positions that switch and their new regimes."""
         if self.table is None and self.sup is None:
             # no a priori bound: every path's rates are checked against the guard
             rows = self._rate_cumsum(x[:, 0], lam).take(cand, axis=1).T
@@ -371,25 +343,11 @@ def _path_states(seed: int, path_ids: np.ndarray) -> list:
 @np.errstate(over="ignore", invalid="ignore")
 def _simulate_paths(model: SdeModel, path_ids: np.ndarray, x0: np.ndarray, i0: int,
                     r0: float, n_steps: int, dt: float, seed: int) -> tuple:
-    """Run a block of paths to min(hitting time, horizon).
-
-    The active paths' positions and indices stay compacted, in path order; a
-    step where some path hits removes it.  Each block's normals sit in a
-    step-major buffer, one column per active path at the start of the
-    block, so a step reads a contiguous row until the first path of the
-    block retires, and the row's entries at the active paths' columns from
-    then on.  Its uniforms are kept only below ``kernel.bound``.  One
-    generator serves every path: it is set to a path's state, draws that
-    path's block into a contiguous group scratch, and the group is copied
-    into the buffers at once.  ``_run_block`` steps the block from the
-    normals and one array pair: the kept uniforms, or for a constant
-    generator the switches they give (``_block_switches``).  The stepping
-    runs with numpy's overflow and invalid warnings off: a path that
-    overflows to inf escapes, and one whose position turns nan raises
-    ValueError.  Returns each path's hitting time and its radius at the
-    horizon: nan for the radius of a returned path, and for the hitting
-    time of one still out.
-    """
+    """Run the paths ``path_ids`` to min(hitting time, horizon).  Returns
+    each path's hitting time and its radius at the horizon: nan for the
+    radius of a returned path, and for the hitting time of one still out.
+    A path that overflows to inf escapes; one that ends at nan raises
+    ValueError naming its id."""
     k = path_ids.size
     d = model.dim
     kernel = _Kernel(model, dt)
@@ -450,23 +408,11 @@ def _run_block(kernel: _Kernel, z_buf: np.ndarray, at: np.ndarray, vals: np.ndar
                span: int, t0: int, r0: float, hit_time: np.ndarray, ids: np.ndarray,
                x: np.ndarray, lam: np.ndarray) -> tuple:
     """Step the active paths ``ids`` at ``x`` in regimes ``lam`` through one
-    block of ``span`` steps after step ``t0``.
-
-    ``at`` holds flat indices ``column * span + step`` in path-major order
-    and ``vals`` a value for each: a constant generator's switches in the
-    block and their new regimes (``_block_switches``), or state-dependent
-    rates' kept uniforms.  They are split by step once (``_by_step``), in
-    place.  Regimes are kept by buffer column for the block.  A step takes
-    the Euler update, then writes its switches, as columns and new regimes,
-    into a fresh copy, so no regime array handed to ``drift``, ``sigma`` or
-    ``rate_fn`` changes after the call; only the paths' ids, positions and
-    columns are compacted when some retire.  State-dependent rates' switches
-    are decided at each step by ``_Kernel.switches`` from the pre-step
-    positions of the step's candidates, the columns of its kept uniforms,
-    which map to batch positions by their place in the ascending active
-    columns.  Writes the hitting times of the paths that return and returns
-    the survivors' ``ids``, ``x`` and ``lam``.
-    """
+    block of ``span`` steps after step ``t0``, from the block's normals
+    ``z_buf`` and its pair ``at``, ``vals`` (a constant generator's switches
+    and new regimes, or state-dependent rates' kept uniforms), which is
+    sorted in place.  Writes the hitting times of the paths that return and
+    returns the survivors' ``ids``, ``x`` and ``lam``."""
     step_cols, step_vals = _by_step(at, vals, span)
     width = ids.size
     half_line = kernel.model.boundary == "reflect"
@@ -509,12 +455,9 @@ def _block_switches(table: np.ndarray, lam: np.ndarray, at: np.ndarray, vals: np
                     span: int) -> tuple:
     """Every switch of one block under a constant generator's cumulative
     rows ``table``, from the regimes ``lam`` of its buffer columns and the
-    block's kept uniforms: their flat indices ``at`` and values ``vals``.
-
-    The kept uniforms are path-major, so each column's come in step order.
-    Round r takes, for every column with more than r of them, its r-th, and
-    applies ``_switch`` to the row of the column's current regime.  Returns
-    the switches' flat indices, path-major, and their new regimes.
+    block's pair ``at``, ``vals``.  Round r applies ``_switch`` to the r-th
+    kept uniform of every column that has one.  Returns the switches' flat
+    indices, path-major, and their new regimes.
     """
     counts = np.bincount(at // span, minlength=lam.size)
     first = np.cumsum(counts) - counts  # each column's first kept uniform
@@ -542,12 +485,9 @@ def _switch(rows: np.ndarray, u: np.ndarray) -> tuple:
 
 
 def _by_step(at: np.ndarray, vals: np.ndarray, span: int) -> tuple:
-    """Split one block's pairs, flat indices ``column * span + step`` in
-    path-major order and values, by step, in place.
-
-    Returns, for each step, the buffer columns of its entries, ascending,
-    and their values: views into ``at`` and ``vals``, which now hold the
-    columns and values sorted by step, so no unsorted copy outlives the split.
+    """Split one block's pair, flat indices ``column * span + step`` in
+    path-major order and values, by step, in place: returns each step's
+    buffer columns, ascending, and values, as views into the sorted pair.
     """
     steps = (at % span).astype(np.int16)  # span <= BLOCK < 2**15
     ends = [0] + np.cumsum(np.bincount(steps, minlength=span)).tolist()

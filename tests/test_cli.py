@@ -1,7 +1,11 @@
 import argparse
+import importlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -11,7 +15,7 @@ import pytest
 
 from regime import criteria, modelfile
 from regime._util import jsonify, render_text
-from regime.cli import RUNNERS, build_parser, main
+from regime.cli import NEEDS, RUNNERS, build_parser, main
 from regime.criteria import Limit, classify_infinite
 from regime.errors import CriterionNotApplicable, ParseError, SchemaError
 from regime.markov import (
@@ -60,6 +64,12 @@ class TestRateExpressions:
         for bad in ("__import__('os')", "x.real", "lambda: 1", "open('f')", "y + 1"):
             with pytest.raises(ParseError):
                 compile_rate_expr(bad)
+
+    @pytest.mark.parametrize("expr", ["x + True", "False * x"])
+    def test_rejects_bool_constants(self, expr):
+        # True is an int to Python, but not a number of a rate expression
+        with pytest.raises(ParseError, match="disallowed construct"):
+            compile_rate_expr(expr)
 
     @pytest.mark.parametrize("expr", ["9**9**9 + x", "10**400 + x",
                                       pytest.param("1" + "0" * 400 + " * x", id="10**400 literal"),
@@ -567,6 +577,32 @@ class TestCriterionRegistry:
         rows = re.findall(r"^\| (\w+)\s+\|", section, flags=re.MULTILINE)
         assert tuple(rows[1:]) == tuple(RUNNERS)  # rows[0] is the header
 
+    def test_readme_needs_column_is_the_runners_rules(self):
+        # each row's "needs" cell is its runner's reasons, in check order
+        text = self.README.read_text(encoding="utf-8")
+        section = text.split("### Criterion identifiers", 1)[1].split("\n### ", 1)[0]
+        cells = dict(re.findall(r"^\| (\w+) \| ([^|]+?) \|", section, flags=re.MULTILINE))
+        for name, runner in RUNNERS.items():
+            reasons = [NEEDS[rule][1].removeprefix("needs ") for rule in runner.needs]
+            assert cells[name] == ", ".join(reasons), name
+
+    def test_every_rule_is_needed_and_refused_with_its_reason(self):
+        assert {rule for runner in RUNNERS.values() for rule in runner.needs} == set(NEEDS)
+        assert all(reason.startswith("needs ") for _, reason in NEEDS.values())
+        # the ou model meets cor31's first three rules, and not its fourth
+        doc = benchmark_documents()["ou"]
+        del doc["sigma"]
+        with pytest.raises(CriterionNotApplicable, match="^needs a sigma section$"):
+            RUNNERS["cor31"](parse_model(doc))
+
+    def test_rates_are_bounded_only_once_every_rule_holds(self):
+        doc = benchmark_documents()["ex22"]
+        del doc["lyapunov"]
+        model = parse_model(doc)
+        with pytest.raises(CriterionNotApplicable, match="^needs a lyapunov section$"):
+            RUNNERS["thm23"](model)
+        assert "q_tilde" not in vars(model)  # bound_rates never ran
+
     def test_readme_usage_line_lists_the_runners(self):
         text = self.README.read_text(encoding="utf-8")
         (choices,) = re.findall(r"regime classify MODEL\.json \[--criterion ([\w|]+)\]", text)
@@ -955,6 +991,13 @@ BAD_DOCUMENTS = [
      "bad rate expression '1 +'"),
     ("rate-construct", _with(_doc("ex22"), ("q", "entries", 0, "expr"), "x.real"), "ParseError",
      "disallowed construct in rate expression 'x.real'"),
+    # a JSON true, number or null is not an expression: true once read as the rate 1
+    ("rate-expr-bool", _with(_doc("ex22"), ("q", "entries", 0, "expr"), True), "SchemaError",
+     "q.entries[0].expr must be a string"),
+    ("rate-expr-number", _with(_doc("ex22"), ("q", "entries", 0, "expr"), 5), "SchemaError",
+     "q.entries[0].expr must be a string"),
+    ("rate-expr-null", _with(_doc("ex22"), ("q", "entries", 0, "expr"), None), "SchemaError",
+     "q.entries[0].expr must be a string"),
     # the lists' length is the chain's K0; a K0 key would only restate it
     ("birth-death-k0", _with(_doc("ex21"), ("q", "K0"), 1), "SchemaError",
      "q: unknown keys ['K0']"),
@@ -1087,6 +1130,42 @@ class TestParserReuse:
                    if isinstance(a, argparse._SubParsersAction))
         criterion = next(a for a in sub.choices["classify"]._actions if a.dest == "criterion")
         assert tuple(criterion.choices) == ("auto",) + tuple(RUNNERS)
+
+
+class TestInstalledCommand:
+    """``regime`` as a process: the module the entry point names, run by
+    ``python -m regime.cli`` from the source tree."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def run(self, *argv):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(self.ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "regime.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60, check=False)
+
+    def test_exit_codes_and_output(self, tmp_path):
+        (path,) = (p for p in emit_models(tmp_path) if p.stem == "ou")
+        done = self.run("classify", str(path))
+        assert done.returncode == 0 and done.stderr == ""
+        assert json.loads(done.stdout)["verdict"] == "exponentially-ergodic"
+        # mu . b = 0 on the ou generator: every criterion is inconclusive
+        doc = benchmark_documents()["ou"]
+        doc["drift"]["b"] = [1.0, -2.0]
+        path = write_model(tmp_path, doc)
+        done = self.run("classify", path)
+        assert done.returncode == 2 and done.stderr == ""
+        assert json.loads(done.stdout)["verdict"] == "inconclusive"
+        done = self.run("classify", path, "--criterion", "thm32")
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == "error: CriterionNotApplicable: needs state-dependent rates\n"
+
+    def test_entry_point_is_main(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(self.ROOT / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["regime"]
+        module, _, attr = target.partition(":")
+        assert getattr(importlib.import_module(module), attr) is main
 
 
 class TestReproduceCommand:

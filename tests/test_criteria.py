@@ -465,6 +465,18 @@ class TestKappaThresholds:
         with pytest.raises(ValueError, match="^the closed forms overflow at a = 1e"):
             kappa_thresholds(1e200, 1e200)
 
+    @pytest.mark.parametrize("a", [1e8, 1e12])
+    def test_large_equal_rates_reach_the_limits(self, a):
+        assert kappa_thresholds(a, a) == (0.5, 0.75)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="both closed forms subtract nearly equal numbers and lose "
+                              "every digit while staying finite (ROADMAP item 2)")
+    @pytest.mark.parametrize("a", [1e16, 1e20])
+    def test_huge_equal_rates_reach_the_limits(self, a):
+        rec, trans = kappa_thresholds(a, a)
+        assert rec == pytest.approx(0.5) and trans == pytest.approx(0.75)
+
 
 class TestThresholdConsistency:
     def test_two_class_bisection_matches_closed_forms(self):

@@ -771,6 +771,29 @@ class TestMultiDimensional:
         assert rep.escape_count == 100 and rep.censored == 0
         assert rep.growth_exponent == np.inf
 
+    @staticmethod
+    def _out_and_in(T):
+        # regime 0 drives a reflected path out at slope 20, regime 1 pulls it
+        # in at slope -10; the first path overflows to +inf at step 5118
+        model = SdeModel(dim=1, drift=power_drift([20.0, -10.0]), sigma=regime_sigma(1.0),
+                         rates=Q2, boundary="reflect")
+        return run_ensemble(model, x0=5.0, i0=0, r0=1.0, T=T, dt=1e-2, trials=100, seed=0)
+
+    def test_paths_that_switch_out_and_in_before_overflowing(self):
+        rep = self._out_and_in(T=50.0)
+        assert (rep.returned, rep.escape_count, rep.censored) == (12, 88, 0)
+        assert rep.growth_exponent == pytest.approx(8.85, abs=0.01)
+
+    @pytest.mark.xfail(strict=True, raises=ValueError,
+                       reason="an overflowed path at +inf that switches into the inward "
+                              "regime computes inf - inf in the Euler step and is refused "
+                              "as nan; a rule that a path at +-inf stays there would not "
+                              "mend it, since test_nan_path_is_refused's inward blow-up "
+                              "also reaches +inf, by reflection, and must stay refused")
+    def test_an_overflowed_path_that_switches_inward_escapes(self):
+        rep = self._out_and_in(T=100.0)
+        assert rep.censored == 0 and rep.growth_exponent == np.inf
+
     @pytest.mark.parametrize("rates", ["hinted", "unhinted", "constant"])
     def test_overflow_to_inf_escapes_whatever_the_rates(self, rates):
         # ex22's rates (1 + 2x)/(1 + x) are nan at x = inf: a path there has
